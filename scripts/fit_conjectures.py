@@ -18,16 +18,6 @@ import mpmath
 from graphasym import assembly, fitting
 
 
-def identified(full, half, j, max_denominator):
-    spread = abs(full.estimates[j] - half.estimates[j])
-    tol = float(spread) * 10 + 1e-30
-    sym = fitting.reconstruct_symbolic(full.estimates[j], max_denominator, tolerance=tol)
-    if sym is None:
-        return None
-    again = fitting.reconstruct_symbolic(half.estimates[j], max_denominator, tolerance=tol)
-    return sym if again == sym else None
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--k-values", default="2,3,4")
@@ -45,8 +35,8 @@ def main(argv: list[str] | None = None) -> int:
         full = fitting.lsq_fit(k, args.degree, args.n_min, args.n_max, bits=args.bits)
         mid = (args.n_min + args.n_max) // 2
         half = fitting.lsq_fit(k, args.degree, mid, args.n_max, bits=args.bits)
-        for j in range(args.degree + 1):
-            sym = identified(full, half, j, args.max_denominator)
+        symbols = fitting.identify_symbols(full, half, args.max_denominator)
+        for j, sym in enumerate(symbols):
             derived = derived_row.coefficient_at(-j)
             if sym is None:
                 status = "declined"

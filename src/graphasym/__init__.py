@@ -35,7 +35,7 @@ from .errors import (
     UnknownLeadingTerm,
     VerificationFailure,
 )
-from .fitting import FitResult, lsq_fit, reconstruct_symbolic
+from .fitting import FitResult, identify_symbols, lsq_fit, reconstruct_symbolic
 from .graphs import (
     AkPolynomial,
     CountTable,

@@ -72,8 +72,9 @@ def shift(p: Poly, k: int) -> Poly:
     return (Fraction(0),) * k + p
 
 
-def evaluate(p: Poly, x: Fraction | int) -> Fraction:
-    acc = Fraction(0)
+def evaluate(p: Poly, x: Fraction | int) -> Fraction | int:
+    """p(x) by Horner's rule; integer coefficients at an integer x give an int."""
+    acc: Fraction | int = 0
     for c in reversed(p):
         acc = acc * x + c
     return acc

@@ -20,10 +20,10 @@ import mpmath
 from . import _poly
 from .errors import CrosscheckFailure, VerificationFailure
 from .graphs import connected_counts, recover_ak
-from .ramanujan import q_asym, q_exact
+from .ramanujan import q_asym, q_scaled
 from .series import Series
-from .symbolic import AsymSeries, SymConst, bernoulli
-from .treepoly import t_asym, t_normal_form, t_value
+from .symbolic import AsymSeries, bernoulli
+from .treepoly import t_normal_form, t_value
 
 
 # ---------------------------------------------------------------------------
@@ -48,7 +48,7 @@ class Decomposition:
         for l, b in self.beta:
             total += b * t_value(n, l)
         if self.qterm:
-            total += self.qterm * q_exact(n) * n ** (n - 1)
+            total += self.qterm * Fraction(q_scaled(n), n)
         return total
 
 
@@ -117,21 +117,7 @@ def asym_c(k: int, depth: int) -> AsymSeries:
     floor_nn = (3 * k - 1) - depth
     acc = AsymSeries.zero(floor_nn)
     for l, b in dec.beta:
-        if l == 0:
-            continue
-        nf = t_normal_form(l)
-        if nf.kind == "u":
-            if not nf.e or floor_nn > -2:
-                continue
-            part = AsymSeries.from_u_polynomial(list(nf.e), -2, floor_nn)
-        else:
-            lead_p = 2 * _poly.degree(nf.p)
-            lead_r = 2 * _poly.degree(nf.r) + 1 if nf.r else lead_p
-            lead_l = max(lead_p, lead_r)
-            if lead_l < floor_nn:
-                continue
-            part = t_asym(l, lead_l - floor_nn)
-        acc = acc + part.scale(b)
+        acc = acc + t_normal_form(l).expansion(floor_nn).scale(b)
     if dec.qterm:
         q_depth = max(0, -1 - floor_nn)
         acc = acc + q_asym(q_depth).shift(-2).scale(dec.qterm)
@@ -246,13 +232,7 @@ def asym_g(k: int, depth: int) -> AsymSeries:
     assert upart[0] == 0, f"constant fails to cancel: {upart[0]}"
 
     ratio = upart.exp().scale(Fraction(2) ** int(ln2c))
-    slots: list[SymConst] = []
-    for h in range(0, -(2 * depth + 2), -1):
-        if h % 2 == 0:
-            slots.append(SymConst.rational(ratio[-h // 2]))
-        else:
-            slots.append(SymConst.zero())
-    return AsymSeries(0, tuple(slots))
+    return AsymSeries.from_u_polynomial(ratio.coeffs(), 0, -(2 * depth + 1))
 
 
 def exact_total(n: int, k: int) -> int:

@@ -2,7 +2,8 @@
 
 Every subcommand prints CSV by default (or JSON with --output json) and is
 deterministic: identical invocations produce identical bytes.  Exit codes:
-0 on success, 1 on usage errors, 2 when an internal verification fails.
+0 on success, 1 on usage errors and invalid input (one line on stderr),
+2 when an internal verification fails.
 """
 from __future__ import annotations
 
@@ -10,7 +11,6 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Sequence
@@ -24,24 +24,6 @@ from .ramanujan import d_coefficients, q_asym, q_exact
 from .treepoly import t_value
 
 
-@dataclass(frozen=True)
-class CommandRequest:
-    command: str
-    n_max: int = 0
-    k_max: int = 2
-    k: int = 0
-    y: int = 1
-    depth: int = 5
-    which: str = "connected"
-    degree: int = 6
-    n_min: int = 100
-    precision_bits: int = 256
-    max_denominator: int = 10000
-    depths: str = "1,3,5"
-    output: str = "csv"
-    output_dir: str = "tables"
-
-
 def _writer(stream):
     return csv.writer(stream, lineterminator="\n")
 
@@ -51,9 +33,9 @@ def _emit_json(obj) -> int:
     return 0
 
 
-def _cmd_count(req: CommandRequest) -> int:
-    table = connected_counts(req.n_max, req.k_max)
-    if req.output == "json":
+def _cmd_count(args: argparse.Namespace) -> int:
+    table = connected_counts(args.n_max, args.k_max)
+    if args.output == "json":
         return _emit_json(
             {
                 "n_max": table.n_max,
@@ -69,9 +51,9 @@ def _cmd_count(req: CommandRequest) -> int:
     return 0
 
 
-def _cmd_q(req: CommandRequest) -> int:
-    rows = [(n, q_exact(n)) for n in range(1, req.n_max + 1)]
-    if req.output == "json":
+def _cmd_q(args: argparse.Namespace) -> int:
+    rows = [(n, q_exact(n)) for n in range(1, args.n_max + 1)]
+    if args.output == "json":
         return _emit_json({"q": [{"n": n, "value": str(v)} for n, v in rows]})
     print("n,q")
     for n, v in rows:
@@ -79,9 +61,9 @@ def _cmd_q(req: CommandRequest) -> int:
     return 0
 
 
-def _cmd_tpoly(req: CommandRequest) -> int:
-    rows = [(n, req.y, t_value(n, req.y)) for n in range(1, req.n_max + 1)]
-    if req.output == "json":
+def _cmd_tpoly(args: argparse.Namespace) -> int:
+    rows = [(n, args.y, t_value(n, args.y)) for n in range(1, args.n_max + 1)]
+    if args.output == "json":
         return _emit_json(
             {"t": [{"n": n, "y": y, "value": str(v)} for n, y, v in rows]}
         )
@@ -91,9 +73,9 @@ def _cmd_tpoly(req: CommandRequest) -> int:
     return 0
 
 
-def _cmd_decompose(req: CommandRequest) -> int:
-    dec = assembly.decompose(req.k)
-    if req.output == "json":
+def _cmd_decompose(args: argparse.Namespace) -> int:
+    dec = assembly.decompose(args.k)
+    if args.output == "json":
         return _emit_json(
             {
                 "k": dec.k,
@@ -111,61 +93,30 @@ def _cmd_decompose(req: CommandRequest) -> int:
     return 0
 
 
-def _cmd_asym(req: CommandRequest) -> int:
-    table = assembly.expansion_table(req.which, (req.k,), req.depth)
-    if req.output == "json":
+def _cmd_asym(args: argparse.Namespace) -> int:
+    table = assembly.expansion_table(args.which, (args.k,), args.depth)
+    if args.output == "json":
         return _emit_json(table.to_json_dict())
     for line in table.csv_rows():
         print(line)
     return 0
 
 
-def _cmd_prob(req: CommandRequest) -> int:
-    table = assembly.expansion_table("probability", (req.k,), req.depth)
-    if req.output == "json":
-        return _emit_json(table.to_json_dict())
-    for line in table.csv_rows():
-        print(line)
-    return 0
-
-
-def _cmd_fit(req: CommandRequest) -> int:
+def _cmd_fit(args: argparse.Namespace) -> int:
     result = fitting.lsq_fit(
-        req.k, req.degree, req.n_min, req.n_max, bits=req.precision_bits
+        args.k, args.degree, args.n_min, args.n_max, bits=args.precision_bits
     )
-    # Per-coefficient uncertainty from a half-window refit: truncation bias
-    # moves with the window, so the spread tracks it while the residuals
-    # cannot see it.
-    mid = (req.n_min + req.n_max) // 2
-    spreads = None
-    if mid + req.degree + 1 <= req.n_max:
-        half = fitting.lsq_fit(
-            req.k, req.degree, mid, req.n_max, bits=req.precision_bits
-        )
-        spreads = [abs(a - b) for a, b in zip(result.estimates, half.estimates)]
-    digits = req.precision_bits * 30103 // 100000 + 3
-    rows = []
-    for j, est in enumerate(result.estimates):
-        spread = spreads[j] if spreads is not None else result.residual_rms
-        tol = float(spread) * 10 + 1e-30
-        sym = fitting.reconstruct_symbolic(est, req.max_denominator, tolerance=tol)
-        if sym is not None and spreads is not None:
-            # a real constant is recovered identically from both windows;
-            # window-dependent bias is not
-            again = fitting.reconstruct_symbolic(
-                half.estimates[j], req.max_denominator, tolerance=tol
-            )
-            if again != sym:
-                sym = None
-        rows.append(
-            (
-                j,
-                str(Fraction(-j, 2)),
-                mpmath.nstr(est, digits),
-                str(sym) if sym is not None else "?",
-            )
-        )
-    if req.output == "json":
+    mid = (args.n_min + args.n_max) // 2
+    half = None
+    if mid + args.degree + 1 <= args.n_max:
+        half = fitting.lsq_fit(args.k, args.degree, mid, args.n_max, bits=args.precision_bits)
+    symbols = fitting.identify_symbols(result, half, args.max_denominator)
+    digits = args.precision_bits * 30103 // 100000 + 3
+    rows = [
+        (j, str(Fraction(-j, 2)), mpmath.nstr(est, digits), "?" if sym is None else str(sym))
+        for j, (est, sym) in enumerate(zip(result.estimates, symbols))
+    ]
+    if args.output == "json":
         d = result.to_json_dict()
         d["symbolic"] = [r[3] for r in rows]
         return _emit_json(d)
@@ -176,28 +127,28 @@ def _cmd_fit(req: CommandRequest) -> int:
     return 0
 
 
-def _cmd_compare(req: CommandRequest) -> int:
-    depths = tuple(int(d) for d in req.depths.split(","))
-    series = assembly.expansion(req.which, req.k, max(depths))
-    norm = assembly.normalization(req.which)
-    bits = req.precision_bits
+def _cmd_compare(args: argparse.Namespace) -> int:
+    depths = tuple(int(d) for d in args.depths.split(","))
+    series = assembly.expansion(args.which, args.k, max(depths))
+    norm = assembly.normalization(args.which)
+    bits = args.precision_bits
     header = ["n", "exact_normalized"]
     header += [f"approx_d{d}" for d in depths]
     header += [f"relerr_d{d}" for d in depths]
     out_rows = []
-    n = req.n_min
-    while n <= req.n_max:
-        exact = assembly.exact_value(req.which, n, req.k)
+    n = args.n_min
+    while n <= args.n_max:
+        exact = assembly.exact_value(args.which, n, args.k)
         with mpmath.workprec(bits):
             ev = mpmath.mpf(exact.numerator) / exact.denominator
-            ev /= norm.evaluate(req.k, n, bits)
+            ev /= norm.evaluate(args.k, n, bits)
             row = [str(n), mpmath.nstr(ev, 15)]
             approxs = [series.evaluate(n, bits, depth=d) for d in depths]
             row += [mpmath.nstr(a, 15) for a in approxs]
             row += [mpmath.nstr(abs(ev - a) / abs(ev), 6) for a in approxs]
         out_rows.append(row)
         n *= 2
-    if req.output == "json":
+    if args.output == "json":
         return _emit_json({"columns": header, "rows": out_rows})
     print(",".join(header))
     for row in out_rows:
@@ -205,9 +156,9 @@ def _cmd_compare(req: CommandRequest) -> int:
     return 0
 
 
-def _cmd_errata(req: CommandRequest) -> int:
+def _cmd_errata(args: argparse.Namespace) -> int:
     results = errata.verify_all()
-    if req.output == "json":
+    if args.output == "json":
         return _emit_json(
             [
                 {
@@ -305,8 +256,8 @@ def _tables_manifest() -> list[tuple[str, list[list[str]]]]:
     return files
 
 
-def _cmd_tables(req: CommandRequest) -> int:
-    out_dir = Path(req.output_dir)
+def _cmd_tables(args: argparse.Namespace) -> int:
+    out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, rows in _tables_manifest():
         path = out_dir / name
@@ -317,13 +268,13 @@ def _cmd_tables(req: CommandRequest) -> int:
     return 0
 
 
-_HANDLERS: dict[str, Callable[[CommandRequest], int]] = {
+_HANDLERS: dict[str, Callable[[argparse.Namespace], int]] = {
     "count": _cmd_count,
     "q": _cmd_q,
     "tpoly": _cmd_tpoly,
     "decompose": _cmd_decompose,
     "asym": _cmd_asym,
-    "prob": _cmd_prob,
+    "prob": _cmd_asym,
     "fit": _cmd_fit,
     "compare": _cmd_compare,
     "tables": _cmd_tables,
@@ -360,6 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("prob", help="expansion of the connectedness probability")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--depth", type=int, default=4)
+    p.set_defaults(which="probability")
 
     p = sub.add_parser("fit", help="least-squares coefficient recovery")
     p.add_argument("--k", type=int, default=0)
@@ -387,12 +339,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def dispatch(req: CommandRequest) -> int:
+def dispatch(args: argparse.Namespace) -> int:
     try:
-        return _HANDLERS[req.command](req)
+        return _HANDLERS[args.command](args)
     except GraphAsymError as exc:
         print(f"verification error: {exc}", file=sys.stderr)
         return 2
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -401,8 +356,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         ns = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
-    fields = {k: v for k, v in vars(ns).items() if v is not None}
-    return dispatch(CommandRequest(**fields))
+    return dispatch(ns)
 
 
 if __name__ == "__main__":

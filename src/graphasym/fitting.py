@@ -115,6 +115,8 @@ def lsq_fit(
     by n.
     """
     ns = list(range(n_min, n_max + 1))
+    if len(ns) < 2:
+        raise InsufficientPoints(f"the window n = {n_min}..{n_max} needs at least two points")
     if len(ns) < degree + 1:
         raise InsufficientPoints(f"{len(ns)} points cannot fix {degree + 1} coefficients")
     with mpmath.workprec(bits):
@@ -199,3 +201,27 @@ def reconstruct_symbolic(
             return None
         candidates.sort(key=lambda t: (t[0], t[1]))
         return candidates[0][3]
+
+
+def identify_symbols(
+    full: FitResult, half: FitResult | None, max_denominator: int
+) -> list[SymConst | None]:
+    """Symbolic readback of each estimate of `full`, or None where declined.
+
+    `half` is a refit on the upper half of the window.  Truncation bias
+    moves with the window, so the spread between the two estimates tracks
+    it while the residuals cannot see it: the tolerance is ten times that
+    spread, and a symbol counts only when both windows recover it.  With
+    half=None (a window too short to refit) the tolerance comes from the
+    residual rms and the second check is skipped.
+    """
+    out: list[SymConst | None] = []
+    for j, est in enumerate(full.estimates):
+        spread = full.residual_rms if half is None else abs(est - half.estimates[j])
+        tol = float(spread) * 10 + 1e-30
+        sym = reconstruct_symbolic(est, max_denominator, tolerance=tol)
+        if sym is not None and half is not None:
+            if reconstruct_symbolic(half.estimates[j], max_denominator, tolerance=tol) != sym:
+                sym = None
+        out.append(sym)
+    return out

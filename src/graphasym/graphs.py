@@ -22,6 +22,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import comb
 
+from . import _poly
 from .errors import ResidualNonzero, UnderdeterminedSystem
 from .series import Series, tree_function
 
@@ -159,16 +160,13 @@ class AkPolynomial:
         return len(self.coeffs) - 1
 
     def at_one(self) -> Fraction:
-        return sum(self.coeffs, Fraction(0))
+        return _poly.evaluate(self.coeffs, 1)
 
     def derivative_at_one(self) -> Fraction:
-        return sum((d * c for d, c in enumerate(self.coeffs)), Fraction(0))
+        return _poly.evaluate(_poly.derivative(self.coeffs), 1)
 
     def evaluate(self, x: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        return _poly.evaluate(self.coeffs, x)
 
 
 @lru_cache(maxsize=None)

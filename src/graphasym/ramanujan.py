@@ -31,8 +31,8 @@ from .symbolic import AsymSeries, SymConst, stirling_series
 
 
 @lru_cache(maxsize=None)
-def q_exact(n: int) -> Fraction:
-    """Q(n) as an exact rational over the common denominator n**n."""
+def q_scaled(n: int) -> int:
+    """n**n * Q(n) as an integer; the one place Q(n) is summed."""
     if n < 1:
         raise ValueError("Q(n) needs n >= 1")
     t = n ** n  # n falling 0, rescaled
@@ -40,7 +40,12 @@ def q_exact(n: int) -> Fraction:
     for k in range(1, n + 1):
         t = t * (n - k + 1) // n  # exact: n**(n-k) | t * (n-k+1)
         total += t
-    return Fraction(total, n ** n)
+    return total
+
+
+def q_exact(n: int) -> Fraction:
+    """Q(n) as an exact rational over the common denominator n**n."""
+    return Fraction(q_scaled(n), n ** n)
 
 
 def r_numeric(n: int, bits: int = 256) -> mpmath.mpf:
@@ -117,14 +122,7 @@ def d_coefficients(order: int) -> tuple[Fraction, ...]:
 
 def d_asym(depth: int) -> AsymSeries:
     """D(n) as a half-grid expansion; only integer powers appear."""
-    d = d_coefficients(depth)
-    slots: list[SymConst] = []
-    for h in range(0, -(2 * depth + 2), -1):
-        if h % 2 == 0:
-            slots.append(SymConst.rational(d[-h // 2]))
-        else:
-            slots.append(SymConst.zero())
-    return AsymSeries(0, tuple(slots))
+    return AsymSeries.from_u_polynomial(d_coefficients(depth), 0, -(2 * depth + 1))
 
 
 def q_asym(depth: int) -> AsymSeries:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 from typing import Iterable, Sequence, Union
 
 from .errors import ConstantTermError, OrderMismatch
@@ -223,7 +224,4 @@ def tree_function(order: int) -> Series:
 
 def egf_coefficient(s: Series, n: int) -> Fraction:
     """n! * [z^n] s, the count encoded at index n of an EGF."""
-    f = 1
-    for i in range(2, n + 1):
-        f *= i
-    return s[n] * f
+    return s[n] * factorial(n)

@@ -437,10 +437,6 @@ def stirling_series(depth: int) -> AsymSeries:
         if 2 * m - 1 < len(arg):
             arg[2 * m - 1] = bernoulli(2 * m) / (2 * m * (2 * m - 1))
     expanded = Series(arg).exp()
-    coeffs = []
-    for j in range(depth + 1):
-        if j % 2 == 0:
-            coeffs.append(SymConst.xi(expanded[j // 2]))
-        else:
-            coeffs.append(SymConst.zero())
-    return AsymSeries(1, tuple(coeffs))
+    return AsymSeries.from_u_polynomial(
+        [SymConst.xi(c) for c in expanded.coeffs()], 1, 1 - depth
+    )

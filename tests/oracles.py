@@ -96,6 +96,20 @@ def q_direct(n: int) -> Fraction:
     return total
 
 
+def t_by_recurrence(n: int, y: int) -> Fraction:
+    """Tree polynomial t_n(y) by the two-step recurrence y t(y+2) = n t(y) + y t(y+1).
+
+    Anchored at t_n(0) = 0, t_n(1) = n**n and t_n(2) = n**n (1 + Q(n)), it runs
+    upward for y >= 3 and downward, as t(y) = y (t(y+2) - t(y+1)) / n, for y < 0.
+    """
+    t = {0: Fraction(0), 1: Fraction(n**n), 2: n**n * (1 + q_direct(n))}
+    for v in range(3, y + 1):
+        t[v] = (n * t[v - 2] + (v - 2) * t[v - 1]) / (v - 2)
+    for v in range(-1, y - 1, -1):
+        t[v] = v * (t[v + 2] - t[v + 1]) / n
+    return t[y]
+
+
 def unicyclic_count(n: int) -> int:
     """c(n, n) by the cycle-and-forest sum (1/2) sum_{j>=3} n!/(n-j)! n**(n-j-1).
 

@@ -180,3 +180,22 @@ def test_parser_covers_all_commands():
         "count", "q", "tpoly", "decompose", "asym", "prob",
         "fit", "compare", "tables", "errata",
     }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--n-max", "0"],
+        ["asym", "--k", "-2"],
+        ["asym", "--k", "1", "--depth", "-1"],
+        ["decompose", "--k", "-1"],
+        ["compare", "--depths", "x"],
+        ["fit", "--degree", "0", "--n-min", "100", "--n-max", "100"],
+    ],
+)
+def test_bad_input_is_one_line_not_a_traceback(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code in (1, 2)
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err

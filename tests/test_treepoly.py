@@ -14,6 +14,8 @@ from graphasym import (
     t_value,
 )
 
+import oracles
+
 F = Fraction
 
 
@@ -58,11 +60,14 @@ def test_values_are_integers():
 
 def test_normal_forms_evaluate_to_exact_values():
     for y in range(-6, 9):
-        if y == 0:
-            continue
         form = t_normal_form(y)
         for n in range(1, 31):
-            assert form.value_at(n) == t_value(n, y), (n, y)
+            assert form.value_at(n) == oracles.t_by_recurrence(n, y), (n, y)
+
+
+def test_values_at_an_index_past_the_recursion_limit():
+    for n in (1, 7, 30):
+        assert t_value(n, 1100) == oracles.t_by_recurrence(n, 1100), n
 
 
 def test_normal_form_shapes():
