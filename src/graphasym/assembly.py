@@ -3,27 +3,32 @@
 Everything here is derived, not transcribed.  Connected counts are split
 exactly over tree polynomials, the split is re-verified against the edge
 recurrence for small n, and the asymptotic rows come from pushing the exact
-split through the symbolic half-grid machinery.  The all-graphs row uses
-the falling-factorial logarithm of the binomial, whose large-scale terms
+split through the symbolic half-grid machinery.  For exact values each split
+is folded once per excess k into c(n, n+k) = n**(n-1) (P(n) + R(n) Q(n) +
+E(1/n)) over one common denominator, so a count costs one Q(n) and a few
+integer polynomial evaluations.  The all-graphs row uses the
+falling-factorial logarithm of the binomial, whose large-scale terms
 (n log n, log n, n, n log 2, log pi) must cancel against the normalizing
-prefactor; those cancellations are asserted, not assumed.
+prefactor; those cancellations are checked at run time (raising
+`VerificationFailure`), not assumed.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import comb
+from functools import cached_property, lru_cache
+from math import comb, lcm
 
 import mpmath
 
 from . import _poly
+from ._poly import Poly
 from .errors import CrosscheckFailure, VerificationFailure
 from .graphs import connected_counts, recover_ak
 from .ramanujan import q_asym, q_scaled
 from .series import Series
 from .symbolic import AsymSeries, bernoulli
-from .treepoly import t_normal_form, t_value
+from .treepoly import t_normal_form
 
 
 # ---------------------------------------------------------------------------
@@ -32,7 +37,12 @@ from .treepoly import t_normal_form, t_value
 
 @dataclass(frozen=True)
 class Decomposition:
-    """c(n, n+k) = sum_l beta_l t_n(l) + qterm * Q(n) n**(n-1) + constant."""
+    """c(n, n+k) = sum_l beta_l t_n(l) + qterm * Q(n) n**(n-1) + constant.
+
+    Folded over the tree-polynomial normal forms this is one form per k,
+    c(n, n+k) = n**(n-1) (P(n) + R(n) Q(n) + E(1/n)) + constant, which
+    `evaluate` reads with one Q and integer arithmetic.
+    """
 
     k: int
     beta: tuple[tuple[int, Fraction], ...]
@@ -43,13 +53,39 @@ class Decomposition:
     def beta_dict(self) -> dict[int, Fraction]:
         return dict(self.beta)
 
-    def evaluate(self, n: int) -> Fraction:
-        total = Fraction(self.constant)
+    @cached_property
+    def _normal_form(self) -> tuple[int, Poly, Poly, Poly, int]:
+        """(d, d*P, d*R, d*E, d*constant), integers over the least common denominator d."""
+        p, r, e = _poly.ZERO, _poly.poly(self.qterm), _poly.ZERO
         for l, b in self.beta:
-            total += b * t_value(n, l)
-        if self.qterm:
-            total += self.qterm * Fraction(q_scaled(n), n)
-        return total
+            nf = t_normal_form(l)
+            # t_n(l) = n**(n-1) (n p(n) + n r(n) Q(n)) for l >= 1, n**(n-1) e(1/n) for l <= 0
+            p = _poly.add(p, _poly.scale(_poly.shift(nf.p, 1), b))
+            r = _poly.add(r, _poly.scale(_poly.shift(nf.r, 1), b))
+            e = _poly.add(e, _poly.scale(nf.e, b))
+        d = lcm(*(c.denominator for c in p + r + e), self.constant.denominator)
+        p, r, e = (tuple(int(c * d) for c in poly) for poly in (p, r, e))
+        return d, p, r, e, int(self.constant * d)
+
+    def evaluate(self, n: int) -> int:
+        """c(n, n+k) as an integer, from the folded form.
+
+        With s = max(deg E, 0) + 1, d n**s c(n, n+k) is the integer
+        n**n n**(s-1) (P(n) + E(1/n)) + n**(s-1) (R(n) n**n Q(n) + d constant n).
+        """
+        if n < 1:
+            raise ValueError("counts need n >= 1")
+        d, p, r, e, c = self._normal_form
+        lift = n ** max(len(e) - 1, 0)
+        num = n ** n * (lift * _poly.evaluate(p, n) + _poly.evaluate(e[::-1], n))
+        num += lift * (_poly.evaluate(r, n) * q_scaled(n) + c * n)
+        val, rem = divmod(num, d * n * lift)
+        if rem:
+            raise VerificationFailure(
+                f"excess-{self.k} split is not an integer at n={n}: "
+                f"remainder {rem} modulo {d * n * lift}"
+            )
+        return val
 
 
 @lru_cache(maxsize=None)
@@ -75,7 +111,7 @@ def decompose(k: int, verify_n_max: int = 12) -> Decomposition:
         dec = Decomposition(k, tuple(sorted(beta)), Fraction(0), Fraction(0), verify_n_max)
     table = connected_counts(verify_n_max, max(k, 0))
     for n in range(1, verify_n_max + 1):
-        want = Fraction(table.get(n, n + k))
+        want = table.get(n, n + k)
         got = dec.evaluate(n)
         if want != got:
             raise VerificationFailure(
@@ -92,9 +128,9 @@ def exact_count_via_t(n: int, k: int) -> int:
     if k == -1:
         return 1 if n == 1 else n ** (n - 2)
     val = decompose(k).evaluate(n)
-    if val.denominator != 1 or val < 0:
-        raise VerificationFailure(f"non-count value {val} at n={n}, k={k}")
-    return int(val)
+    if val < 0:
+        raise VerificationFailure(f"negative count at n={n}, k={k}")
+    return val
 
 
 # ---------------------------------------------------------------------------
@@ -149,8 +185,9 @@ def asym_g(k: int, depth: int) -> AsymSeries:
     m = n+k is accumulated as coefficients of n ln n, ln n, n, n ln 2, ln 2,
     ln pi plus a power series in u; after subtracting the prefactor all
     large-scale coefficients must vanish and the ln 2 weight must be the
-    integer -(k+1).  Both facts are asserted.  What remains exponentiates
-    to the expansion, which has only integer powers of 1/n.
+    integer -(k+1).  Both facts are checked (`VerificationFailure` if not).
+    What remains exponentiates to the expansion, which has only integer
+    powers of 1/n.
     """
     if k < -1:
         raise ValueError("needs n + k >= n - 1 >= 0 edges")
@@ -227,9 +264,12 @@ def asym_g(k: int, depth: int) -> AsymSeries:
         ("n ln 2", nln2),
         ("ln pi", lnpic),
     ):
-        assert val == 0, f"{name} fails to cancel: {val}"
-    assert ln2c == -(k + 1), f"ln 2 weight {ln2c} is not -(k+1)"
-    assert upart[0] == 0, f"constant fails to cancel: {upart[0]}"
+        if val != 0:
+            raise VerificationFailure(f"excess-{k} total: the {name} term fails to cancel: {val}")
+    if ln2c != -(k + 1):
+        raise VerificationFailure(f"excess-{k} total: ln 2 weight {ln2c} is not -(k+1)")
+    if upart[0] != 0:
+        raise VerificationFailure(f"excess-{k} total: constant fails to cancel: {upart[0]}")
 
     ratio = upart.exp().scale(Fraction(2) ** int(ln2c))
     return AsymSeries.from_u_polynomial(ratio.coeffs(), 0, -(2 * depth + 1))

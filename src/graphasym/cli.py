@@ -2,8 +2,9 @@
 
 Every subcommand prints CSV by default (or JSON with --output json) and is
 deterministic: identical invocations produce identical bytes.  Exit codes:
-0 on success, 1 on usage errors and invalid input (one line on stderr),
-2 when an internal verification fails.
+0 on success, 1 on usage errors and invalid input, including a fit window
+with too few points (one line on stderr), 2 when an internal verification
+fails.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from typing import Callable, Sequence
 import mpmath
 
 from . import assembly, errata, fitting
-from .errors import GraphAsymError
+from .errors import GraphAsymError, InsufficientPoints
 from .graphs import connected_counts, recover_ak
 from .ramanujan import d_coefficients, q_asym, q_exact
 from .treepoly import t_value
@@ -128,6 +129,8 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    if args.n_min < 1:
+        raise ValueError("compare needs --n-min >= 1")
     depths = tuple(int(d) for d in args.depths.split(","))
     series = assembly.expansion(args.which, args.k, max(depths))
     norm = assembly.normalization(args.which)
@@ -342,12 +345,12 @@ def build_parser() -> argparse.ArgumentParser:
 def dispatch(args: argparse.Namespace) -> int:
     try:
         return _HANDLERS[args.command](args)
+    except (ValueError, InsufficientPoints) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except GraphAsymError as exc:
         print(f"verification error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -17,6 +17,7 @@ from .assembly import asym_c, asym_p, decompose, exact_probability, normalizatio
 from .graphs import connected_counts
 from .ramanujan import q_asym, q_exact
 from .series import egf_coefficient
+from .symbolic import SymConst
 from .treepoly import t_series, t_value
 
 
@@ -137,40 +138,55 @@ def _verify_q_coefficient_n2() -> bool:
     return _q_remainder(5, Fraction(8, 235), 256)
 
 
-def _verify_connected_k0_n52() -> bool:
-    n = 1024
-    series = asym_c(0, 5)
-    c = int(decompose(0).evaluate(n))
+def _remainder_converges(exact_at, series, j_target: int, stated) -> bool:
+    """Remainder checks of coefficient j_target of `series` against a stated value.
+
+    `exact_at(n)` is the exact normalized value at 512 bits.  At n = 1024
+    and 4096 the derived coefficient must explain the remainder 10x better
+    than the stated one, and the remainder after the terms before it, scaled
+    by that term's power of n, must keep the derived sign and move towards
+    the derived value from the smaller n to the larger.
+    """
+    half = series.lead - j_target
+    gaps = []
     with mpmath.workprec(512):
-        exact_val = mpmath.mpf(c) / normalization("connected").evaluate(0, n, 512)
-        derived = series.coeffs[5].rational_part()  # +4/2835
-        if derived != Fraction(4, 2835):
-            return False
-        delta = -2 * mpmath.mpf(derived.numerator) / derived.denominator * mpmath.power(
-            n, mpmath.mpf(-5) / 2
-        )
-        return _remainder_separation(exact_val, series, 5, delta, n)
+        derived = series.coeffs[j_target].evaluate(512)
+        delta = stated.evaluate(512) - derived
+        for n in (1024, 4096):
+            exact_val = exact_at(n)
+            power = mpmath.power(n, mpmath.mpf(half) / 2)
+            if not _remainder_separation(exact_val, series, j_target, delta * power, n):
+                return False
+            scaled = (exact_val - series.evaluate(n, 512, depth=j_target - 1)) / power
+            if mpmath.sign(scaled) != mpmath.sign(derived):
+                return False
+            gaps.append(abs(scaled - derived))
+    return all(a > b for a, b in zip(gaps, gaps[1:]))
+
+
+def _verify_connected_k0_n52() -> bool:
+    series = asym_c(0, 5)
+    if series.coeffs[5].rational_part() != Fraction(4, 2835):
+        return False
+
+    def exact_at(n: int) -> mpmath.mpf:
+        c = decompose(0).evaluate(n)
+        return mpmath.mpf(c) / normalization("connected").evaluate(0, n, 512)
+
+    return _remainder_converges(exact_at, series, 5, SymConst.rational(Fraction(-4, 2835)))
 
 
 def _verify_probability_k0_n1() -> bool:
-    n = 1024
     series = asym_p(0, 2)
-    p = exact_probability(n, 0)
-    with mpmath.workprec(512):
-        exact_val = (
-            mpmath.mpf(p.numerator) / p.denominator
-        ) / normalization("probability").evaluate(0, n, 512)
-        derived = series.coeffs[2].xi_part()  # +1/3
-        if derived != Fraction(1, 3):
-            return False
-        delta = (
-            -2
-            * mpmath.mpf(derived.numerator)
-            / derived.denominator
-            * mpmath.sqrt(2 * mpmath.pi)
-            / n
-        )
-        return _remainder_separation(exact_val, series, 2, delta, n)
+    if series.coeffs[2].xi_part() != Fraction(1, 3):
+        return False
+
+    def exact_at(n: int) -> mpmath.mpf:
+        p = exact_probability(n, 0)
+        prob = mpmath.mpf(p.numerator) / p.denominator
+        return prob / normalization("probability").evaluate(0, n, 512)
+
+    return _remainder_converges(exact_at, series, 2, SymConst.xi(Fraction(-1, 3)))
 
 
 _VERIFIERS = {

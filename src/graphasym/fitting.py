@@ -114,6 +114,10 @@ def lsq_fit(
     entries are the normalized values as exact rationals or floats keyed
     by n.
     """
+    if n_min < 1:
+        raise ValueError("fits need n >= 1")
+    if degree < 0:
+        raise ValueError("the degree must be nonnegative")
     ns = list(range(n_min, n_max + 1))
     if len(ns) < 2:
         raise InsufficientPoints(f"the window n = {n_min}..{n_max} needs at least two points")

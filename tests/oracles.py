@@ -96,6 +96,16 @@ def q_direct(n: int) -> Fraction:
     return total
 
 
+def q_scaled_by_loop(n: int) -> int:
+    """n**n Q(n) summed term by term: term k is the previous one times (n-k+1)/n."""
+    t = n**n
+    total = 0
+    for k in range(1, n + 1):
+        t = t * (n - k + 1) // n  # exact: n**(n-k) divides t * (n-k+1)
+        total += t
+    return total
+
+
 def t_by_recurrence(n: int, y: int) -> Fraction:
     """Tree polynomial t_n(y) by the two-step recurrence y t(y+2) = n t(y) + y t(y+1).
 

@@ -1,5 +1,6 @@
 """Count decompositions, the three asymptotic families, and cross-checks."""
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 import mpmath
@@ -20,6 +21,8 @@ from graphasym import (
 )
 from graphasym.assembly import exact_value, expansion, normalization
 from graphasym.errors import CrosscheckFailure
+
+import oracles
 
 F = Fraction
 RAT = SymConst.rational
@@ -53,6 +56,20 @@ def test_decompositions_reproduce_counts_beyond_construction_check():
         dec = decompose(k)
         for n in range(1, 17):
             assert dec.evaluate(n) == table.get(n, n + k), (n, k)
+
+
+def test_decompositions_match_the_recurrence_oracle_past_the_runtime_check():
+    # decompose() checks itself against the edge recurrence only for n <= 12
+    t = lru_cache(maxsize=None)(oracles.t_by_recurrence)
+    for k in range(0, 6):
+        dec = decompose(k)
+        for n in list(range(13, 41)) + [300]:
+            want = (
+                sum(b * t(n, l) for l, b in dec.beta)
+                + dec.qterm * oracles.q_direct(n) * n ** (n - 1)
+                + dec.constant
+            )
+            assert dec.evaluate(n) == want, (n, k)
 
 
 def test_exact_count_via_t():

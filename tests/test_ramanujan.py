@@ -10,6 +10,7 @@ from graphasym.ramanujan import (
     d_numeric,
     delta_log_series,
     q_egf_check,
+    q_scaled,
     r_numeric,
 )
 
@@ -22,6 +23,12 @@ F = Fraction
 @settings(max_examples=40, deadline=None)
 def test_q_exact_matches_direct_sum(n):
     assert q_exact(n) == oracles.q_direct(n)
+
+
+def test_q_scaled_matches_the_term_by_term_loop():
+    # n <= 33 is one leaf of the product tree; n = 300 splits four levels deep
+    for n in list(range(1, 301)) + [1000, 4096]:
+        assert q_scaled(n) == oracles.q_scaled_by_loop(n), n
 
 
 def test_q_small_values():
