@@ -3,10 +3,11 @@
 Everything here is derived, not transcribed.  Connected counts are split
 exactly over tree polynomials, the split is re-verified against the edge
 recurrence for small n, and the asymptotic rows come from pushing the exact
-split through the symbolic half-grid machinery.  For exact values each split
-is folded once per excess k into c(n, n+k) = n**(n-1) (P(n) + R(n) Q(n) +
-E(1/n)) over one common denominator, so a count costs one Q(n) and a few
-integer polynomial evaluations.  The all-graphs row uses the
+split through the symbolic half-grid machinery.  Each split is folded once
+per excess k into the tree-polynomial normal form c(n, n+k) = n**(n-1)
+(P(n) + R(n) Q(n) + E(1/n)); its integer evaluator gives the exact counts
+(one Q(n) and a few integer polynomial evaluations each) and its expansion
+gives the connected row.  The all-graphs row uses the
 falling-factorial logarithm of the binomial, whose large-scale terms
 (n log n, log n, n, n log 2, log pi) must cancel against the normalizing
 prefactor; those cancellations are checked at run time (raising
@@ -17,18 +18,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import comb, lcm
+from math import comb
 
 import mpmath
 
 from . import _poly
-from ._poly import Poly
 from .errors import CrosscheckFailure, VerificationFailure
 from .graphs import connected_counts, recover_ak
-from .ramanujan import q_asym, q_scaled
 from .series import Series
 from .symbolic import AsymSeries, bernoulli
-from .treepoly import t_normal_form
+from .treepoly import TreePolyNormalForm, t_normal_form
 
 
 # ---------------------------------------------------------------------------
@@ -37,55 +36,27 @@ from .treepoly import t_normal_form
 
 @dataclass(frozen=True)
 class Decomposition:
-    """c(n, n+k) = sum_l beta_l t_n(l) + qterm * Q(n) n**(n-1) + constant.
-
-    Folded over the tree-polynomial normal forms this is one form per k,
-    c(n, n+k) = n**(n-1) (P(n) + R(n) Q(n) + E(1/n)) + constant, which
-    `evaluate` reads with one Q and integer arithmetic.
-    """
+    """c(n, n+k) = sum_l beta_l t_n(l) + qterm * Q(n) n**(n-1)."""
 
     k: int
     beta: tuple[tuple[int, Fraction], ...]
     qterm: Fraction
-    constant: Fraction
     verified_n_max: int
 
     def beta_dict(self) -> dict[int, Fraction]:
         return dict(self.beta)
 
     @cached_property
-    def _normal_form(self) -> tuple[int, Poly, Poly, Poly, int]:
-        """(d, d*P, d*R, d*E, d*constant), integers over the least common denominator d."""
-        p, r, e = _poly.ZERO, _poly.poly(self.qterm), _poly.ZERO
-        for l, b in self.beta:
-            nf = t_normal_form(l)
-            # t_n(l) = n**(n-1) (n p(n) + n r(n) Q(n)) for l >= 1, n**(n-1) e(1/n) for l <= 0
-            p = _poly.add(p, _poly.scale(_poly.shift(nf.p, 1), b))
-            r = _poly.add(r, _poly.scale(_poly.shift(nf.r, 1), b))
-            e = _poly.add(e, _poly.scale(nf.e, b))
-        d = lcm(*(c.denominator for c in p + r + e), self.constant.denominator)
-        p, r, e = (tuple(int(c * d) for c in poly) for poly in (p, r, e))
-        return d, p, r, e, int(self.constant * d)
+    def normal_form(self) -> TreePolyNormalForm:
+        """The split folded into c(n, n+k) = n**(n-1) (P(n) + R(n) Q(n) + E(1/n))."""
+        return sum(
+            (t_normal_form(l).scale(b) for l, b in self.beta),
+            TreePolyNormalForm(r=_poly.poly(self.qterm)),
+        )
 
     def evaluate(self, n: int) -> int:
-        """c(n, n+k) as an integer, from the folded form.
-
-        With s = max(deg E, 0) + 1, d n**s c(n, n+k) is the integer
-        n**n n**(s-1) (P(n) + E(1/n)) + n**(s-1) (R(n) n**n Q(n) + d constant n).
-        """
-        if n < 1:
-            raise ValueError("counts need n >= 1")
-        d, p, r, e, c = self._normal_form
-        lift = n ** max(len(e) - 1, 0)
-        num = n ** n * (lift * _poly.evaluate(p, n) + _poly.evaluate(e[::-1], n))
-        num += lift * (_poly.evaluate(r, n) * q_scaled(n) + c * n)
-        val, rem = divmod(num, d * n * lift)
-        if rem:
-            raise VerificationFailure(
-                f"excess-{self.k} split is not an integer at n={n}: "
-                f"remainder {rem} modulo {d * n * lift}"
-            )
-        return val
+        """c(n, n+k) as an integer, from the folded form."""
+        return self.normal_form.value_at(n)
 
 
 @lru_cache(maxsize=None)
@@ -101,14 +72,14 @@ def decompose(k: int, verify_n_max: int = 12) -> Decomposition:
         raise ValueError("decompositions start at excess 0")
     if k == 0:
         beta = ((-2, Fraction(-1, 4)), (-1, Fraction(1)))
-        dec = Decomposition(0, beta, Fraction(1, 2), Fraction(0), verify_n_max)
+        dec = Decomposition(0, beta, Fraction(1, 2), verify_n_max)
     else:
         a = recover_ak(k)
         gamma = _poly.compose_affine(a.coeffs, Fraction(-1), Fraction(1))
         beta = tuple(
             (3 * k - j, g) for j, g in enumerate(gamma) if g != 0
         )
-        dec = Decomposition(k, tuple(sorted(beta)), Fraction(0), Fraction(0), verify_n_max)
+        dec = Decomposition(k, tuple(sorted(beta)), Fraction(0), verify_n_max)
     table = connected_counts(verify_n_max, max(k, 0))
     for n in range(1, verify_n_max + 1):
         want = table.get(n, n + k)
@@ -149,15 +120,8 @@ def asym_c(k: int, depth: int) -> AsymSeries:
         raise ValueError("depth must be nonnegative")
     if k == -1:
         return AsymSeries.build(0, [1] + [0] * depth)
-    dec = decompose(k)
-    floor_nn = (3 * k - 1) - depth
-    acc = AsymSeries.zero(floor_nn)
-    for l, b in dec.beta:
-        acc = acc + t_normal_form(l).expansion(floor_nn).scale(b)
-    if dec.qterm:
-        q_depth = max(0, -1 - floor_nn)
-        acc = acc + q_asym(q_depth).shift(-2).scale(dec.qterm)
-    shifted = acc.shift(-(3 * k - 1))
+    # the form is c(n, n+k) / n**(n-1), and n**(n + (3k-1)/2) = n**(n-1) n**((3k+1)/2)
+    shifted = decompose(k).normal_form.expansion(3 * k + 1 - depth).shift(-(3 * k + 1))
     if shifted.lead != 0:
         raise VerificationFailure(
             f"excess-{k} expansion has leading half-exponent {shifted.lead}, not 0"

@@ -3,8 +3,8 @@
 Every subcommand prints CSV by default (or JSON with --output json) and is
 deterministic: identical invocations produce identical bytes.  Exit codes:
 0 on success, 1 on usage errors and invalid input, including a fit window
-with too few points (one line on stderr), 2 when an internal verification
-fails.
+with too few points and an output path that cannot be written (one line on
+stderr), 2 when an internal verification fails.
 """
 from __future__ import annotations
 
@@ -82,7 +82,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
                 "k": dec.k,
                 "beta": {str(l): str(b) for l, b in dec.beta},
                 "qterm": str(dec.qterm),
-                "constant": str(dec.constant),
+                "constant": "0",  # the split has no constant term (erratum excess_zero_constant)
                 "verified_n_max": dec.verified_n_max,
             }
         )
@@ -90,7 +90,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     for l, b in dec.beta:
         print(f"t,{l},{b}")
     print(f"q,,{dec.qterm}")
-    print(f"const,,{dec.constant}")
+    print("const,,0")
     return 0
 
 
@@ -131,6 +131,8 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 def _cmd_compare(args: argparse.Namespace) -> int:
     if args.n_min < 1:
         raise ValueError("compare needs --n-min >= 1")
+    if args.precision_bits < 53:
+        raise ValueError("compare needs --precision-bits >= 53")
     depths = tuple(int(d) for d in args.depths.split(","))
     series = assembly.expansion(args.which, args.k, max(depths))
     norm = assembly.normalization(args.which)
@@ -345,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
 def dispatch(args: argparse.Namespace) -> int:
     try:
         return _HANDLERS[args.command](args)
-    except (ValueError, InsufficientPoints) as exc:
+    except (ValueError, InsufficientPoints, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except GraphAsymError as exc:
@@ -354,6 +356,9 @@ def dispatch(args: argparse.Namespace) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    # exact values are the output, however many digits they have
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     try:
         ns = parser.parse_args(argv)

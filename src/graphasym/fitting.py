@@ -118,6 +118,8 @@ def lsq_fit(
         raise ValueError("fits need n >= 1")
     if degree < 0:
         raise ValueError("the degree must be nonnegative")
+    if bits < 53:
+        raise ValueError("fits need at least 53 bits of precision")
     ns = list(range(n_min, n_max + 1))
     if len(ns) < 2:
         raise InsufficientPoints(f"the window n = {n_min}..{n_max} needs at least two points")

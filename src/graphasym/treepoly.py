@@ -8,13 +8,17 @@ component count; they obey the two-step recurrence
 anchored at t_n(1) = n**n and t_n(2) = n**n (1 + Q(n)).  Every t_n(y) with
 integer y is an integer.
 
-Normal forms split the n-dependence from the Q-dependence:
+One normal form splits the n-dependence from the Q-dependence,
 
-    y >= 1:  t_n(y) = n**n * (P_y(n) + R_y(n) Q(n))     (polynomials in n)
-    y <= 0:  t_n(y) = n**(n-1) * E_{|y|}(1/n)           (polynomial in 1/n)
+    n**(n-1) * (p(n) + r(n) Q(n) + e(1/n))     (p, r polynomials in n, e in 1/n):
 
-with E_m(u) = sum_{r=1}^{m} C(m,r)(-1)**r r prod_{i<r}(1 - iu).  Exact
-values and asymptotic expansions both come from these forms.
+    y >= 1:  t_n(y) = n**n * (P_y(n) + R_y(n) Q(n)),  so p = n P_y, r = n R_y
+    y <= 0:  t_n(y) = n**(n-1) * E_{|y|}(1/n),         so e = E_{|y|}
+
+with E_m(u) = sum_{r=1}^{m} C(m,r)(-1)**r r prod_{i<r}(1 - iu).  Sums of
+tree polynomials (the decompositions of c(n, n+k) in `assembly`) fold into
+the same form, and its one integer evaluator and one expansion give every
+exact value and every asymptotic expansion built on t_n(y).
 """
 from __future__ import annotations
 
@@ -38,73 +42,91 @@ def t_series(y: int, order: int) -> Series:
 
 
 def t_value(n: int, y: int) -> int:
-    """t_n(y) exactly, from the normal form at y."""
+    """t_n(y) exactly, from the normal form at y; t_0(y) = 1."""
+    if n == 0:
+        return 1
     return t_normal_form(y).value_at(n)
 
 
 @dataclass(frozen=True)
 class TreePolyNormalForm:
-    """Exact shape of t_n(y) for all n >= 1 at a fixed integer y.
+    """n**(n-1) * (p(n) + r(n) * Q(n) + e(1/n)) for every n >= 1.
 
-    kind "pq": t_n(y) = n**n * (p(n) + r(n) * Q(n)).
-    kind "u":  t_n(y) = n**(n-1) * e(1/n).
+    t_n(y) has only p and r for y >= 1 and only e for y <= 0; sums of tree
+    polynomials (a decomposition of c(n, n+k)) use all three parts.
     """
 
-    y: int
-    kind: str
     p: Poly = ()
     r: Poly = ()
     e: Poly = ()
 
-    def value_at(self, n: int) -> int:
-        """t_n(y) as an integer; t_0(y) = 1."""
-        if n < 0:
-            raise ValueError("t_n(y) needs n >= 0")
-        if n == 0:
-            return 1
-        if self.kind == "pq":
-            d, p, r = self._over_common_denominator
-            num = _poly.evaluate(p, n) * n ** n
-            if r:
-                num += _poly.evaluate(r, n) * q_scaled(n)
-            val = Fraction(num, d)
-        else:
-            val = _poly.evaluate(self.e, Fraction(1, n)) * n ** (n - 1)
-        if val.denominator != 1:
-            raise VerificationFailure(f"t_{n}({self.y}) = {val} is not an integer")
-        return int(val)
+    def __add__(self, other: "TreePolyNormalForm") -> "TreePolyNormalForm":
+        return TreePolyNormalForm(
+            _poly.add(self.p, other.p), _poly.add(self.r, other.r), _poly.add(self.e, other.e)
+        )
+
+    def scale(self, s: Fraction | int) -> "TreePolyNormalForm":
+        return TreePolyNormalForm(
+            _poly.scale(self.p, s), _poly.scale(self.r, s), _poly.scale(self.e, s)
+        )
 
     @cached_property
-    def _over_common_denominator(self) -> tuple[int, Poly, Poly]:
-        """(d, d*p, d*r) with d the least common denominator of p and r."""
-        d = lcm(*(c.denominator for c in self.p + self.r))
-        return d, tuple(int(c * d) for c in self.p), tuple(int(c * d) for c in self.r)
+    def _integer_parts(self) -> tuple[int, Poly, Poly, Poly]:
+        """(d, d*p, d*r, d*e) with d the least common denominator of all three."""
+        d = lcm(*(c.denominator for c in self.p + self.r + self.e))
+        return (d, *(tuple(int(c * d) for c in part) for part in (self.p, self.r, self.e)))
+
+    def value_at(self, n: int) -> int:
+        """The form at n as an integer.
+
+        With s = max(deg e, 0), d n**(s+1) times the value is the integer
+        n**n (n**s d p(n) + n**s d e(1/n)) + n**s d r(n) n**n Q(n).
+        """
+        if n < 1:
+            raise ValueError("normal forms are read at n >= 1")
+        d, p, r, e = self._integer_parts
+        lift = n ** max(len(e) - 1, 0)
+        num = n ** n * (lift * _poly.evaluate(p, n) + _poly.evaluate(e[::-1], n))
+        if r:
+            num += lift * _poly.evaluate(r, n) * q_scaled(n)
+        val, rem = divmod(num, d * n * lift)
+        if rem:
+            # the value itself can be too long to print
+            raise VerificationFailure(
+                f"tree-polynomial normal form is not an integer at n={n}: "
+                f"remainder {rem} modulo {d * n * lift}"
+            )
+        return val
 
     @property
     def lead(self) -> int:
-        """Half-exponent of the leading term of t_n(y) / n**n (-2 when y = 0)."""
-        if self.kind == "u":
-            return -2 - 2 * next((i for i, c in enumerate(self.e) if c), 0)
-        return max(2 * _poly.degree(self.p), 2 * _poly.degree(self.r) + 1)
+        """Half-exponent of the highest term of any part of the value / n**(n-1)."""
+        heads = []
+        if self.p:
+            heads.append(2 * _poly.degree(self.p))
+        if self.r:
+            heads.append(2 * _poly.degree(self.r) + 1)
+        if self.e:
+            heads.append(-2 * next(i for i, c in enumerate(self.e) if c))
+        return max(heads, default=-2)
 
     def expansion(self, floor: int) -> AsymSeries:
-        """t_n(y) / n**n on the half-integer grid, known down to half-exponent floor."""
+        """The value / n**(n-1) on the half-integer grid, known down to half-exponent floor."""
+        out = AsymSeries.zero(floor)
         if floor > self.lead:
-            return AsymSeries.zero(floor)
-        if self.kind == "u":
-            # t/n**n = E(u) * u with u = 1/n
-            return AsymSeries.from_u_polynomial(self.e, -2, floor)
-        # polynomial parts are exact, so pad them at least down to their constant
-        out = AsymSeries.from_u_polynomial(
-            list(reversed(self.p)), 2 * _poly.degree(self.p), min(floor, 0)
-        )
+            return out
+        # p and e are exact, so pad them at least down to their constant
+        if self.p:
+            out = out + AsymSeries.from_u_polynomial(
+                self.p[::-1], 2 * _poly.degree(self.p), min(floor, 0)
+            )
         if self.r:
             top_r = 2 * _poly.degree(self.r)
             q = q_asym(max(0, 1 - (floor - top_r)))
-            rpoly = AsymSeries.from_u_polynomial(
-                list(reversed(self.r)), top_r, min(floor - 1, 0)
-            )
+            rpoly = AsymSeries.from_u_polynomial(self.r[::-1], top_r, min(floor - 1, 0))
             out = out + rpoly * q
+        if self.e:
+            out = out + AsymSeries.from_u_polynomial(self.e, 0, min(floor, 0))
         if out.known_floor > floor:
             raise VerificationFailure("assembled tree expansion lost depth")
         return out
@@ -113,21 +135,18 @@ class TreePolyNormalForm:
 @lru_cache(maxsize=None)
 def t_normal_form(y: int) -> TreePolyNormalForm:
     if y <= 0:
-        if y == 0:
-            return TreePolyNormalForm(0, "u", e=())
-        e = _poly._strip(tuple(_difference_polynomial(-y, -y)))
-        return TreePolyNormalForm(y, "u", e=e)
+        return TreePolyNormalForm(e=_poly._strip(tuple(_difference_polynomial(-y, -y))))
     if y == 1:
-        return TreePolyNormalForm(1, "pq", p=_poly.ONE, r=_poly.ZERO)  # t_n(1) = n**n
-    # t(v) = (n/(v-2)) t(v-2) + t(v-1), applied coefficientwise to (v-1)! (p, r),
+        return TreePolyNormalForm(p=(0, 1))  # t_n(1) = n**n
+    # t(v) = (n/(v-2)) t(v-2) + t(v-1), applied coefficientwise to (v-1)! n (p, r),
     # which keeps every coefficient an integer until the last step
-    prev, cur = ((1,), ()), ((1,), (1,))  # v = 1, 2
+    prev, cur = ((0, 1), ()), ((0, 1), (0, 1))  # v = 1, 2
     for v in range(3, y + 1):
         prev, cur = cur, tuple(
             _poly.scale(_poly.add((0,) + a, b), v - 1) for a, b in zip(prev, cur)
         )
     p, r = (_poly.scale(c, Fraction(1, factorial(y - 1))) for c in cur)
-    return TreePolyNormalForm(y, "pq", p=p, r=r)
+    return TreePolyNormalForm(p=p, r=r)
 
 
 def t_asym(y: int, depth: int) -> AsymSeries:
@@ -135,7 +154,7 @@ def t_asym(y: int, depth: int) -> AsymSeries:
     if y == 0:
         return AsymSeries.zero(-depth)
     nf = t_normal_form(y)
-    return nf.expansion(nf.lead - depth).truncate(depth)
+    return nf.expansion(nf.lead - depth).shift(-2).truncate(depth)
 
 
 def t_recurrence_check(n_max: int, y_min: int, y_max: int) -> bool:

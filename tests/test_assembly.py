@@ -32,14 +32,12 @@ XI = SymConst.xi
 def test_decompose_excess_zero():
     dec = decompose(0)
     assert dec.qterm == F(1, 2)
-    assert dec.constant == 0
     assert dec.beta_dict() == {-1: F(1), -2: F(-1, 4)}
 
 
 def test_decompose_excess_one():
     dec = decompose(1)
     assert dec.qterm == 0
-    assert dec.constant == 0
     assert dec.beta_dict() == {
         3: F(5, 24),
         2: F(-19, 24),
@@ -67,7 +65,6 @@ def test_decompositions_match_the_recurrence_oracle_past_the_runtime_check():
             want = (
                 sum(b * t(n, l) for l, b in dec.beta)
                 + dec.qterm * oracles.q_direct(n) * n ** (n - 1)
-                + dec.constant
             )
             assert dec.evaluate(n) == want, (n, k)
 

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from graphasym import q_exact, treepoly
 from graphasym.cli import build_parser, main
 
 
@@ -59,6 +60,7 @@ def test_decompose_command(capsys):
     assert lines[0] == "part,index,coefficient"
     assert "t,3,5/24" in lines
     assert "q,,0" in lines
+    assert lines[-1] == "const,,0"  # erratum excess_zero_constant: there is no constant term
 
 
 def test_asym_command_connected(capsys):
@@ -195,6 +197,11 @@ def test_parser_covers_all_commands():
         ["fit", "--n-min", "0", "--n-max", "10", "--degree", "2"],
         ["compare", "--which", "total", "--k", "0", "--n-min", "0", "--n-max", "8"],
         ["fit", "--degree", "-1", "--n-min", "10", "--n-max", "20"],
+        ["fit", "--precision-bits", "0"],
+        ["fit", "--precision-bits", "1"],
+        ["compare", "--precision-bits", "0"],
+        ["compare", "--precision-bits", "-5"],
+        ["tables", "--output-dir", "/dev/null/x"],
     ],
 )
 def test_bad_input_is_one_line_not_a_traceback(capsys, argv):
@@ -203,3 +210,24 @@ def test_bad_input_is_one_line_not_a_traceback(capsys, argv):
     assert out == ""
     assert len(err.splitlines()) == 1
     assert "Traceback" not in err
+
+
+def test_exact_values_print_past_the_default_digit_limit(capsys):
+    # q_exact(1500) has a numerator of about 4700 digits
+    code, out, err = run(capsys, "q", "--n-max", "1500")
+    assert code == 0 and err == ""
+    assert out.splitlines()[-1] == f"1500,{q_exact(1500)}"
+
+
+def test_a_failed_tree_value_check_at_large_n_is_a_short_verification_error(capsys, monkeypatch):
+    # an off-by-one Q past n = 1000 leaves t_1001(4) a half-integer; the report
+    # must name the remainder, not the 3000-digit value
+    q_scaled = treepoly.q_scaled
+    monkeypatch.setattr(treepoly, "q_scaled", lambda n: q_scaled(n) + (n > 1000))
+    code, out, err = run(capsys, "tpoly", "--n-max", "1200", "--y", "4")
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("verification error")
+    assert len(lines[0]) < 300

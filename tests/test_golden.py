@@ -1,7 +1,15 @@
-"""Byte-level pin of every canonical table that `graphasym tables` writes."""
+"""Byte-level pins: every canonical table that `graphasym tables` writes, and
+the expansions and exact values the tables do not reach.  Also checks that the
+package rests no identity on an `assert` statement."""
+import ast
 import hashlib
+from pathlib import Path
 
+import graphasym
+from graphasym import asym_c, asym_p, decompose, t_asym, t_value
 from graphasym.cli import main
+
+SRC = Path(graphasym.__file__).parent
 
 # sha256 of each file; all tables are exact, so the digests are
 # machine-independent (the same ones scripts/reproduce_tables.py prints)
@@ -25,3 +33,30 @@ def test_tables_are_byte_identical(tmp_path, capsys):
         p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.glob("*.csv")
     }
     assert written == DIGESTS
+
+
+# sha256 over the str of expansions and exact values the tables do not reach:
+# asym_c to k = 8 and depth 8, asym_p, t_asym on both sides of y = 0, t_value
+# and decomposition values up to n = 600
+EXPANSIONS_AND_VALUES = "2ec97ea0d93abfd69152e6905dc4f4525c2c8ebf9ef19641c810c3de5f2578ea"
+
+
+def test_expansions_and_values_are_byte_identical():
+    lines = [str(asym_c(k, 8)) for k in range(0, 9)]
+    lines += [str(asym_p(k, 6)) for k in range(0, 7)]
+    lines += [str(t_asym(y, 9)) for y in range(-6, 12) if y != 0]
+    lines += [str(t_value(n, y)) for y in range(-8, 14) for n in (1, 2, 3, 7, 30, 200)]
+    lines += [str(decompose(k).evaluate(n)) for k in range(0, 6) for n in (1, 5, 13, 100, 600)]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == EXPANSIONS_AND_VALUES
+
+
+def test_the_package_has_no_assert_statement():
+    # `python -O` strips assert statements, so no identity may rest on one
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

@@ -71,12 +71,16 @@ def test_values_at_an_index_past_the_recursion_limit():
 
 
 def test_normal_form_shapes():
-    assert t_normal_form(-3).kind == "u"
-    assert t_normal_form(4).kind == "pq"
-    # t_n(2) = n^n (1 + Q(n)): P = 1, R = 1
+    # n^(n-1) (p(n) + r(n) Q(n) + e(1/n)): e alone for y <= 0, p and r for y >= 1
+    negative = t_normal_form(-3)
+    assert negative.p == negative.r == () and negative.e
+    positive = t_normal_form(4)
+    assert positive.p and positive.r and positive.e == ()
+    # t_n(2) = n^n (1 + Q(n)) = n^(n-1) (n + n Q(n)): p = r = n
     form = t_normal_form(2)
-    assert form.p == (1,)
-    assert form.r == (1,)
+    assert form.p == (0, 1)
+    assert form.r == (0, 1)
+    assert form.e == ()
 
 
 def test_asymptotic_expansion_numeric():
