@@ -30,8 +30,6 @@ from .errors import (
     InsufficientPoints,
     NonMonomialDivisor,
     OrderMismatch,
-    ResidualNonzero,
-    UnderdeterminedSystem,
     UnknownLeadingTerm,
     VerificationFailure,
 )
@@ -41,19 +39,15 @@ from .graphs import (
     CountTable,
     WPolySeries,
     connected_counts,
-    graph_egf,
     recover_ak,
     w_series,
 )
 from .ramanujan import (
     d_asym,
     d_coefficients,
-    d_numeric,
     delta_log_series,
     q_asym,
-    q_egf_check,
     q_exact,
-    r_numeric,
 )
 from .series import Series, egf_coefficient, tree_function
 from .symbolic import AsymSeries, SymConst, bernoulli, stirling_series
@@ -61,7 +55,6 @@ from .treepoly import (
     TreePolyNormalForm,
     t_asym,
     t_normal_form,
-    t_recurrence_check,
     t_series,
     t_value,
 )

@@ -39,14 +39,6 @@ def add(p: Poly, q: Poly) -> Poly:
     return _strip(tuple(out))
 
 
-def neg(p: Poly) -> Poly:
-    return tuple(-c for c in p)
-
-
-def sub(p: Poly, q: Poly) -> Poly:
-    return add(p, neg(q))
-
-
 def scale(p: Poly, s: Fraction | int) -> Poly:
     if s == 0:
         return ZERO

@@ -43,9 +43,6 @@ class Decomposition:
     qterm: Fraction
     verified_n_max: int
 
-    def beta_dict(self) -> dict[int, Fraction]:
-        return dict(self.beta)
-
     @cached_property
     def normal_form(self) -> TreePolyNormalForm:
         """The split folded into c(n, n+k) = n**(n-1) (P(n) + R(n) Q(n) + E(1/n))."""

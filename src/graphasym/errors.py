@@ -12,7 +12,7 @@ class OrderMismatch(GraphAsymError):
 
 class ConstantTermError(GraphAsymError):
     """A series operation required a specific constant term (e.g. log needs
-    constant 1, compose needs inner constant 0) and did not get it."""
+    constant 1, exp needs constant 0) and did not get it."""
 
 
 class NonMonomialDivisor(GraphAsymError):
@@ -22,15 +22,6 @@ class NonMonomialDivisor(GraphAsymError):
 class UnknownLeadingTerm(GraphAsymError):
     """An asymptotic division needs the divisor's leading coefficient to be
     a single symbolic monomial so the quotient stays in the ring."""
-
-
-class ResidualNonzero(GraphAsymError):
-    """A finite-polynomial recovery left a nonzero residual past the claimed
-    degree, so the working order or degree bound is too small."""
-
-
-class UnderdeterminedSystem(GraphAsymError):
-    """Not enough series coefficients to pin down the requested degree."""
 
 
 class VerificationFailure(GraphAsymError):

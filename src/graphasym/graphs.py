@@ -1,4 +1,5 @@
-"""Exact enumeration of labelled graphs refined by edge count.
+"""Exact enumeration of labelled graphs refined by edge count, and the
+excess numerators A_k.
 
 The bivariate EGF of all graphs is g(w, z) = sum_n (1+w)^C(n,2) z**n / n!,
 and c = log g generates connected graphs.  Extracting log g row by row uses
@@ -12,8 +13,19 @@ cap, high enough for every requested excess k = m - n.
 
 Writing the connected EGF by excess, c(w, z) = sum_k w**(n+k)-diagonals,
 gives the excess series W_k(z) = sum_n c(n, n+k) z**n / n!.  Each W_k with
-k >= 1 is a rational function A_k(T) / (1-T)**(3k) of the tree function;
-recover_ak reconstructs the numerator polynomial exactly from the series.
+k >= 1 is a rational function A_k(T) / (1-T)**(3k) of the tree function T.
+recover_ak gets the numerators from E. M. Wright's excess recurrence ("The
+number of connected sparsely edged graphs", J. Graph Theory 1977; see also
+Janson, Knuth, Luczak and Pittel, "The birth of the giant component", 1993,
+sections 3 and 8): with theta = z d/dz = T/(1-T) d/dT,
+
+    2 (T d/dT + k + 1) W_{k+1}
+        = theta**2 W_k - 3 theta W_k - 2k W_k + sum_{i+j=k} theta W_i theta W_j,
+
+from 2(1+w) c_w = z**2 (c_zz + c_z**2) with c = sum_k w**k W_k(wz), and with
+theta W_0 = T**3 / (2(1-T)**2).
+It is exact polynomial algebra in T and never reads the count table, which
+stays the independent route that `assembly.decompose` checks A_k against.
 """
 from __future__ import annotations
 
@@ -23,17 +35,9 @@ from functools import cached_property, lru_cache
 from math import comb
 
 from . import _poly
-from .errors import ResidualNonzero, UnderdeterminedSystem
+from ._poly import Poly
+from .errors import VerificationFailure
 from .series import Series, tree_function
-
-
-def graph_egf(n_max: int, w_cap: int) -> tuple[tuple[int, ...], ...]:
-    """Rows G_n(w) = (1+w)^C(n,2) truncated at w**w_cap, n = 0..n_max."""
-    rows = []
-    for n in range(n_max + 1):
-        edges = comb(n, 2)
-        rows.append(tuple(comb(edges, j) for j in range(w_cap + 1)))
-    return tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -57,8 +61,9 @@ class WPolySeries:
 
 @lru_cache(maxsize=None)
 def connected_rows(n_max: int, w_cap: int) -> WPolySeries:
-    g = graph_egf(n_max, w_cap)
     width = w_cap + 1
+    # G_n(w) = (1+w)^C(n,2) truncated at w**w_cap
+    g = [tuple(comb(comb(n, 2), j) for j in range(width)) for n in range(n_max + 1)]
     rows: list[tuple[int, ...]] = [(0,) * width]
     for n in range(1, n_max + 1):
         acc = list(g[n])
@@ -119,13 +124,12 @@ def connected_counts(n_max: int, k_max: int) -> CountTable:
 def w_series(k: int, order: int) -> Series:
     """Excess EGF W_k(z) = sum_n c(n, n+k) z**n / n!.
 
-    For k in {-1, 0, 1} this uses the closed forms in the tree function:
+    For k in {-1, 0} this uses the closed forms in the tree function,
 
         W_-1 = T - T**2/2
-        W_0  = -(log(1-T) + T + T**2/2) / 2
-        W_1  = (6 T**4 - T**5) / 24 / (1-T)**3
+        W_0  = -(log(1-T) + T + T**2/2) / 2,
 
-    and the diagonal of the bivariate table for every k >= 2.
+    and A_k(T) / (1-T)**(3k) with A_k from `recover_ak` for every k >= 1.
     """
     if k < -1:
         raise ValueError("excess below -1 is empty")
@@ -135,17 +139,10 @@ def w_series(k: int, order: int) -> Series:
     if k == 0:
         logpart = (Series.one(order) - t).log()
         return (logpart + t + (t * t).scale(Fraction(1, 2))).scale(Fraction(-1, 2))
-    if k == 1:
-        t4 = t.pow(4)
-        num = t4.scale(Fraction(6, 24)) - (t4 * t).scale(Fraction(1, 24))
-        return num * (Series.one(order) - t).pow(-3)
-    table = connected_counts(max(order, 1), k)
-    coeffs = [Fraction(0)]
-    f = 1
-    for n in range(1, order + 1):
-        f *= n
-        coeffs.append(Fraction(table.get(n, n + k), f))
-    return Series(coeffs)
+    num = Series.zero(order)
+    for c in reversed(recover_ak(k).coeffs):
+        num = num * t + Series.one(order).scale(c)
+    return num * (Series.one(order) - t).pow(-3 * k)
 
 
 @dataclass(frozen=True)
@@ -169,41 +166,67 @@ class AkPolynomial:
         return _poly.evaluate(self.coeffs, x)
 
 
-@lru_cache(maxsize=None)
-def recover_ak(k: int, degree_bound: int | None = None, order: int | None = None) -> AkPolynomial:
-    """Reconstruct A_k from the excess series by triangular elimination.
+_ONE_MINUS_T = _poly.poly(1, -1)
+_THETA_W0 = _poly.poly(0, 0, 0, Fraction(1, 2))  # theta W_0 = (T**3/2) / (1-T)**2
 
-    S = W_k * (1-T)**(3k) is a polynomial in T; since T**d = z**d + ...,
-    the coefficients alpha_d peel off in order.  The residual beyond the
-    degree bound must vanish identically, which is checked, not assumed.
+
+def _theta(f: Poly, s: int) -> Poly:
+    """theta (f / (1-T)**s) = T (f' (1-T) + s f) / (1-T)**(s+2); the numerator."""
+    return _poly.shift(
+        _poly.add(_poly.mul(_poly.derivative(f), _ONE_MINUS_T), _poly.scale(f, s)), 1
+    )
+
+
+def _wright_step(lower: list[Poly]) -> Poly:
+    """A_{k+1} from A_1..A_k (k = len(lower)) by Wright's recurrence.
+
+    With theta W_i = B_i / (1-T)**(3i+2), the right side of the recurrence is
+    P / (1-T)**(3k+4) with
+
+        P = T (B_k' (1-T) + (3k+2) B_k) - 3 (1-T)**2 B_k - 2k (1-T)**4 A_k
+            + sum_{i+j=k} B_i B_j,
+
+    and the left side is 2 sum_j [(j+k+1) a_j + (2k+3-j) a_{j-1}] T**j over
+    the same power, so the a_j follow in order from p_0 .. p_{deg P - 1}.
+    The one equation left over, at j = deg P, is checked.
+    """
+    k = len(lower)
+    thetas = [_THETA_W0] + [_theta(a, 3 * i) for i, a in enumerate(lower, 1)]
+    b = thetas[k]
+    p = _poly.add(_theta(b, 3 * k + 2), _poly.scale(_poly.mul(b, _poly.poly(1, -2, 1)), -3))
+    if k:
+        p = _poly.add(p, _poly.scale(_poly.mul(lower[-1], _poly.poly(1, -4, 6, -4, 1)), -2 * k))
+    for i in range(k + 1):
+        p = _poly.add(p, _poly.mul(thetas[i], thetas[k - i]))
+    coeffs = []
+    a = Fraction(0)
+    for j in range(len(p) - 1):
+        a = (p[j] / 2 - (2 * k + 3 - j) * a) / (j + k + 1)
+        coeffs.append(a)
+    top = len(p) - 1
+    want = 2 * (2 * k + 3 - top) * a
+    if p[top] != want:
+        raise VerificationFailure(
+            f"Wright's recurrence for A_{k + 1} is inconsistent at T**{top}: {p[top]} != {want}"
+        )
+    return tuple(coeffs)
+
+
+@lru_cache(maxsize=None)
+def recover_ak(k: int) -> AkPolynomial:
+    """A_k by Wright's excess recurrence (Wright 1977), from A_1..A_{k-1}:
+
+        2 (T d/dT + k) W_k = theta**2 W_{k-1} - 3 theta W_{k-1} - 2(k-1) W_{k-1}
+                             + sum_{i+j=k-1} theta W_i theta W_j,
+
+    with theta = z d/dz = T/(1-T) d/dT and theta W_0 = T**3 / (2(1-T)**2).
+    Exact polynomial algebra over Fraction: no count table, no truncated
+    series and no degree bound; deg A_k = 3k + 2 comes out of the recurrence.
+    Each step ends with the one equation the recurrence over-determines, and
+    raises `VerificationFailure` if it fails.
     """
     if k < 1:
         raise ValueError("numerator polynomials exist for k >= 1")
-    if degree_bound is None:
-        degree_bound = 3 * k + 2
-    if order is None:
-        order = degree_bound + 3 * k + 2
-    if order < degree_bound:
-        raise UnderdeterminedSystem(
-            f"series order {order} cannot determine degree {degree_bound}"
-        )
-    t = tree_function(order)
-    s = w_series(k, order) * (Series.one(order) - t).pow(3 * k)
-    alphas = []
-    resid = s
-    tp = Series.one(order)
-    for d in range(degree_bound + 1):
-        a = resid[d]
-        alphas.append(a)
-        if a != 0:
-            resid = resid - tp.scale(a)
-        tp = tp * t
-    for i in range(degree_bound + 1, order + 1):
-        if resid[i] != 0:
-            raise ResidualNonzero(
-                f"W_{k} (1-T)^{3 * k} is not a degree-{degree_bound} polynomial "
-                f"in T: residual {resid[i]} at z**{i}"
-            )
-    while alphas and alphas[-1] == 0:
-        alphas.pop()
-    return AkPolynomial(k, tuple(alphas))
+    # ascending calls find every lower A cached, so they nest at most two deep
+    lower = [recover_ak(i).coeffs for i in range(1, k)]
+    return AkPolynomial(k, _wright_step(lower))

@@ -27,10 +27,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-import mpmath
-
 from .errors import VerificationFailure
-from .series import Series, tree_function
+from .series import Series
 from .symbolic import AsymSeries, SymConst, stirling_series
 
 
@@ -72,33 +70,6 @@ def q_scaled(n: int) -> int:
 def q_exact(n: int) -> Fraction:
     """Q(n) as an exact rational over the common denominator n**n."""
     return Fraction(q_scaled(n), n ** n)
-
-
-def r_numeric(n: int, bits: int = 256) -> mpmath.mpf:
-    """R(n) by direct summation of its convergent series."""
-    if n < 1:
-        raise ValueError("R(n) needs n >= 1")
-    with mpmath.workprec(bits + 64):
-        term = mpmath.mpf(1)
-        total = mpmath.mpf(0)
-        k = 0
-        eps = mpmath.mpf(2) ** (-(bits + 48))
-        while True:
-            total += term
-            k += 1
-            term = term * n / (n + k)
-            # positive terms; once k > n the tail is below term * n / (k - n)
-            if k > n and term * n / (k - n) < eps * total:
-                break
-        return +total
-
-
-def d_numeric(n: int, bits: int = 256) -> mpmath.mpf:
-    """D(n) = R(n) - Q(n) at the requested precision."""
-    q = q_exact(n)
-    with mpmath.workprec(bits + 64):
-        qv = mpmath.mpf(q.numerator) / q.denominator
-        return +(r_numeric(n, bits) - qv)
 
 
 @lru_cache(maxsize=None)
@@ -169,17 +140,3 @@ def q_asym(depth: int) -> AsymSeries:
                 f"{recombined.coefficient_at(h)} != {stirl.coefficient_at(h)}"
             )
     return q.truncate(depth)
-
-
-def q_egf_check(order: int) -> bool:
-    """Verify sum_n Q(n) n**(n-1) z**n / n! = -log(1 - T) through z**order."""
-    lhs = [Fraction(0)]
-    for n in range(1, order + 1):
-        lhs.append(q_exact(n) * Fraction(n ** (n - 1), factorial(n)))
-    rhs = -(Series.one(order) - tree_function(order)).log()
-    for n in range(order + 1):
-        if lhs[n] != rhs[n]:
-            raise VerificationFailure(
-                f"Q generating function mismatch at z**{n}: {lhs[n]} != {rhs[n]}"
-            )
-    return True

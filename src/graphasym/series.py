@@ -51,11 +51,6 @@ class Series:
             raise ValueError("order must be >= 1 to hold the variable")
         return Series([Fraction(0), Fraction(1)] + [Fraction(0)] * (order - 1))
 
-    @staticmethod
-    def from_function(f, order: int) -> "Series":
-        """Series with c[n] = f(n)."""
-        return Series([f(n) for n in range(order + 1)])
-
     # ---- basics --------------------------------------------------------
 
     @property
@@ -194,17 +189,6 @@ class Series:
                 acc = acc * base
             base = base * base if e > 1 else base
             e >>= 1
-        return acc
-
-    def compose(self, inner: "Series") -> "Series":
-        """self(inner(z)); inner must have constant term 0."""
-        if inner._c[0] != 0:
-            raise ConstantTermError("compose requires inner constant term 0")
-        n = min(self.order, inner.order)
-        acc = Series.zero(n)
-        inner = inner.truncate(n)
-        for c in reversed(self._c[: n + 1]):
-            acc = acc * inner + Series([c] + [Fraction(0)] * n)
         return acc
 
 

@@ -14,7 +14,6 @@ still trustworthy, which is what makes remainder tests meaningful.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -190,14 +189,6 @@ class SymConst:
             ]
         }
 
-    @staticmethod
-    def from_json_dict(d: dict) -> "SymConst":
-        acc: dict[tuple[int, int], Fraction] = {}
-        for t in d["terms"]:
-            key = (int(t["pi"]), int(t["xi"]))
-            acc[key] = acc.get(key, Fraction(0)) + Fraction(t["rat"])
-        return SymConst._make(acc)
-
 
 def _coerce(c: Union["SymConst", Scalar]) -> SymConst:
     return c if isinstance(c, SymConst) else SymConst.rational(c)
@@ -238,16 +229,6 @@ class AsymSeries:
     @staticmethod
     def zero(floor: int) -> "AsymSeries":
         return AsymSeries(floor, (SymConst.zero(),))
-
-    @staticmethod
-    def constant(c: Union[SymConst, Scalar], floor: int) -> "AsymSeries":
-        """The constant c as a series known down to half-exponent floor."""
-        c = _coerce(c)
-        if c.is_zero():
-            return AsymSeries.zero(floor)
-        if floor > 0:
-            raise ValueError("a constant is only representable with floor <= 0")
-        return AsymSeries(0, (c,) + (SymConst.zero(),) * (-floor))
 
     @staticmethod
     def from_u_polynomial(
@@ -357,14 +338,6 @@ class AsymSeries:
             q.append(acc.div_monomial(lead_c))
         return AsymSeries(num.lead - den.lead, tuple(q))._stripped()
 
-    def power(self, e: int) -> "AsymSeries":
-        if e < 0:
-            raise ValueError("negative powers go through __truediv__")
-        acc = AsymSeries.constant(1, -self.depth)
-        for _ in range(e):
-            acc = acc * self
-        return acc
-
     # -- numerics and display --
 
     def evaluate(self, n: int, bits: int = 256, depth: int | None = None) -> mpmath.mpf:
@@ -395,16 +368,6 @@ class AsymSeries:
             "lead": self.lead,
             "coeffs": [c.to_json_dict() for c in self.coeffs],
         }
-
-    @staticmethod
-    def from_json_dict(d: dict) -> "AsymSeries":
-        return AsymSeries(
-            int(d["lead"]),
-            tuple(SymConst.from_json_dict(c) for c in d["coeffs"]),
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), separators=(",", ":"))
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from . import _poly
 from ._poly import Poly
 from .errors import VerificationFailure
 from .ramanujan import q_asym, q_scaled, _difference_polynomial
-from .series import Series, egf_coefficient, tree_function
+from .series import Series, tree_function
 from .symbolic import AsymSeries
 
 
@@ -155,24 +155,3 @@ def t_asym(y: int, depth: int) -> AsymSeries:
         return AsymSeries.zero(-depth)
     nf = t_normal_form(y)
     return nf.expansion(nf.lead - depth).shift(-2).truncate(depth)
-
-
-def t_recurrence_check(n_max: int, y_min: int, y_max: int) -> bool:
-    """Verify the two-step recurrence against the series route everywhere."""
-    order = n_max
-    series = {y: t_series(y, order) for y in range(y_min, y_max + 3)}
-
-    for y in range(y_min, y_max + 1):
-        if y == 0:
-            continue
-        for n in range(1, n_max + 1):
-            lhs = egf_coefficient(series[y + 2], n)
-            rhs = (
-                Fraction(n, y) * egf_coefficient(series[y], n)
-                + egf_coefficient(series[y + 1], n)
-            )
-            if lhs != rhs:
-                raise VerificationFailure(
-                    f"tree recurrence fails at n={n}, y={y}: {lhs} != {rhs}"
-                )
-    return True

@@ -1,12 +1,28 @@
 """Independent reference implementations used only by the test suite.
 
 Everything here is deliberately written against different identities (or by
-plain exhaustion) than the library code, so agreement is meaningful.
+plain exhaustion) than the library code, so agreement is meaningful.  The
+checkers that read library series against an identity (t_recurrence_check,
+q_egf_check) and the JSON decoders live here too: nothing in the package
+calls them.
 """
 
 from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial
+
+import mpmath
+
+from graphasym import (
+    AsymSeries,
+    Series,
+    SymConst,
+    egf_coefficient,
+    q_exact,
+    t_series,
+    tree_function,
+)
+from graphasym.errors import VerificationFailure
 
 
 def brute_force_connected(n: int, m: int) -> int:
@@ -104,6 +120,96 @@ def q_scaled_by_loop(n: int) -> int:
         t = t * (n - k + 1) // n  # exact: n**(n-k) divides t * (n-k+1)
         total += t
     return total
+
+
+# a fixed prime for residue checks of values too long to compare cheaply
+PRIME = 2**61 - 1
+
+
+def q_scaled_mod(n: int, p: int = PRIME) -> int:
+    """n**n Q(n) modulo p by the plain O(n) loop.
+
+    n**n Q(n) = sum_{k=1}^{n} n!/(n-k)! n**(n-k), read as a Horner scheme in
+    n over the falling factorials n!/(n-k)!.
+    """
+    acc, falling = 0, 1
+    for k in range(1, n + 1):
+        falling = falling * (n - k + 1) % p
+        acc = (acc * n + falling) % p
+    return acc
+
+
+def r_numeric(n: int, bits: int = 256) -> mpmath.mpf:
+    """R(n) = sum_{k>=0} n**k n!/(n+k)! by direct summation of its convergent series."""
+    if n < 1:
+        raise ValueError("R(n) needs n >= 1")
+    with mpmath.workprec(bits + 64):
+        term = mpmath.mpf(1)
+        total = mpmath.mpf(0)
+        k = 0
+        eps = mpmath.mpf(2) ** (-(bits + 48))
+        while True:
+            total += term
+            k += 1
+            term = term * n / (n + k)
+            # positive terms; once k > n the tail is below term * n / (k - n)
+            if k > n and term * n / (k - n) < eps * total:
+                break
+        return +total
+
+
+def d_numeric(n: int, bits: int = 256) -> mpmath.mpf:
+    """D(n) = R(n) - Q(n) at the requested precision."""
+    q = q_exact(n)
+    with mpmath.workprec(bits + 64):
+        qv = mpmath.mpf(q.numerator) / q.denominator
+        return +(r_numeric(n, bits) - qv)
+
+
+def q_egf_check(order: int) -> bool:
+    """Verify sum_n Q(n) n**(n-1) z**n / n! = -log(1 - T) through z**order."""
+    lhs = [Fraction(0)]
+    for n in range(1, order + 1):
+        lhs.append(q_exact(n) * Fraction(n ** (n - 1), factorial(n)))
+    rhs = -(Series.one(order) - tree_function(order)).log()
+    for n in range(order + 1):
+        if lhs[n] != rhs[n]:
+            raise VerificationFailure(
+                f"Q generating function mismatch at z**{n}: {lhs[n]} != {rhs[n]}"
+            )
+    return True
+
+
+def t_recurrence_check(n_max: int, y_min: int, y_max: int) -> bool:
+    """Verify y t_n(y+2) = n t_n(y) + y t_n(y+1) on the series route everywhere."""
+    series = {y: t_series(y, n_max) for y in range(y_min, y_max + 3)}
+    for y in range(y_min, y_max + 1):
+        if y == 0:
+            continue
+        for n in range(1, n_max + 1):
+            lhs = egf_coefficient(series[y + 2], n)
+            rhs = (
+                Fraction(n, y) * egf_coefficient(series[y], n)
+                + egf_coefficient(series[y + 1], n)
+            )
+            if lhs != rhs:
+                raise VerificationFailure(
+                    f"tree recurrence fails at n={n}, y={y}: {lhs} != {rhs}"
+                )
+    return True
+
+
+def sym_const_from_json(d: dict) -> SymConst:
+    """Decode `SymConst.to_json_dict`: the sum of rat * pi**pi_power * xi**xi_power."""
+    acc = SymConst.zero()
+    for t in d["terms"]:
+        acc = acc + SymConst.pi_power(int(t["pi"]), Fraction(t["rat"]), bool(int(t["xi"])))
+    return acc
+
+
+def asym_series_from_json(d: dict) -> AsymSeries:
+    """Decode `AsymSeries.to_json_dict`."""
+    return AsymSeries(int(d["lead"]), tuple(sym_const_from_json(c) for c in d["coeffs"]))
 
 
 def t_by_recurrence(n: int, y: int) -> Fraction:

@@ -32,13 +32,13 @@ XI = SymConst.xi
 def test_decompose_excess_zero():
     dec = decompose(0)
     assert dec.qterm == F(1, 2)
-    assert dec.beta_dict() == {-1: F(1), -2: F(-1, 4)}
+    assert dict(dec.beta) == {-1: F(1), -2: F(-1, 4)}
 
 
 def test_decompose_excess_one():
     dec = decompose(1)
     assert dec.qterm == 0
-    assert dec.beta_dict() == {
+    assert dict(dec.beta) == {
         3: F(5, 24),
         2: F(-19, 24),
         1: F(13, 12),

@@ -1,7 +1,10 @@
 """Command-line interface: golden output, determinism, exit codes."""
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from graphasym import q_exact, treepoly
 from graphasym.cli import build_parser, main
@@ -231,3 +234,66 @@ def test_a_failed_tree_value_check_at_large_n_is_a_short_verification_error(caps
     assert len(lines) == 1
     assert lines[0].startswith("verification error")
     assert len(lines[0]) < 300
+
+
+def _ints(lo, hi):
+    return st.integers(min_value=lo, max_value=hi)
+
+
+# every flag of every subcommand except `tables`, which writes files; the
+# bounds keep one run well under a second, and the flags under "always" are
+# drawn on every run because their defaults are the slow full-size windows
+_ARGV_FLAGS = {
+    "count": {"--n-max": _ints(-2, 14), "--k-max": _ints(-3, 4)},
+    "q": {"--n-max": _ints(-2, 120)},
+    "tpoly": {"--n-max": _ints(-2, 40), "--y": _ints(-12, 12)},
+    "decompose": {"--k": _ints(-3, 10)},
+    "asym": {
+        "--k": _ints(-3, 6),
+        "--depth": _ints(-2, 6),
+        "--which": st.sampled_from(["connected", "total", "probability"]),
+    },
+    "prob": {"--k": _ints(-3, 4), "--depth": _ints(-2, 5)},
+    "fit": {
+        "--k": _ints(-2, 2),
+        "--degree": _ints(-2, 4),
+        "--n-min": _ints(-2, 60),
+        "--precision-bits": _ints(-8, 160),
+        "--max-denominator": _ints(-2, 500),
+    },
+    "compare": {
+        "--k": _ints(-2, 3),
+        "--which": st.sampled_from(["connected", "total", "probability"]),
+        "--depths": st.sampled_from(["1", "1,3", "0,2,4", "", "-1", "2,x"]),
+        "--n-min": _ints(-2, 64),
+        "--precision-bits": _ints(-8, 160),
+    },
+    "errata": {},
+}
+_ALWAYS = {"fit": {"--n-max": _ints(-2, 80)}, "compare": {"--n-max": _ints(-2, 300)}}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_ARGV_FLAGS)))
+    argv = [command]
+    for flag, values in _ALWAYS.get(command, {}).items():
+        argv += [flag, str(draw(values))]
+    for flag, values in _ARGV_FLAGS[command].items():
+        if draw(st.booleans()):
+            argv += [flag, str(draw(st.one_of(values, st.just("x"))))]
+    if draw(st.booleans()):
+        argv += ["--output", draw(st.sampled_from(["csv", "json", "xml"]))]
+    if draw(st.integers(0, 9)) == 0:
+        argv.append("--bogus")
+    return argv
+
+
+@given(_argv())
+@settings(max_examples=60, deadline=None)
+def test_random_argv_exits_with_a_documented_code_and_no_traceback(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue()

@@ -6,7 +6,7 @@ import hashlib
 from pathlib import Path
 
 import graphasym
-from graphasym import asym_c, asym_p, decompose, t_asym, t_value
+from graphasym import asym_c, asym_p, decompose, recover_ak, t_asym, t_value
 from graphasym.cli import main
 
 SRC = Path(graphasym.__file__).parent
@@ -49,6 +49,17 @@ def test_expansions_and_values_are_byte_identical():
     lines += [str(decompose(k).evaluate(n)) for k in range(0, 6) for n in (1, 5, 13, 100, 600)]
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == EXPANSIONS_AND_VALUES
+
+
+# sha256 over the str of the A_k coefficient tuples for k = 1..12, recorded
+# from the table-and-series elimination, a route independent of the recurrence
+EXCESS_NUMERATORS = "8670df816a417f56ca0b470c5325c8fbfc076143b273aeea7792c2093b00efa8"
+
+
+def test_excess_numerators_are_byte_identical():
+    lines = [str(recover_ak(k).coeffs) for k in range(1, 13)]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == EXCESS_NUMERATORS
 
 
 def test_the_package_has_no_assert_statement():

@@ -10,8 +10,8 @@ from graphasym import (
     recover_ak,
     w_series,
 )
-from graphasym.errors import ResidualNonzero
-from graphasym.graphs import connected_rows, graph_egf
+from graphasym.errors import VerificationFailure
+from graphasym.graphs import _wright_step, connected_rows
 
 import oracles
 
@@ -33,13 +33,6 @@ def test_counts_match_log_oracle():
             expected = log_rows[n][m] * factorial(n)
             assert expected.denominator == 1
             assert rows.coefficient(n, m) == expected
-
-
-def test_graph_egf_rows_are_binomials():
-    g = graph_egf(5, 10)
-    for n in range(6):
-        for m in range(11):
-            assert g[n][m] == comb(comb(n, 2), m)
 
 
 def test_wpoly_bounds():
@@ -98,9 +91,14 @@ def test_recover_a1_polynomial():
     assert a.evaluate(F(0)) == 0
 
 
-def test_recover_ak_rejects_too_small_degree_bound():
-    with pytest.raises(ResidualNonzero):
-        recover_ak(1, degree_bound=4)
+def test_wright_step_checks_its_leftover_equation():
+    a1 = recover_ak(1).coeffs
+    assert _wright_step([a1]) == recover_ak(2).coeffs
+    # one equation of the step is over-determined; a wrong top coefficient of
+    # A_1 leaves no A_2 that satisfies it
+    corrupted = a1[:-1] + (a1[-1] + 1,)
+    with pytest.raises(VerificationFailure, match="inconsistent at T"):
+        _wright_step([corrupted])
 
 
 def test_tree_and_unicycle_series_have_known_closed_coefficients():

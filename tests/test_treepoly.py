@@ -9,7 +9,6 @@ from graphasym import (
     q_exact,
     t_asym,
     t_normal_form,
-    t_recurrence_check,
     t_series,
     t_value,
 )
@@ -49,7 +48,7 @@ def test_two_term_recurrence(n, y):
 
 
 def test_recurrence_check_helper():
-    assert t_recurrence_check(25, -4, 8)
+    assert oracles.t_recurrence_check(25, -4, 8)
 
 
 def test_values_are_integers():
