@@ -51,9 +51,7 @@ def main(argv: list[str] | None = None) -> int:
     errs: dict[int, list[mpmath.mpf]] = {d: [] for d in depths}
     with mpmath.workprec(args.bits):
         for n in ns:
-            exact = assembly.exact_value(args.which, n, args.k)
-            ev = mpmath.mpf(exact.numerator) / exact.denominator
-            ev /= norm.evaluate(args.k, n, args.bits)
+            ev = norm.exact(args.k, n, args.bits)
             for d in depths:
                 approx = series.evaluate(n, args.bits, depth=d)
                 errs[d].append(abs(ev - approx) / abs(ev))

@@ -33,9 +33,7 @@ def main(argv: list[str] | None = None) -> int:
     for k in (int(s) for s in args.k_values.split(",")):
         derived_row = assembly.expansion("connected", k, args.degree)
         full = fitting.lsq_fit(k, args.degree, args.n_min, args.n_max, bits=args.bits)
-        mid = (args.n_min + args.n_max) // 2
-        half = fitting.lsq_fit(k, args.degree, mid, args.n_max, bits=args.bits)
-        symbols = fitting.identify_symbols(full, half, args.max_denominator)
+        symbols = fitting.two_window_symbols(full, args.max_denominator)
         for j, sym in enumerate(symbols):
             derived = derived_row.coefficient_at(-j)
             if sym is None:

@@ -34,14 +34,7 @@ from .errors import (
     VerificationFailure,
 )
 from .fitting import FitResult, identify_symbols, lsq_fit, reconstruct_symbolic
-from .graphs import (
-    AkPolynomial,
-    CountTable,
-    WPolySeries,
-    connected_counts,
-    recover_ak,
-    w_series,
-)
+from .graphs import CountTable, connected_counts, recover_ak
 from .ramanujan import (
     d_asym,
     d_coefficients,

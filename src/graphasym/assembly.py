@@ -56,8 +56,12 @@ class Decomposition:
         return self.normal_form.value_at(n)
 
 
+# decompose(k) checks its split against the count table for n = 1.._VERIFY_N_MAX
+_VERIFY_N_MAX = 12
+
+
 @lru_cache(maxsize=None)
-def decompose(k: int, verify_n_max: int = 12) -> Decomposition:
+def decompose(k: int) -> Decomposition:
     """Exact split of the excess-k connected count over t_n(y) and Q(n).
 
     For k >= 1 the split comes from expanding the numerator polynomial
@@ -69,16 +73,15 @@ def decompose(k: int, verify_n_max: int = 12) -> Decomposition:
         raise ValueError("decompositions start at excess 0")
     if k == 0:
         beta = ((-2, Fraction(-1, 4)), (-1, Fraction(1)))
-        dec = Decomposition(0, beta, Fraction(1, 2), verify_n_max)
+        dec = Decomposition(0, beta, Fraction(1, 2), _VERIFY_N_MAX)
     else:
-        a = recover_ak(k)
-        gamma = _poly.compose_affine(a.coeffs, Fraction(-1), Fraction(1))
+        gamma = _poly.compose_affine(recover_ak(k), Fraction(-1), Fraction(1))
         beta = tuple(
             (3 * k - j, g) for j, g in enumerate(gamma) if g != 0
         )
-        dec = Decomposition(k, tuple(sorted(beta)), Fraction(0), verify_n_max)
-    table = connected_counts(verify_n_max, max(k, 0))
-    for n in range(1, verify_n_max + 1):
+        dec = Decomposition(k, tuple(sorted(beta)), Fraction(0), _VERIFY_N_MAX)
+    table = connected_counts(_VERIFY_N_MAX, max(k, 0))
+    for n in range(1, _VERIFY_N_MAX + 1):
         want = table.get(n, n + k)
         got = dec.evaluate(n)
         if want != got:
@@ -298,11 +301,13 @@ def fss_crosscheck(k: int, bits: int = 256, tolerance: float = 1e-12) -> Crossch
         raise ValueError("the closed form is compared for k >= 2")
     series = asym_c(k, 1)
     a = recover_ak(k)
+    at_one = _poly.evaluate(a, 1)
+    prime_at_one = _poly.evaluate(_poly.derivative(a), 1)
     with mpmath.workprec(bits):
         a0 = series.coeffs[0].evaluate(bits)
         a1 = series.coeffs[1].evaluate(bits)
-        a_one = mpmath.mpf(a.at_one().numerator) / a.at_one().denominator
-        ap_one = mpmath.mpf(a.derivative_at_one().numerator) / a.derivative_at_one().denominator
+        a_one = mpmath.mpf(at_one.numerator) / at_one.denominator
+        ap_one = mpmath.mpf(prime_at_one.numerator) / prime_at_one.denominator
         rhs_a0 = (
             a_one
             * mpmath.sqrt(mpmath.pi)
@@ -364,6 +369,12 @@ class Normalization:
                     * mpmath.sqrt(2 * mpmath.pi)
                 )
             raise ValueError(f"unknown normalization kind {self.kind!r}")
+
+    def exact(self, k: int, n: int, bits: int = 256) -> mpmath.mpf:
+        """The exact value of this kind at (n, n+k) over its normalization, at `bits`."""
+        value = exact_value(self.kind, n, k)
+        with mpmath.workprec(bits):
+            return mpmath.mpf(value.numerator) / value.denominator / self.evaluate(k, n, bits)
 
 
 _NORMALIZATIONS = {

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import mpmath
 
-from . import assembly, errata, fitting
+from . import _poly, assembly, errata, fitting
 from .errors import GraphAsymError, InsufficientPoints
 from .graphs import connected_counts, recover_ak
 from .ramanujan import d_coefficients, q_asym, q_exact
@@ -43,7 +43,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
                 "k_max": table.k_max,
                 "counts": [
                     {"n": n, "m": m, "k": m - n, "count": str(c)}
-                    for n, m, c in table.entries
+                    for n, m, c in table.entries()
                 ],
             }
         )
@@ -107,11 +107,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     result = fitting.lsq_fit(
         args.k, args.degree, args.n_min, args.n_max, bits=args.precision_bits
     )
-    mid = (args.n_min + args.n_max) // 2
-    half = None
-    if mid + args.degree + 1 <= args.n_max:
-        half = fitting.lsq_fit(args.k, args.degree, mid, args.n_max, bits=args.precision_bits)
-    symbols = fitting.identify_symbols(result, half, args.max_denominator)
+    symbols = fitting.two_window_symbols(result, args.max_denominator)
     digits = args.precision_bits * 30103 // 100000 + 3
     rows = [
         (j, str(Fraction(-j, 2)), mpmath.nstr(est, digits), "?" if sym is None else str(sym))
@@ -143,10 +139,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     out_rows = []
     n = args.n_min
     while n <= args.n_max:
-        exact = assembly.exact_value(args.which, n, args.k)
+        ev = norm.exact(args.k, n, bits)
         with mpmath.workprec(bits):
-            ev = mpmath.mpf(exact.numerator) / exact.denominator
-            ev /= norm.evaluate(args.k, n, bits)
             row = [str(n), mpmath.nstr(ev, 15)]
             approxs = [series.evaluate(n, bits, depth=d) for d in depths]
             row += [mpmath.nstr(a, 15) for a in approxs]
@@ -190,7 +184,7 @@ def _tables_manifest() -> list[tuple[str, list[list[str]]]]:
     counts = connected_counts(10, 3)
     files.append(
         ("counts.csv", [["n", "m", "k", "count"]] + [
-            [str(n), str(m), str(m - n), str(c)] for n, m, c in counts.entries
+            [str(n), str(m), str(m - n), str(c)] for n, m, c in counts.entries()
         ])
     )
 
@@ -200,10 +194,10 @@ def _tables_manifest() -> list[tuple[str, list[list[str]]]]:
         ak_rows.append(
             [
                 str(k),
-                str(a.degree),
-                str(a.at_one()),
-                str(a.derivative_at_one()),
-                " ".join(str(c) for c in a.coeffs),
+                str(_poly.degree(a)),
+                str(_poly.evaluate(a, 1)),
+                str(_poly.evaluate(_poly.derivative(a), 1)),
+                " ".join(str(c) for c in a),
             ]
         )
     files.append(("excess_numerators.csv", ak_rows))

@@ -13,9 +13,9 @@ from fractions import Fraction
 
 import mpmath
 
-from .assembly import asym_c, asym_p, decompose, exact_probability, normalization
+from .assembly import asym_c, asym_p, normalization
 from .graphs import connected_counts
-from .ramanujan import q_asym, q_exact
+from .ramanujan import q_asym, q_exact, q_scaled
 from .series import egf_coefficient
 from .symbolic import SymConst
 from .treepoly import t_series, t_value
@@ -116,28 +116,6 @@ def _verify_excess_zero_constant() -> bool:
     return True
 
 
-def _q_remainder(j_target: int, stated: Fraction, n: int) -> bool:
-    series = q_asym(j_target)
-    q = q_exact(n)
-    with mpmath.workprec(256):
-        exact_val = mpmath.mpf(q.numerator) / q.denominator
-        derived = series.coeffs[j_target].rational_part()
-        delta = (
-            (mpmath.mpf(stated.numerator) / stated.denominator
-             - mpmath.mpf(derived.numerator) / derived.denominator)
-            * mpmath.power(n, mpmath.mpf(1 - j_target) / 2)
-        )
-        return _remainder_separation(exact_val, series, j_target, delta, n)
-
-
-def _verify_q_coefficient_n1() -> bool:
-    return _q_remainder(3, Fraction(-4, 35), 256)
-
-
-def _verify_q_coefficient_n2() -> bool:
-    return _q_remainder(5, Fraction(8, 235), 256)
-
-
 def _remainder_converges(exact_at, series, j_target: int, stated) -> bool:
     """Remainder checks of coefficient j_target of `series` against a stated value.
 
@@ -164,29 +142,36 @@ def _remainder_converges(exact_at, series, j_target: int, stated) -> bool:
     return all(a > b for a, b in zip(gaps, gaps[1:]))
 
 
+def _q_at(n: int) -> mpmath.mpf:
+    return mpmath.mpf(q_scaled(n)) / mpmath.mpf(n) ** n
+
+
+def _verify_q_coefficient_n1() -> bool:
+    return _remainder_converges(_q_at, q_asym(3), 3, SymConst.rational(Fraction(-4, 35)))
+
+
+def _verify_q_coefficient_n2() -> bool:
+    return _remainder_converges(_q_at, q_asym(5), 5, SymConst.rational(Fraction(8, 235)))
+
+
 def _verify_connected_k0_n52() -> bool:
     series = asym_c(0, 5)
     if series.coeffs[5].rational_part() != Fraction(4, 2835):
         return False
-
-    def exact_at(n: int) -> mpmath.mpf:
-        c = decompose(0).evaluate(n)
-        return mpmath.mpf(c) / normalization("connected").evaluate(0, n, 512)
-
-    return _remainder_converges(exact_at, series, 5, SymConst.rational(Fraction(-4, 2835)))
+    return _remainder_converges(
+        lambda n: normalization("connected").exact(0, n, 512),
+        series, 5, SymConst.rational(Fraction(-4, 2835)),
+    )
 
 
 def _verify_probability_k0_n1() -> bool:
     series = asym_p(0, 2)
     if series.coeffs[2].xi_part() != Fraction(1, 3):
         return False
-
-    def exact_at(n: int) -> mpmath.mpf:
-        p = exact_probability(n, 0)
-        prob = mpmath.mpf(p.numerator) / p.denominator
-        return prob / normalization("probability").evaluate(0, n, 512)
-
-    return _remainder_converges(exact_at, series, 2, SymConst.xi(Fraction(-1, 3)))
+    return _remainder_converges(
+        lambda n: normalization("probability").exact(0, n, 512),
+        series, 2, SymConst.xi(Fraction(-1, 3)),
+    )
 
 
 _VERIFIERS = {

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import mpmath
 
-from .assembly import exact_count_via_t
+from .assembly import normalization
 from .errors import IllConditioned, InsufficientPoints
 from .symbolic import SymConst
 
@@ -136,9 +136,7 @@ def lsq_fit(
                 else:
                     ys.append(mpmath.mpf(v))
             else:
-                c = exact_count_via_t(n, k)
-                scale = mpmath.power(n, n + mpmath.mpf(3 * k - 1) / 2)
-                ys.append(mpmath.mpf(c) / scale)
+                ys.append(normalization("connected").exact(k, n, bits))
         x_lo, x_hi = min(xs), max(xs)
         halfspan = (x_hi - x_lo) / 2
         center = (x_hi + x_lo) / 2
@@ -231,3 +229,16 @@ def identify_symbols(
                 sym = None
         out.append(sym)
     return out
+
+
+def two_window_symbols(full: FitResult, max_denominator: int) -> list[SymConst | None]:
+    """`identify_symbols` of `full` against a refit on the upper half of its window.
+
+    The half window runs from the midpoint of `full`'s window to its end; when
+    it has fewer than degree + 2 points the refit is skipped (half=None).
+    """
+    mid = (full.n_min + full.n_max) // 2
+    half = None
+    if mid + full.degree + 1 <= full.n_max:
+        half = lsq_fit(full.k, full.degree, mid, full.n_max, bits=full.bits)
+    return identify_symbols(full, half, max_denominator)

@@ -9,11 +9,14 @@ the vertex-1 component decomposition
 
 which determines the connected row polynomials C_n(w) = sum_m c(n,m) w**m
 by integer arithmetic alone.  All w-polynomials are truncated at a shared
-cap, high enough for every requested excess k = m - n.
+cap, high enough for every requested excess k = m - n.  A CountTable reads
+its counts straight from these rows; it feeds the `count` and `tables`
+output and the small-n self-checks of `assembly.decompose` and `errata`.
 
-Writing the connected EGF by excess, c(w, z) = sum_k w**(n+k)-diagonals,
-gives the excess series W_k(z) = sum_n c(n, n+k) z**n / n!.  Each W_k with
-k >= 1 is a rational function A_k(T) / (1-T)**(3k) of the tree function T.
+Grouping the connected counts by excess gives the excess EGFs
+W_k(z) = sum_n c(n, n+k) z**n / n!.  Each W_k with k >= 1 is a rational
+function A_k(T) / (1-T)**(3k) of the tree function T, and A_k is a plain
+`_poly` coefficient tuple.
 recover_ak gets the numerators from E. M. Wright's excess recurrence ("The
 number of connected sparsely edged graphs", J. Graph Theory 1977; see also
 Janson, Knuth, Luczak and Pittel, "The birth of the giant component", 1993,
@@ -31,36 +34,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import comb
 
 from . import _poly
 from ._poly import Poly
 from .errors import VerificationFailure
-from .series import Series, tree_function
-
-
-@dataclass(frozen=True)
-class WPolySeries:
-    """Connected row polynomials C_n(w) mod w**(w_cap+1), n = 0..n_max."""
-
-    n_max: int
-    w_cap: int
-    rows: tuple[tuple[int, ...], ...]
-
-    def coefficient(self, n: int, m: int) -> int:
-        """c(n, m), the number of connected graphs with n vertices, m edges."""
-        if not 0 <= n <= self.n_max:
-            raise IndexError(f"n={n} outside computed range 0..{self.n_max}")
-        if m < 0 or m > comb(n, 2):
-            return 0
-        if m > self.w_cap:
-            raise IndexError(f"m={m} beyond the w-truncation {self.w_cap}")
-        return self.rows[n][m]
 
 
 @lru_cache(maxsize=None)
-def connected_rows(n_max: int, w_cap: int) -> WPolySeries:
+def connected_rows(n_max: int, w_cap: int) -> tuple[tuple[int, ...], ...]:
+    """Connected row polynomials C_n(w) mod w**(w_cap+1), n = 0..n_max.
+
+    Row n holds c(n, m) at index m, the number of connected graphs with n
+    vertices and m edges, for every m <= w_cap.
+    """
     width = w_cap + 1
     # G_n(w) = (1+w)^C(n,2) truncated at w**w_cap
     g = [tuple(comb(comb(n, 2), j) for j in range(width)) for n in range(n_max + 1)]
@@ -78,7 +66,7 @@ def connected_rows(n_max: int, w_cap: int) -> WPolySeries:
                         if gr[b]:
                             acc[a + b] -= f * gr[b]
         rows.append(tuple(acc))
-    return WPolySeries(n_max, w_cap, tuple(rows))
+    return tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -87,22 +75,24 @@ class CountTable:
 
     n_max: int
     k_max: int
-    entries: tuple[tuple[int, int, int], ...]  # (n, m, count), sorted
+    rows: tuple[tuple[int, ...], ...]  # connected_rows(n_max, n_max + max(k_max, 0))
 
     def get(self, n: int, m: int) -> int:
         if m < n - 1 or m > comb(n, 2):
             return 0
         if not (1 <= n <= self.n_max and m <= n + self.k_max):
             raise KeyError(f"(n={n}, m={m}) outside table bounds")
-        return self._index[(n, m)]
+        return self.rows[n][m]
 
-    @cached_property
-    def _index(self) -> dict[tuple[int, int], int]:
-        return {(n, m): c for n, m, c in self.entries}
+    def entries(self):
+        """(n, m, c(n, m)) for every m from n-1 to min(n + k_max, C(n,2)), by n then m."""
+        for n in range(1, self.n_max + 1):
+            for m in range(max(0, n - 1), min(n + self.k_max, comb(n, 2)) + 1):
+                yield n, m, self.rows[n][m]
 
     def csv_rows(self):
         yield "n,m,k,count"
-        for n, m, c in self.entries:
+        for n, m, c in self.entries():
             yield f"{n},{m},{m - n},{c}"
 
 
@@ -111,59 +101,7 @@ def connected_counts(n_max: int, k_max: int) -> CountTable:
     """Exact table of c(n, m) for all m from n-1 up to n+k_max."""
     if n_max < 1 or k_max < -1:
         raise ValueError("need n_max >= 1 and k_max >= -1")
-    w_cap = n_max + max(k_max, 0)
-    rows = connected_rows(n_max, w_cap)
-    entries = []
-    for n in range(1, n_max + 1):
-        for m in range(max(0, n - 1), min(n + k_max, comb(n, 2)) + 1):
-            entries.append((n, m, rows.coefficient(n, m)))
-    return CountTable(n_max, k_max, tuple(entries))
-
-
-@lru_cache(maxsize=None)
-def w_series(k: int, order: int) -> Series:
-    """Excess EGF W_k(z) = sum_n c(n, n+k) z**n / n!.
-
-    For k in {-1, 0} this uses the closed forms in the tree function,
-
-        W_-1 = T - T**2/2
-        W_0  = -(log(1-T) + T + T**2/2) / 2,
-
-    and A_k(T) / (1-T)**(3k) with A_k from `recover_ak` for every k >= 1.
-    """
-    if k < -1:
-        raise ValueError("excess below -1 is empty")
-    t = tree_function(order)
-    if k == -1:
-        return t - (t * t).scale(Fraction(1, 2))
-    if k == 0:
-        logpart = (Series.one(order) - t).log()
-        return (logpart + t + (t * t).scale(Fraction(1, 2))).scale(Fraction(-1, 2))
-    num = Series.zero(order)
-    for c in reversed(recover_ak(k).coeffs):
-        num = num * t + Series.one(order).scale(c)
-    return num * (Series.one(order) - t).pow(-3 * k)
-
-
-@dataclass(frozen=True)
-class AkPolynomial:
-    """Numerator A_k with W_k = A_k(T) / (1-T)**(3k), exact coefficients."""
-
-    k: int
-    coeffs: tuple[Fraction, ...]
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def at_one(self) -> Fraction:
-        return _poly.evaluate(self.coeffs, 1)
-
-    def derivative_at_one(self) -> Fraction:
-        return _poly.evaluate(_poly.derivative(self.coeffs), 1)
-
-    def evaluate(self, x: Fraction) -> Fraction:
-        return _poly.evaluate(self.coeffs, x)
+    return CountTable(n_max, k_max, connected_rows(n_max, n_max + max(k_max, 0)))
 
 
 _ONE_MINUS_T = _poly.poly(1, -1)
@@ -213,7 +151,7 @@ def _wright_step(lower: list[Poly]) -> Poly:
 
 
 @lru_cache(maxsize=None)
-def recover_ak(k: int) -> AkPolynomial:
+def recover_ak(k: int) -> Poly:
     """A_k by Wright's excess recurrence (Wright 1977), from A_1..A_{k-1}:
 
         2 (T d/dT + k) W_k = theta**2 W_{k-1} - 3 theta W_{k-1} - 2(k-1) W_{k-1}
@@ -228,5 +166,4 @@ def recover_ak(k: int) -> AkPolynomial:
     if k < 1:
         raise ValueError("numerator polynomials exist for k >= 1")
     # ascending calls find every lower A cached, so they nest at most two deep
-    lower = [recover_ak(i).coeffs for i in range(1, k)]
-    return AkPolynomial(k, _wright_step(lower))
+    return _wright_step([recover_ak(i) for i in range(1, k)])

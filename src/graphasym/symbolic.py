@@ -58,13 +58,6 @@ class SymConst:
         r = Fraction(r)
         return SymConst(((0, 1, r),)) if r != 0 else SymConst(())
 
-    @staticmethod
-    def pi_power(a: int, r: Scalar = 1, xi_factor: bool = False) -> "SymConst":
-        if a < 0:
-            raise ValueError("pi exponent must be nonnegative")
-        r = Fraction(r)
-        return SymConst(((a, 1 if xi_factor else 0, r),)) if r != 0 else SymConst(())
-
     # -- ring structure --
 
     def __add__(self, other: "SymConst") -> "SymConst":

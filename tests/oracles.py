@@ -200,10 +200,10 @@ def t_recurrence_check(n_max: int, y_min: int, y_max: int) -> bool:
 
 
 def sym_const_from_json(d: dict) -> SymConst:
-    """Decode `SymConst.to_json_dict`: the sum of rat * pi**pi_power * xi**xi_power."""
+    """Decode `SymConst.to_json_dict`: the sum of rat * pi**a * xi**b."""
     acc = SymConst.zero()
     for t in d["terms"]:
-        acc = acc + SymConst.pi_power(int(t["pi"]), Fraction(t["rat"]), bool(int(t["xi"])))
+        acc = acc + SymConst(((int(t["pi"]), int(t["xi"]), Fraction(t["rat"])),))
     return acc
 
 

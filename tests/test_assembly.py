@@ -56,6 +56,17 @@ def test_decompositions_reproduce_counts_beyond_construction_check():
             assert dec.evaluate(n) == table.get(n, n + k), (n, k)
 
 
+def test_decompositions_pin_every_coefficient_of_a_k_up_to_k_9():
+    # c(n, n+k) first sees a_j of A_k at n = j, and deg A_k = 3k + 2 <= 29, so
+    # n <= 30 pins every coefficient; the n <= 12 run-time check in decompose()
+    # and Wright's leftover equation both miss some a_13.. for k >= 8
+    table = connected_counts(30, 9)
+    for k in range(1, 10):
+        dec = decompose(k)
+        for n in range(1, 31):
+            assert dec.evaluate(n) == table.get(n, n + k), (n, k)
+
+
 def test_decompositions_match_the_recurrence_oracle_past_the_runtime_check():
     # decompose() checks itself against the edge recurrence only for n <= 12
     t = lru_cache(maxsize=None)(oracles.t_by_recurrence)

@@ -118,6 +118,17 @@ def test_compare_command(capsys):
     assert lines[1].startswith("16,")
 
 
+def test_compare_normalizes_the_reduced_probability(capsys):
+    # P = c/g reduced before the conversion to mpf; converting the unreduced
+    # c and g at 53 bits prints 0.181501445922844 here instead
+    code, out, _ = run(
+        capsys, "compare", "--which", "probability", "--k", "2", "--depths", "1",
+        "--n-min", "4096", "--n-max", "4096", "--precision-bits", "53",
+    )
+    assert code == 0
+    assert out.splitlines()[1].split(",")[1] == "0.181501445922845"
+
+
 def test_fit_command(capsys):
     code, out, _ = run(
         capsys, "fit", "--k", "0", "--degree", "4", "--n-min", "100", "--n-max", "220",

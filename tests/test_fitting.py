@@ -4,8 +4,9 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from graphasym import SymConst, lsq_fit, reconstruct_symbolic
+from graphasym import SymConst, identify_symbols, lsq_fit, reconstruct_symbolic
 from graphasym.errors import IllConditioned, InsufficientPoints
+from graphasym.fitting import two_window_symbols
 
 F = Fraction
 RAT = SymConst.rational
@@ -103,3 +104,13 @@ def test_fit_result_serialization():
     assert d["npoints"] == 41
     assert isinstance(d["estimates"][0], str)
     assert float(d["estimates"][0]) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_two_window_symbols_skips_a_half_window_too_short_to_refit():
+    # n = 105..110 is 6 points, one short of the 7 a degree-6 refit needs
+    full = lsq_fit(1, 6, 100, 110)
+    assert two_window_symbols(full, 10000) == identify_symbols(full, None, 10000)
+    # n = 100..120 leaves 11 points for the upper half
+    full = lsq_fit(1, 6, 100, 120)
+    half = lsq_fit(1, 6, 110, 120)
+    assert two_window_symbols(full, 10000) == identify_symbols(full, half, 10000)
