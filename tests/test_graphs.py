@@ -30,6 +30,13 @@ def test_counts_match_log_oracle():
             assert rows[n][m] == expected
 
 
+def test_wpoly_bounds():
+    rows = connected_rows(5, 7)
+    assert rows[4][7] == 0  # above binom(4,2)
+    with pytest.raises(IndexError):
+        rows[5][8]  # beyond the tracked w power
+
+
 def test_count_table_access_rules():
     table = connected_counts(8, 2)
     assert table.get(5, 5) == 222
