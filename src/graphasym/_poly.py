@@ -75,11 +75,3 @@ def evaluate(p: Poly, x: Fraction | int) -> Fraction | int:
 def derivative(p: Poly) -> Poly:
     return _strip(tuple(i * c for i, c in enumerate(p))[1:]) if p else ZERO
 
-
-def compose_affine(p: Poly, a: Fraction | int, b: Fraction | int) -> Poly:
-    """p(a*x + b) by Horner in the polynomial ring."""
-    lin = poly(b, a)
-    acc: Poly = ZERO
-    for c in reversed(p):
-        acc = add(mul(acc, lin), poly(c))
-    return acc

@@ -7,11 +7,12 @@ split through the symbolic half-grid machinery.  Each split is folded once
 per excess k into the tree-polynomial normal form c(n, n+k) = n**(n-1)
 (P(n) + R(n) Q(n) + E(1/n)); its integer evaluator gives the exact counts
 (one Q(n) and a few integer polynomial evaluations each) and its expansion
-gives the connected row.  The all-graphs row uses the
-falling-factorial logarithm of the binomial, whose large-scale terms
-(n log n, log n, n, n log 2, log pi) must cancel against the normalizing
-prefactor; those cancellations are checked at run time (raising
-`VerificationFailure`), not assumed.
+gives the connected row.  The all-graphs row takes the logarithm of the
+binomial C(N, m) as ln N! - ln (N-m)! - ln m!, each factorial by
+Stirling's formula with the one correction series `stirling_tail`; the
+large-scale terms (n log n, log n, n, n log 2, log pi) must cancel against
+the normalizing prefactor, and those cancellations are checked at run time
+(raising `VerificationFailure`), not assumed.
 """
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ from . import _poly
 from .errors import CrosscheckFailure, VerificationFailure
 from .graphs import connected_counts, recover_ak
 from .series import Series
-from .symbolic import AsymSeries, bernoulli
+from .symbolic import AsymSeries, stirling_tail
 from .treepoly import TreePolyNormalForm, t_normal_form
 
 
@@ -75,7 +76,12 @@ def decompose(k: int) -> Decomposition:
         beta = ((-2, Fraction(-1, 4)), (-1, Fraction(1)))
         dec = Decomposition(0, beta, Fraction(1, 2), _VERIFY_N_MAX)
     else:
-        gamma = _poly.compose_affine(recover_ak(k), Fraction(-1), Fraction(1))
+        a = recover_ak(k)
+        # A_k(1-x) = sum_j gamma_j x**j, gamma_j = (-1)**j sum_{i>=j} C(i, j) a_i
+        gamma = [
+            (-1) ** j * sum(comb(i, j) * a[i] for i in range(j, len(a)))
+            for j in range(len(a))
+        ]
         beta = tuple(
             (3 * k - j, g) for j, g in enumerate(gamma) if g != 0
         )
@@ -133,84 +139,66 @@ def asym_c(k: int, depth: int) -> AsymSeries:
 # all graphs: expansion of binom(n(n-1)/2, n+k)
 
 
-def _faulhaber(j: int) -> list[Fraction]:
-    """Coefficients in m of S_j(m) = sum_{i<m} i**j, index p holds [m**p]."""
-    out = [Fraction(0)] * (j + 2)
-    for r in range(j + 1):
-        out[j + 1 - r] = Fraction(comb(j + 1, r)) * bernoulli(r) / (j + 1)
-    return out
-
-
 @lru_cache(maxsize=None)
 def asym_g(k: int, depth: int) -> AsymSeries:
     """Expansion of g(n, n+k) / [sqrt(2/pi) e**(n-2) (n/2)**n n**((2k-1)/2)].
 
-    Runs in exact series over u = 1/n.  ln binom(N, m) with N = n(n-1)/2,
-    m = n+k is accumulated as coefficients of n ln n, ln n, n, n ln 2, ln 2,
-    ln pi plus a power series in u; after subtracting the prefactor all
-    large-scale coefficients must vanish and the ln 2 weight must be the
-    integer -(k+1).  Both facts are checked (`VerificationFailure` if not).
-    What remains exponentiates to the expansion, which has only integer
-    powers of 1/n.
+    ln binom(N, m) = ln N! - ln (N-m)! - ln m! with N = n(n-1)/2 and
+    m = n+k, each factorial by Stirling's formula, in exact series over
+    u = 1/n.  With N = a/(2u**2), N - m = b/(2u**2) and m = c/u, where
+    a = 1-u, b = 1-3u-2ku**2 and c = 1+ku, the result is accumulated as
+    coefficients of n ln n, ln n, n, n ln 2, ln 2, ln pi plus a power
+    series in u.  After subtracting the prefactor all large-scale
+    coefficients must vanish and the ln 2 weight must be the integer
+    -(k+1).  Both facts are checked (`VerificationFailure` if not).  What
+    remains exponentiates to the expansion, which has only integer powers
+    of 1/n.
     """
     if k < -1:
         raise ValueError("needs n + k >= n - 1 >= 0 edges")
-    jw = depth + 2
-    one = Series.one(jw)
-    one_ku = Series([1, k] + [0] * (jw - 1))
-    one_mu = Series([1, -1] + [0] * (jw - 1))
 
-    nlogn = Fraction(0)
-    logn = Fraction(0)
-    ncoef = Fraction(0)
-    nln2 = Fraction(0)
-    ln2c = Fraction(0)
-    lnpic = Fraction(0)
-    upart = Series.zero(jw)
+    def u_series(order: int, *coeffs: int) -> Series:
+        return Series((list(coeffs) + [0] * (order + 1))[: order + 1])
 
-    # m ln N with ln N = 2 ln n + ln(1-u) - ln 2 and m = n + k = (1+ku)/u
-    nlogn += 2
-    logn += 2 * k
-    nln2 -= 1
-    ln2c -= k
-    log_one_mu = one_mu.log()
-    l1 = Series(log_one_mu.coeffs()[1:])  # ln(1-u)/u, constant -1
-    upart = upart + one_ku.truncate(jw - 1) * l1
+    # every term below lands on order `depth`; a ln a - b ln b loses two orders
+    # to the division by u**2 and c ln c one to the division by u
+    a = u_series(depth + 2, 1, -1)
+    b = u_series(depth + 2, 1, -3, -2 * k)
+    c = u_series(depth + 1, 1, k)
+    log_a, log_b, log_c = a.log(), b.log(), c.log()
 
-    # - sum_j S_j(m) / (j N**j) from the falling factorial, 1/N = 2u**2/(1-u)
-    inv_pow = one  # (1-u)**(-j), updated incrementally
-    inv_one_mu = one_mu.inverse()
-    ku_pows = [one]
-    for _ in range(jw + 2):
-        ku_pows.append(ku_pows[-1] * one_ku)
-    for j in range(1, jw + 2):
-        inv_pow = inv_pow * inv_one_mu
-        s = _faulhaber(j)
-        factor = Fraction(-(2 ** j), j)
-        block = Series.zero(jw)
-        for p, sp in enumerate(s):
-            if sp == 0:
-                continue
-            shift = 2 * j - p
-            if shift > jw:
-                continue
-            block = block + (ku_pows[p] * inv_pow).shift(shift).truncate(jw).scale(sp)
-        upart = upart + block.scale(factor)
+    # N ln N - (N-m) ln(N-m) = m (2 ln n - ln 2) + (a ln a - b ln b) / (2u**2);
+    # the -N + (N-m) + m of the three Stirling formulas is zero
+    nlogn = Fraction(2)
+    logn = Fraction(2 * k)
+    nln2 = Fraction(-1)
+    ln2c = Fraction(-k)
+    spread = a * log_a - b * log_b  # no constant term
+    ncoef = spread[1] / 2
+    upart = Series(spread.coeffs()[2:]).scale(Fraction(1, 2))
 
-    # - ln m! by Stirling at m = n + k
-    log_one_ku = one_ku.log()
+    # ln(2 pi N) / 2 - ln(2 pi (N-m)) / 2 = (ln a - ln b) / 2
+    upart = upart + (log_a - log_b).scale(Fraction(1, 2))
+
+    # - m ln m = - m ln n - (c ln c) / u
     nlogn -= 1
     logn -= k
-    upart = upart - one_ku.truncate(jw - 1) * Series(log_one_ku.coeffs()[1:])
-    ncoef += 1
-    upart = upart + Series([k] + [0] * jw)
-    logn -= Fraction(1, 2)
-    upart = upart - log_one_ku.scale(Fraction(1, 2))
+    upart = upart - Series((c * log_c).coeffs()[1:])
+
+    # - ln(2 pi m) / 2 = -(ln 2 + ln pi + ln n + ln c) / 2
     ln2c -= Fraction(1, 2)
-    lnpic -= Fraction(1, 2)
-    for i in range(1, (jw + 1) // 2 + 1):
-        coeff = bernoulli(2 * i) / (2 * i * (2 * i - 1))
-        upart = upart - one_ku.pow(1 - 2 * i).shift(2 * i - 1).truncate(jw).scale(coeff)
+    lnpic = Fraction(-1, 2)
+    logn -= Fraction(1, 2)
+    upart = upart - log_c.scale(Fraction(1, 2))
+
+    # the three Stirling tails, at 1/N = 2u**2/a, 1/(N-m) = 2u**2/b and 1/m = u/c
+    two_u2 = u_series(depth, 0, 0, 2)
+    upart = (
+        upart
+        + stirling_tail(two_u2 * a.inverse())
+        - stirling_tail(two_u2 * b.inverse())
+        - stirling_tail(u_series(depth, 0, 1) * c.inverse())
+    )
 
     # subtract ln of the prefactor sqrt(2/pi) e**(n-2) (n/2)**n n**((2k-1)/2)
     ln2c -= Fraction(1, 2)
@@ -219,7 +207,7 @@ def asym_g(k: int, depth: int) -> AsymSeries:
     nlogn -= 1
     nln2 += 1
     logn -= Fraction(2 * k - 1, 2)
-    upart = upart + Series([2] + [0] * jw)
+    upart = upart + u_series(depth, 2)
 
     for name, val in (
         ("n ln n", nlogn),

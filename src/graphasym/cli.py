@@ -171,22 +171,22 @@ def _cmd_errata(args: argparse.Namespace) -> int:
                 for f in errata.FINDINGS
             ]
         )
-    w = _writer(sys.stdout)
-    w.writerow(["key", "quantity", "stated", "derived", "verified"])
-    for f in errata.FINDINGS:
-        w.writerow([f.key, f.quantity, f.stated, f.derived, results[f.key]])
+    _writer(sys.stdout).writerows(_errata_rows(results))
     return 0
+
+
+def _errata_rows(results: dict[str, bool]) -> list[list[str]]:
+    rows = [["key", "quantity", "stated", "derived", "verified"]]
+    for f in errata.FINDINGS:
+        rows.append([f.key, f.quantity, f.stated, f.derived, str(results[f.key])])
+    return rows
 
 
 def _tables_manifest() -> list[tuple[str, list[list[str]]]]:
     files: list[tuple[str, list[list[str]]]] = []
 
     counts = connected_counts(10, 3)
-    files.append(
-        ("counts.csv", [["n", "m", "k", "count"]] + [
-            [str(n), str(m), str(m - n), str(c)] for n, m, c in counts.entries()
-        ])
-    )
+    files.append(("counts.csv", [line.split(",") for line in counts.csv_rows()]))
 
     ak_rows = [["k", "degree", "value_at_1", "derivative_at_1", "coefficients"]]
     for k in range(1, 8):
@@ -247,11 +247,7 @@ def _tables_manifest() -> list[tuple[str, list[list[str]]]]:
         )
     files.append(("crosscheck.csv", cross_rows))
 
-    results = errata.verify_all()
-    err_rows = [["key", "quantity", "stated", "derived", "verified"]]
-    for f in errata.FINDINGS:
-        err_rows.append([f.key, f.quantity, f.stated, f.derived, str(results[f.key])])
-    files.append(("errata.csv", err_rows))
+    files.append(("errata.csv", _errata_rows(errata.verify_all())))
     return files
 
 

@@ -106,14 +106,8 @@ def lsq_fit(
     n_min: int,
     n_max: int,
     bits: int = 256,
-    values: dict[int, Fraction] | None = None,
 ) -> FitResult:
-    """Fit c(n, n+k) / n**(n + (3k-1)/2) by a polynomial in n**(-1/2).
-
-    `values` overrides the exact counts (used for synthetic-data tests);
-    entries are the normalized values as exact rationals or floats keyed
-    by n.
-    """
+    """Fit c(n, n+k) / n**(n + (3k-1)/2) by a polynomial in n**(-1/2)."""
     if n_min < 1:
         raise ValueError("fits need n >= 1")
     if degree < 0:
@@ -127,16 +121,7 @@ def lsq_fit(
         raise InsufficientPoints(f"{len(ns)} points cannot fix {degree + 1} coefficients")
     with mpmath.workprec(bits):
         xs = [1 / mpmath.sqrt(n) for n in ns]
-        ys = []
-        for n in ns:
-            if values is not None:
-                v = values[n]
-                if isinstance(v, Fraction):
-                    ys.append(mpmath.mpf(v.numerator) / v.denominator)
-                else:
-                    ys.append(mpmath.mpf(v))
-            else:
-                ys.append(normalization("connected").exact(k, n, bits))
+        ys = [normalization("connected").exact(k, n, bits) for n in ns]
         x_lo, x_hi = min(xs), max(xs)
         halfspan = (x_hi - x_lo) / 2
         center = (x_hi + x_lo) / 2

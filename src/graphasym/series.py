@@ -18,7 +18,7 @@ from functools import lru_cache
 from math import factorial
 from typing import Iterable, Sequence, Union
 
-from .errors import ConstantTermError, OrderMismatch
+from .errors import ConstantTermError
 
 Rat = Fraction
 Scalar = Union[Fraction, int]
@@ -76,11 +76,6 @@ class Series:
         tail = ", ..." if self.order > 5 else ""
         return f"Series([{head}{tail}], order={self.order})"
 
-    def truncate(self, order: int) -> "Series":
-        if order > self.order:
-            raise OrderMismatch(f"cannot extend a series from order {self.order} to {order}")
-        return Series(self._c[: order + 1])
-
     def _common(self, other: "Series") -> int:
         return min(self.order, other.order)
 
@@ -114,12 +109,6 @@ class Series:
                 if bj != 0:
                     out[i + j] += ai * bj
         return Series(out)
-
-    def shift(self, k: int) -> "Series":
-        """Multiply by z**k; the order grows with the shift."""
-        if k < 0:
-            raise ValueError("shift must be nonnegative")
-        return Series((Fraction(0),) * k + self._c)
 
     # ---- analytic operations --------------------------------------------
     #

@@ -22,7 +22,7 @@ from typing import Iterable, Sequence, Union
 
 import mpmath
 
-from .errors import NonMonomialDivisor, OrderMismatch, UnknownLeadingTerm
+from .errors import ConstantTermError, NonMonomialDivisor, OrderMismatch, UnknownLeadingTerm
 from .series import Series
 
 Scalar = Union[Fraction, int]
@@ -380,19 +380,31 @@ def bernoulli(m: int) -> Fraction:
     return -acc / (m + 1)
 
 
+def stirling_tail(y: Series) -> Series:
+    """tau(y) = sum_{i>=1} B_{2i} / (2i(2i-1)) y**(2i-1), to the order of y.
+
+    Stirling's formula is ln x! = x ln x - x + ln(2 pi x)/2 + tau(1/x).  The
+    truncation is exact only when y has no constant term.
+    """
+    if y[0] != 0:
+        raise ConstantTermError("the Stirling tail needs a zero constant term")
+    y2 = y * y
+    power = y
+    out = Series.zero(y.order)
+    for i in range(1, (y.order + 1) // 2 + 1):
+        out = out + power.scale(bernoulli(2 * i) / (2 * i * (2 * i - 1)))
+        power = power * y2
+    return out
+
+
 @lru_cache(maxsize=None)
 def stirling_series(depth: int) -> AsymSeries:
     """Expansion of n! * e**n / n**n on the half-integer grid.
 
-    Equals xi * n**(1/2) * exp(sum_m B_{2m} / (2m(2m-1)) * n**(1-2m)); the
+    Equals xi * n**(1/2) * exp(tau(1/n)) with tau = `stirling_tail`; the
     exponential is expanded exactly in powers of 1/n.
     """
-    iu = depth // 2 + 1
-    arg = [Fraction(0)] * (2 * iu)
-    for m in range(1, iu + 1):
-        if 2 * m - 1 < len(arg):
-            arg[2 * m - 1] = bernoulli(2 * m) / (2 * m * (2 * m - 1))
-    expanded = Series(arg).exp()
+    expanded = stirling_tail(Series.variable(depth // 2 + 1)).exp()
     return AsymSeries.from_u_polynomial(
         [SymConst.xi(c) for c in expanded.coeffs()], 1, 1 - depth
     )

@@ -1,10 +1,11 @@
 """Least-squares recovery of expansion coefficients and symbolic readback."""
 from fractions import Fraction
+from types import SimpleNamespace
 
 import mpmath
 import pytest
 
-from graphasym import SymConst, identify_symbols, lsq_fit, reconstruct_symbolic
+from graphasym import SymConst, fitting, identify_symbols, lsq_fit, reconstruct_symbolic
 from graphasym.errors import IllConditioned, InsufficientPoints
 from graphasym.fitting import two_window_symbols
 
@@ -26,10 +27,16 @@ def _synthetic_values(coeffs, n_min, n_max, bits=256):
     return vals
 
 
-def test_synthetic_polynomial_recovered_to_working_precision():
+def _fit_values(monkeypatch, vals):
+    """Make lsq_fit read `vals[n]` in place of the normalized exact counts."""
+    synthetic = SimpleNamespace(exact=lambda k, n, bits: vals[n])
+    monkeypatch.setattr(fitting, "normalization", lambda kind: synthetic)
+
+
+def test_synthetic_polynomial_recovered_to_working_precision(monkeypatch):
     coeffs = [F(2), F(-1), F(0), F(1, 3)]
-    vals = _synthetic_values(coeffs, 100, 160)
-    result = lsq_fit(0, degree=3, n_min=100, n_max=160, values=vals)
+    _fit_values(monkeypatch, _synthetic_values(coeffs, 100, 160))
+    result = lsq_fit(0, degree=3, n_min=100, n_max=160)
     with mpmath.workprec(256):
         for est, c in zip(result.estimates, coeffs):
             target = mpmath.mpf(c.numerator) / c.denominator
@@ -38,11 +45,11 @@ def test_synthetic_polynomial_recovered_to_working_precision():
     assert float(result.condition) < 100  # thanks to the affine rescale to [-1, 1]
 
 
-def test_overparameterized_fit_still_recovers():
+def test_overparameterized_fit_still_recovers(monkeypatch):
     # fitting degree 5 to a degree-2 signal: trailing estimates ~ 0
     coeffs = [F(1, 4), F(-7, 6), F(1, 48)]
-    vals = _synthetic_values(coeffs, 100, 200)
-    result = lsq_fit(0, degree=5, n_min=100, n_max=200, values=vals)
+    _fit_values(monkeypatch, _synthetic_values(coeffs, 100, 200))
+    result = lsq_fit(0, degree=5, n_min=100, n_max=200)
     with mpmath.workprec(256):
         for est, c in zip(result.estimates[:3], coeffs):
             target = mpmath.mpf(c.numerator) / c.denominator
@@ -56,10 +63,10 @@ def test_insufficient_points():
         lsq_fit(0, degree=6, n_min=100, n_max=104)
 
 
-def test_ill_conditioned_detected():
-    vals = {n: mpmath.mpf(1) for n in range(100, 131)}
+def test_ill_conditioned_detected(monkeypatch):
+    _fit_values(monkeypatch, {n: mpmath.mpf(1) for n in range(100, 131)})
     with pytest.raises(IllConditioned):
-        lsq_fit(0, degree=30, n_min=100, n_max=130, bits=64, values=vals)
+        lsq_fit(0, degree=30, n_min=100, n_max=130, bits=64)
 
 
 def test_real_fit_against_known_row():
@@ -96,9 +103,9 @@ def test_reconstruct_symbolic_rejects_generic_values():
     assert reconstruct_symbolic(mpmath.mpf("0.3333333333"), 10000) == RAT(F(1, 3))
 
 
-def test_fit_result_serialization():
-    vals = _synthetic_values([F(1), F(2)], 100, 140)
-    result = lsq_fit(0, degree=1, n_min=100, n_max=140, values=vals)
+def test_fit_result_serialization(monkeypatch):
+    _fit_values(monkeypatch, _synthetic_values([F(1), F(2)], 100, 140))
+    result = lsq_fit(0, degree=1, n_min=100, n_max=140)
     d = result.to_json_dict()
     assert d["degree"] == 1
     assert d["npoints"] == 41

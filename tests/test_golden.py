@@ -7,7 +7,16 @@ import re
 from pathlib import Path
 
 import graphasym
-from graphasym import asym_c, asym_p, decompose, recover_ak, t_asym, t_value
+from graphasym import (
+    asym_c,
+    asym_g,
+    asym_p,
+    decompose,
+    recover_ak,
+    stirling_series,
+    t_asym,
+    t_value,
+)
 from graphasym.cli import main
 
 SRC = Path(graphasym.__file__).parent
@@ -62,6 +71,45 @@ def test_excess_numerators_are_byte_identical():
     lines = [str(recover_ak(k)) for k in range(1, 13)]
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == EXCESS_NUMERATORS
+
+
+# sha256 over the str of asym_g(k, 16) for k = -1..8, then stirling_series at
+# depths 7 and 15; recorded from the falling-factorial (Faulhaber) route, which
+# is independent of the Stirling-at-N, N-m and m route
+TOTAL_EXPANSIONS = "0c6f99c119bab6f7e7e0ebd63870ff3e5c8365159c9185495e7c0838471a284b"
+
+
+def test_total_expansions_are_byte_identical():
+    lines = [str(asym_g(k, 16)) for k in range(-1, 9)]
+    lines += [str(stirling_series(d)) for d in (7, 15)]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == TOTAL_EXPANSIONS
+
+
+# sha256 over "<argv> <output> <exit code>\n" and then the stdout of each run,
+# every argument list below once with --output csv and once with --output json
+CLI_OUTPUTS = "88d72b75b55a74ee41c0486a14289454da0f8d5775691c3518ab9045e391b229"
+CLI_RUNS = (
+    [["count", "--n-max", "12", "--k-max", "3"]]
+    + [["decompose", "--k", str(k)] for k in range(0, 8)]
+    + [["asym", "--k", str(k)] for k in range(1, 5)]
+    + [["asym", "--k", str(k), "--which", "total"] for k in range(1, 5)]
+    + [["prob", "--k", str(k)] for k in range(0, 3)]
+    + [["fit", "--k", "1", "--n-min", "100", "--n-max", "600"]]
+    + [["compare", "--which", which] for which in ("connected", "total", "probability")]
+    + [["compare", "--which", "probability", "--k", "2", "--precision-bits", "53"]]
+    + [["errata"]]
+)
+
+
+def test_cli_outputs_are_byte_identical(capsys):
+    h = hashlib.sha256()
+    for argv in CLI_RUNS:
+        for out in ("csv", "json"):
+            rc = main(argv + ["--output", out])
+            h.update(f"{' '.join(argv)} {out} {rc}\n".encode())
+            h.update(capsys.readouterr().out.encode())
+    assert h.hexdigest() == CLI_OUTPUTS
 
 
 def test_the_package_has_no_assert_statement():

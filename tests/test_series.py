@@ -27,7 +27,7 @@ def nilpotent_series(s: Series) -> Series:
 @settings(max_examples=60, deadline=None)
 def test_ring_laws(a, b, c):
     order = min(a.order, b.order, c.order)
-    a, b, c = a.truncate(order), b.truncate(order), c.truncate(order)
+    a, b, c = (Series(s.coeffs()[: order + 1]) for s in (a, b, c))
     zero, one = Series.zero(order), Series.one(order)
     assert a + b == b + a
     assert (a + b) + c == a + (b + c)
@@ -94,8 +94,6 @@ def test_constructors_and_accessors():
     assert s.order == 3
     assert s[2] == F(1, 3)
     assert Series.variable(2).coeffs() == (0, 1, 0)
-    assert s.truncate(1).coeffs() == (F(1), F(1, 2))
-    assert s.shift(2).coeffs() == (0, 0, F(1), F(1, 2), F(1, 3), F(1, 4))
 
 
 def test_scale_and_arithmetic_with_scalars():
