@@ -22,7 +22,7 @@ from graphasym import (
     t_series,
     tree_function,
 )
-from graphasym.errors import VerificationFailure
+from graphasym.errors import IllConditioned, VerificationFailure
 
 
 def brute_force_connected(n: int, m: int) -> int:
@@ -246,3 +246,45 @@ def unicyclic_count(n: int) -> int:
 def unicyclic_probability(n: int) -> Fraction:
     """Share of graphs on n nodes with n edges that are connected."""
     return Fraction(unicyclic_count(n), comb(comb(n, 2), n))
+
+
+def qr_solve_by_mpf(rows: list[list[mpmath.mpf]], rhs: list[mpmath.mpf]) -> tuple[list[mpmath.mpf], mpmath.mpf, mpmath.mpf]:
+    """Householder least squares on mpf objects; returns (solution, rms residual, cond).
+
+    The object-level form of `fitting._qr_solve`, which runs the same
+    operations on raw libmp tuples and must match this bit for bit.
+    """
+    m = len(rows)
+    p = len(rows[0])
+    a = [row[:] for row in rows]
+    b = rhs[:]
+    for col in range(p):
+        norm = mpmath.sqrt(mpmath.fsum(a[i][col] ** 2 for i in range(col, m)))
+        if norm == 0:
+            raise IllConditioned(f"column {col} is numerically zero")
+        alpha = -norm if a[col][col] >= 0 else norm
+        v = [mpmath.mpf(0)] * m
+        v[col] = a[col][col] - alpha
+        for i in range(col + 1, m):
+            v[i] = a[i][col]
+        vtv = mpmath.fsum(v[i] ** 2 for i in range(col, m))
+        if vtv == 0:
+            continue
+        for jcol in range(col, p):
+            dot = mpmath.fsum(v[i] * a[i][jcol] for i in range(col, m))
+            f = 2 * dot / vtv
+            for i in range(col, m):
+                a[i][jcol] -= f * v[i]
+        dot = mpmath.fsum(v[i] * b[i] for i in range(col, m))
+        f = 2 * dot / vtv
+        for i in range(col, m):
+            b[i] -= f * v[i]
+    diag = [abs(a[i][i]) for i in range(p)]
+    cond = max(diag) / min(diag)
+    x = [mpmath.mpf(0)] * p
+    for i in range(p - 1, -1, -1):
+        acc = b[i] - mpmath.fsum(a[i][j] * x[j] for j in range(i + 1, p))
+        x[i] = acc / a[i][i]
+    rss = mpmath.fsum(b[i] ** 2 for i in range(p, m))
+    rms = mpmath.sqrt(rss / m)
+    return x, rms, cond

@@ -1,13 +1,16 @@
 """Least-squares recovery of expansion coefficients and symbolic readback."""
+import random
 from fractions import Fraction
 from types import SimpleNamespace
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from graphasym import SymConst, fitting, identify_symbols, lsq_fit, reconstruct_symbolic
 from graphasym.errors import IllConditioned, InsufficientPoints
 from graphasym.fitting import two_window_symbols
+from oracles import qr_solve_by_mpf
 
 F = Fraction
 RAT = SymConst.rational
@@ -121,3 +124,69 @@ def test_two_window_symbols_skips_a_half_window_too_short_to_refit():
     full = lsq_fit(1, 6, 100, 120)
     half = lsq_fit(1, 6, 110, 120)
     assert two_window_symbols(full, 10000) == identify_symbols(full, half, 10000)
+
+
+@st.composite
+def _least_squares_problems(draw):
+    """(bits, rows, rhs): up to 60 x 9 at 53..384 bits, entries up to 2**(+-200).
+
+    Rows are random mantissas at random exponents, small integers (which
+    cancel exactly), or the Vandermonde rows lsq_fit builds; one column may
+    be zero, which must raise IllConditioned.
+    """
+    bits = draw(st.integers(53, 384))
+    p = draw(st.integers(1, 9))
+    m = draw(st.integers(p, 60))
+    kind = draw(st.sampled_from(["random", "small", "vandermonde"]))
+    spread = draw(st.integers(0, 200))
+    zero_col = draw(st.one_of(st.none(), st.integers(0, p - 1)))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+
+    def entry():
+        # more bits than the working precision, so building the entry rounds
+        man = rng.choice((-1, 1)) * rng.getrandbits(bits + 16)
+        return mpmath.mpf((man, rng.randint(-spread, spread) - bits - 16))
+
+    with mpmath.workprec(bits):
+        if kind == "random":
+            rows = [[entry() for _ in range(p)] for _ in range(m)]
+        elif kind == "small":
+            rows = [[mpmath.mpf(rng.randint(-3, 3)) for _ in range(p)] for _ in range(m)]
+        else:
+            n0 = rng.randint(1, 500)
+            xs = [1 / mpmath.sqrt(n) for n in range(n0, n0 + m)]
+            halfspan = (max(xs) - min(xs)) / 2 if m > 1 else mpmath.mpf(1)
+            center = (max(xs) + min(xs)) / 2
+            scale = mpmath.ldexp(1, rng.randint(-spread, spread))
+            rows = []
+            for x in xs:
+                row = [scale]
+                for _ in range(p - 1):
+                    row.append(row[-1] * ((x - center) / halfspan))
+                rows.append(row)
+        if zero_col is not None:
+            for row in rows:
+                row[zero_col] = mpmath.mpf(0)
+        rhs = [entry() for _ in range(m)]
+    return bits, rows, rhs
+
+
+def _solve_outcome(solve, rows, rhs):
+    try:
+        x, rms, cond = solve(rows, rhs)
+    except (IllConditioned, ArithmeticError) as exc:
+        return type(exc), str(exc)
+    return [e._mpf_ for e in x], rms._mpf_, cond._mpf_
+
+
+@settings(max_examples=150, deadline=None)
+@given(_least_squares_problems())
+def test_qr_solve_matches_the_mpf_object_solve_bit_for_bit(problem):
+    bits, rows, rhs = problem
+    before = ([[e._mpf_ for e in row] for row in rows], [e._mpf_ for e in rhs])
+    with mpmath.workprec(bits):
+        got = _solve_outcome(fitting._qr_solve, rows, rhs)
+        want = _solve_outcome(qr_solve_by_mpf, rows, rhs)
+    assert got == want
+    # the inputs are left as they were
+    assert ([[e._mpf_ for e in row] for row in rows], [e._mpf_ for e in rhs]) == before

@@ -112,6 +112,26 @@ def test_cli_outputs_are_byte_identical(capsys):
     assert h.hexdigest() == CLI_OUTPUTS
 
 
+# the same over three fit runs the list above does not reach: the defaults
+# (k = 0, n = 100..1000), the README example, and k = 2 at degree 9 and 384 bits
+FIT_OUTPUTS = "fa18557a6594b58eb95b899f75a2bcfee6c71472046af4c4c9232353e26459a5"
+FIT_RUNS = (
+    ["fit"],
+    ["fit", "--k", "0", "--degree", "4", "--n-min", "100", "--n-max", "220", "--precision-bits", "128"],
+    ["fit", "--k", "2", "--n-min", "50", "--n-max", "300", "--degree", "9", "--precision-bits", "384"],
+)
+
+
+def test_fit_outputs_are_byte_identical(capsys):
+    h = hashlib.sha256()
+    for argv in FIT_RUNS:
+        for out in ("csv", "json"):
+            rc = main(argv + ["--output", out])
+            h.update(f"{' '.join(argv)} {out} {rc}\n".encode())
+            h.update(capsys.readouterr().out.encode())
+    assert h.hexdigest() == FIT_OUTPUTS
+
+
 def test_the_package_has_no_assert_statement():
     # `python -O` strips assert statements, so no identity may rest on one
     found = [
