@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
+from mpmath.libmp import fzero, mpf_div, mpf_ge, mpf_mul, mpf_mul_int, mpf_neg, mpf_sqrt, mpf_sub, mpf_sum
 
 from .assembly import normalization
 from .errors import IllConditioned, InsufficientPoints
@@ -31,39 +32,50 @@ def _to_fraction(x: mpmath.mpf) -> Fraction:
 
 
 def _qr_solve(rows: list[list[mpmath.mpf]], rhs: list[mpmath.mpf]) -> tuple[list[mpmath.mpf], mpmath.mpf, mpmath.mpf]:
-    """Householder least squares; returns (solution, rms residual, cond)."""
+    """Householder least squares; returns (solution, rms residual, cond).
+
+    The reflections run on raw libmp tuples, column-major, each operation
+    rounded by the libmp call mpf arithmetic makes, at mp.prec and its
+    rounding.  Below the diagonal the pivot column is never read again, so
+    it is not written; v.v reuses the rounded squares of the column norm.
+    """
+    prec, rnd = mpmath.mp._prec_rounding
     m = len(rows)
     p = len(rows[0])
-    a = [row[:] for row in rows]
-    b = rhs[:]
+    a = [[row[j]._mpf_ for row in rows] for j in range(p)]
+    b = [y._mpf_ for y in rhs]
     for col in range(p):
-        norm = mpmath.sqrt(mpmath.fsum(a[i][col] ** 2 for i in range(col, m)))
-        if norm == 0:
+        pivot = a[col]
+        squares = [mpf_mul(e, e, prec, rnd) for e in pivot[col:]]
+        norm = mpf_sqrt(mpf_sum(squares, prec, rnd), prec, rnd)
+        if norm == fzero:
             raise IllConditioned(f"column {col} is numerically zero")
-        alpha = -norm if a[col][col] >= 0 else norm
-        v = [mpmath.mpf(0)] * m
-        v[col] = a[col][col] - alpha
-        for i in range(col + 1, m):
-            v[i] = a[i][col]
-        vtv = mpmath.fsum(v[i] ** 2 for i in range(col, m))
-        if vtv == 0:
+        alpha = mpf_neg(norm, prec, rnd) if mpf_ge(pivot[col], fzero) else norm
+        v = pivot[col:]
+        v[0] = mpf_sub(pivot[col], alpha, prec, rnd)
+        squares[0] = mpf_mul(v[0], v[0], prec, rnd)
+        vtv = mpf_sum(squares, prec, rnd)
+        if vtv == fzero:
             continue
-        for jcol in range(col, p):
-            dot = mpmath.fsum(v[i] * a[i][jcol] for i in range(col, m))
-            f = 2 * dot / vtv
-            for i in range(col, m):
-                a[i][jcol] -= f * v[i]
-        dot = mpmath.fsum(v[i] * b[i] for i in range(col, m))
-        f = 2 * dot / vtv
-        for i in range(col, m):
-            b[i] -= f * v[i]
-    diag = [abs(a[i][i]) for i in range(p)]
+        # v . pivot column shares all but its first product with v . v
+        squares[0] = mpf_mul(v[0], pivot[col], prec, rnd)
+        f = mpf_div(mpf_mul_int(mpf_sum(squares, prec, rnd), 2, prec, rnd), vtv, prec, rnd)
+        pivot[col] = mpf_sub(pivot[col], mpf_mul(f, v[0], prec, rnd), prec, rnd)
+        for target in a[col + 1:] + [b]:
+            w = target[col:]
+            dot = mpf_sum([mpf_mul(vi, wi, prec, rnd) for vi, wi in zip(v, w)], prec, rnd)
+            f = mpf_div(mpf_mul_int(dot, 2, prec, rnd), vtv, prec, rnd)
+            target[col:] = [mpf_sub(wi, mpf_mul(f, vi, prec, rnd), prec, rnd) for vi, wi in zip(v, w)]
+    make = mpmath.mp.make_mpf
+    r = [[make(e) for e in column[:p]] for column in a]
+    bt = [make(e) for e in b]
+    diag = [abs(r[i][i]) for i in range(p)]
     cond = max(diag) / min(diag)
     x = [mpmath.mpf(0)] * p
     for i in range(p - 1, -1, -1):
-        acc = b[i] - mpmath.fsum(a[i][j] * x[j] for j in range(i + 1, p))
-        x[i] = acc / a[i][i]
-    rss = mpmath.fsum(b[i] ** 2 for i in range(p, m))
+        acc = bt[i] - mpmath.fsum(r[j][i] * x[j] for j in range(i + 1, p))
+        x[i] = acc / r[i][i]
+    rss = mpmath.fsum(bt[i] ** 2 for i in range(p, m))
     rms = mpmath.sqrt(rss / m)
     return x, rms, cond
 
