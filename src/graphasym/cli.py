@@ -4,7 +4,8 @@ Every subcommand prints CSV by default (or JSON with --output json) and is
 deterministic: identical invocations produce identical bytes.  Exit codes:
 0 on success, 1 on usage errors and invalid input, including a fit window
 with too few points and an output path that cannot be written (one line on
-stderr), 2 when an internal verification fails.
+stderr), 2 when an internal verification fails.  `errata` and `tables` exit 2
+after writing their output when an errata finding does not verify.
 """
 from __future__ import annotations
 
@@ -158,7 +159,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 def _cmd_errata(args: argparse.Namespace) -> int:
     results = errata.verify_all()
     if args.output == "json":
-        return _emit_json(
+        _emit_json(
             [
                 {
                     "key": f.key,
@@ -171,8 +172,18 @@ def _cmd_errata(args: argparse.Namespace) -> int:
                 for f in errata.FINDINGS
             ]
         )
-    _writer(sys.stdout).writerows(_errata_rows(results))
-    return 0
+    else:
+        _writer(sys.stdout).writerows(_errata_rows(results))
+    return _errata_exit(results)
+
+
+def _errata_exit(results: dict[str, bool]) -> int:
+    """0 when every finding verifies; else one stderr line and exit 2."""
+    failed = [key for key, ok in results.items() if not ok]
+    if not failed:
+        return 0
+    print(f"verification error: findings not verified: {', '.join(failed)}", file=sys.stderr)
+    return 2
 
 
 def _errata_rows(results: dict[str, bool]) -> list[list[str]]:
@@ -182,7 +193,8 @@ def _errata_rows(results: dict[str, bool]) -> list[list[str]]:
     return rows
 
 
-def _tables_manifest() -> list[tuple[str, list[list[str]]]]:
+def _tables_manifest() -> tuple[list[tuple[str, list[list[str]]]], dict[str, bool]]:
+    """The canonical tables as (file name, rows), and the errata results."""
     files: list[tuple[str, list[list[str]]]] = []
 
     counts = connected_counts(10, 3)
@@ -247,20 +259,22 @@ def _tables_manifest() -> list[tuple[str, list[list[str]]]]:
         )
     files.append(("crosscheck.csv", cross_rows))
 
-    files.append(("errata.csv", _errata_rows(errata.verify_all())))
-    return files
+    results = errata.verify_all()
+    files.append(("errata.csv", _errata_rows(results)))
+    return files, results
 
 
 def _cmd_tables(args: argparse.Namespace) -> int:
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for name, rows in _tables_manifest():
+    files, results = _tables_manifest()
+    for name, rows in files:
         path = out_dir / name
         with path.open("w", newline="") as fh:
             w = _writer(fh)
             w.writerows(rows)
         print(path)
-    return 0
+    return _errata_exit(results)
 
 
 _HANDLERS: dict[str, Callable[[argparse.Namespace], int]] = {

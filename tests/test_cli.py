@@ -2,11 +2,16 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from graphasym import q_exact, treepoly
+import graphasym
+from graphasym import errata, q_exact, treepoly
 from graphasym.cli import build_parser, main
 
 
@@ -104,6 +109,39 @@ def test_errata_command(capsys):
         "connected_k0_n52",
         "probability_k0_n1",
     }
+
+
+def test_a_finding_that_does_not_verify_exits_2_after_its_output(capsys, monkeypatch, tmp_path):
+    monkeypatch.setitem(errata._VERIFIERS, "q_coefficient_n1", lambda: False)
+    code, out, err = run(capsys, "errata")
+    assert code == 2
+    rows = out.splitlines()
+    assert len(rows) == 7
+    assert [r for r in rows if r.endswith("False")] == [
+        next(r for r in rows if r.startswith("q_coefficient_n1,"))
+    ]
+    assert err.count("\n") == 1 and "q_coefficient_n1" in err
+    code, out, _ = run(capsys, "errata", "--output", "json")
+    assert code == 2
+    assert [f["key"] for f in json.loads(out) if not f["verified"]] == ["q_coefficient_n1"]
+    # tables writes every file, errata.csv with the False row, then exits 2
+    code, out, _ = run(capsys, "tables", "--output-dir", str(tmp_path))
+    assert code == 2
+    assert len(out.splitlines()) == 9
+    assert "q_coefficient_n1" in next(
+        r for r in (tmp_path / "errata.csv").read_text().splitlines() if r.endswith("False")
+    )
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(graphasym.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "graphasym", "q", "--n-max", "3"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["n,q", "1,1", "2,3/2", "3,17/9"]
 
 
 def test_compare_command(capsys):
