@@ -6,6 +6,11 @@ normal equations, and runs at a configurable binary precision.  For
 conditioning, x is mapped affinely onto [-1, 1] before solving and the
 coefficients are mapped back by exact polynomial composition at working
 precision.
+
+The reflections run on mpmath's raw libmp tuples rather than mpf objects,
+through the libmp calls mpf arithmetic itself makes, with mpmath's own
+rounding at mp.prec.  The result is bit-identical to the mpf-object solve
+kept in tests/oracles.py, which a property test checks.
 """
 from __future__ import annotations
 
