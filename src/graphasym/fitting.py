@@ -39,10 +39,10 @@ def _to_fraction(x: mpmath.mpf) -> Fraction:
 def _qr_solve(rows: list[list[mpmath.mpf]], rhs: list[mpmath.mpf]) -> tuple[list[mpmath.mpf], mpmath.mpf, mpmath.mpf]:
     """Householder least squares; returns (solution, rms residual, cond).
 
-    The reflections run on raw libmp tuples, column-major, each operation
-    rounded by the libmp call mpf arithmetic makes, at mp.prec and its
-    rounding.  Below the diagonal the pivot column is never read again, so
-    it is not written; v.v reuses the rounded squares of the column norm.
+    The reflections run column-major on libmp tuples (see the module
+    docstring).  Below the diagonal the pivot column is never read again,
+    so it is not written; v.v and v.(pivot column) reuse the rounded
+    squares of the column norm.
     """
     prec, rnd = mpmath.mp._prec_rounding
     m = len(rows)
