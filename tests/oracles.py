@@ -22,7 +22,7 @@ from graphasym import (
     t_series,
     tree_function,
 )
-from graphasym.errors import IllConditioned, VerificationFailure
+from graphasym.errors import ConstantTermError, IllConditioned, VerificationFailure
 
 
 def brute_force_connected(n: int, m: int) -> int:
@@ -288,3 +288,158 @@ def qr_solve_by_mpf(rows: list[list[mpmath.mpf]], rhs: list[mpmath.mpf]) -> tupl
     rss = mpmath.fsum(b[i] ** 2 for i in range(p, m))
     rms = mpmath.sqrt(rss / m)
     return x, rms, cond
+
+
+# ---------------------------------------------------------------------------
+# exact-rational kernels on Fraction objects: one Fraction, one gcd and one
+# normalisation per product and per sum.  The library runs the same algebra
+# on integer numerators over one denominator and must match these exactly.
+
+
+def poly_mul_by_fractions(p: tuple, q: tuple) -> tuple[Fraction, ...]:
+    """Product of two dense coefficient tuples (index i holds x**i), trailing zeros stripped."""
+    if not p or not q:
+        return ()
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        if a == 0:
+            continue
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return _strip_by_fractions(tuple(out))
+
+
+def _strip_by_fractions(c: tuple) -> tuple:
+    n = len(c)
+    while n > 0 and c[n - 1] == 0:
+        n -= 1
+    return c[:n]
+
+
+def _poly_add_by_fractions(p: tuple, q: tuple) -> tuple:
+    if len(p) < len(q):
+        p, q = q, p
+    out = list(p)
+    for i, c in enumerate(q):
+        out[i] += c
+    return _strip_by_fractions(tuple(out))
+
+
+def _poly_scale_by_fractions(p: tuple, s) -> tuple:
+    if s == 0:
+        return ()
+    return tuple(c * s for c in p)
+
+
+def _theta_by_fractions(f: tuple, s: int) -> tuple:
+    """Numerator of theta (f / (1-T)**s) = T (f' (1-T) + s f) / (1-T)**(s+2)."""
+    deriv = _strip_by_fractions(tuple(i * c for i, c in enumerate(f))[1:]) if f else ()
+    inner = _poly_add_by_fractions(
+        poly_mul_by_fractions(deriv, (Fraction(1), Fraction(-1))), _poly_scale_by_fractions(f, s)
+    )
+    return (Fraction(0),) + inner if inner else ()
+
+
+def wright_step_by_fractions(lower: list[tuple]) -> tuple[Fraction, ...]:
+    """A_{k+1} from A_1..A_k by Wright's recurrence, every operation on Fraction objects.
+
+    The same steps as `graphs._wright_step`, including the check of the one
+    over-determined equation, which raises `VerificationFailure`.
+    """
+    k = len(lower)
+    thetas = [(Fraction(0),) * 3 + (Fraction(1, 2),)]
+    thetas += [_theta_by_fractions(a, 3 * i) for i, a in enumerate(lower, 1)]
+    b = thetas[k]
+    one_minus_t_2 = (Fraction(1), Fraction(-2), Fraction(1))
+    p = _poly_add_by_fractions(
+        _theta_by_fractions(b, 3 * k + 2),
+        _poly_scale_by_fractions(poly_mul_by_fractions(b, one_minus_t_2), -3),
+    )
+    if k:
+        one_minus_t_4 = tuple(Fraction(c) for c in (1, -4, 6, -4, 1))
+        p = _poly_add_by_fractions(
+            p, _poly_scale_by_fractions(poly_mul_by_fractions(lower[-1], one_minus_t_4), -2 * k)
+        )
+    for i in range(k + 1):
+        p = _poly_add_by_fractions(p, poly_mul_by_fractions(thetas[i], thetas[k - i]))
+    coeffs = []
+    a = Fraction(0)
+    for j in range(len(p) - 1):
+        a = (p[j] / 2 - (2 * k + 3 - j) * a) / (j + k + 1)
+        coeffs.append(a)
+    top = len(p) - 1
+    want = 2 * (2 * k + 3 - top) * a
+    if p[top] != want:
+        raise VerificationFailure(
+            f"Wright's recurrence for A_{k + 1} is inconsistent at T**{top}: {p[top]} != {want}"
+        )
+    return tuple(coeffs)
+
+
+def series_mul_by_fractions(x: Series, y: Series) -> Series:
+    """Product truncated at the lower of the two orders."""
+    n = min(x.order, y.order)
+    a, b = x.coeffs(), y.coeffs()
+    out = [Fraction(0)] * (n + 1)
+    for i in range(n + 1):
+        ai = a[i]
+        if ai == 0:
+            continue
+        for j in range(n + 1 - i):
+            bj = b[j]
+            if bj != 0:
+                out[i + j] += ai * bj
+    return Series(out)
+
+
+def series_log_by_fractions(x: Series) -> Series:
+    """log of a series with constant term 1, from (log a)' = a'/a."""
+    a = x.coeffs()
+    if a[0] != 1:
+        raise ConstantTermError("log requires constant term 1")
+    n = x.order
+    b = [Fraction(0)] * (n + 1)
+    for m in range(1, n + 1):
+        # m*b[m] = m*a[m] - sum_{i=1}^{m-1} i*b[i]*a[m-i]
+        acc = m * a[m]
+        for i in range(1, m):
+            if b[i] != 0 and a[m - i] != 0:
+                acc -= i * b[i] * a[m - i]
+        b[m] = acc / m
+    return Series(b)
+
+
+def series_exp_by_fractions(x: Series) -> Series:
+    """exp of a series with constant term 0, from E' = a' E."""
+    a = x.coeffs()
+    if a[0] != 0:
+        raise ConstantTermError("exp requires constant term 0")
+    n = x.order
+    e = [Fraction(0)] * (n + 1)
+    e[0] = Fraction(1)
+    for m in range(1, n + 1):
+        # m*e[m] = sum_{i=1}^{m} i*a[i]*e[m-i]
+        acc = Fraction(0)
+        for i in range(1, m + 1):
+            if a[i] != 0 and e[m - i] != 0:
+                acc += i * a[i] * e[m - i]
+        e[m] = acc / m
+    return Series(e)
+
+
+def series_inverse_by_fractions(x: Series) -> Series:
+    """Multiplicative inverse of a series with a nonzero constant term."""
+    a = x.coeffs()
+    c0 = a[0]
+    if c0 == 0:
+        raise ConstantTermError("inverse requires a nonzero constant term")
+    n = x.order
+    inv = [Fraction(0)] * (n + 1)
+    inv[0] = 1 / c0
+    for m in range(1, n + 1):
+        acc = Fraction(0)
+        for i in range(1, m + 1):
+            if a[i] != 0 and inv[m - i] != 0:
+                acc += a[i] * inv[m - i]
+        inv[m] = -acc / c0
+    return Series(inv)

@@ -73,6 +73,18 @@ def test_excess_numerators_are_byte_identical():
     assert digest == EXCESS_NUMERATORS
 
 
+# sha256 over the str of A_k for k = 13..30 and then of asym_c(k, 8) for
+# k = 9..30, recorded from the exact-rational kernels on Fraction objects
+REACH = "9da0bb6387ea157477805ecd8f46b7c4cfbab17d97569761326e9834b70b2674"
+
+
+def test_reach_in_k_is_byte_identical():
+    lines = [str(recover_ak(k)) for k in range(13, 31)]
+    lines += [str(asym_c(k, 8)) for k in range(9, 31)]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == REACH
+
+
 # sha256 over the str of asym_g(k, 16) for k = -1..8, then stirling_series at
 # depths 7 and 15; recorded from the falling-factorial (Faulhaber) route, which
 # is independent of the Stirling-at-N, N-m and m route
