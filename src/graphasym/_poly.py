@@ -3,22 +3,27 @@
 Index i holds the coefficient of x**i.  The zero polynomial is ().
 Trailing zero coefficients are always stripped so representations are
 canonical and degree() is len - 1.
+
+Arithmetic is exact.  The products behind this package's exact-rational
+layer run on integer numerators over one common denominator: a coefficient
+tuple goes to that form by `over_one_denominator`, `convolve` is the integer
+product kernel (shared with the truncated product of `series.Series`), and
+`from_numerators` builds one Fraction per output coefficient, not one per
+product and sum.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from operator import mul
+from typing import Sequence
 
 Poly = tuple[Fraction, ...]
 
 ZERO: Poly = ()
-ONE: Poly = (Fraction(1),)
 
 
-def poly(*coeffs: Fraction | int) -> Poly:
-    return _strip(tuple(Fraction(c) for c in coeffs))
-
-
-def _strip(c: tuple[Fraction, ...]) -> Poly:
+def _strip(c: tuple) -> tuple:
     n = len(c)
     while n > 0 and c[n - 1] == 0:
         n -= 1
@@ -45,23 +50,43 @@ def scale(p: Poly, s: Fraction | int) -> Poly:
     return tuple(c * s for c in p)
 
 
-def mul(p: Poly, q: Poly) -> Poly:
-    if not p or not q:
-        return ZERO
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a == 0:
-            continue
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return _strip(tuple(out))
+def over_one_denominator(p: Sequence[Fraction | int]) -> tuple[list[int], int]:
+    """(nums, d) with p[i] == nums[i] / d and d > 0 the least common denominator."""
+    d = lcm(*(c.denominator for c in p))
+    return [c.numerator * (d // c.denominator) for c in p], d
 
 
-def shift(p: Poly, k: int) -> Poly:
-    """Multiply by x**k (k >= 0)."""
-    if not p:
-        return ZERO
-    return (Fraction(0),) * k + p
+def from_numerators(nums: Sequence[int], d: int) -> tuple[Fraction, ...]:
+    """The Fractions nums[i] / d, each reduced once."""
+    return tuple(Fraction(n, d) for n in nums)
+
+
+def convolve(a: Sequence[int], b: Sequence[int], size: int | None = None) -> list[int]:
+    """Coefficients 0..size-1 of the product of two integer coefficient lists.
+
+    Without `size` the whole product (len(a) + len(b) - 1 terms) comes back.
+    Each coefficient is one C-level dot product of a slice of `a` with a
+    reversed slice of `b`.
+    """
+    na, nb = len(a), len(b)
+    if not na or not nb:
+        return [0] * (size or 0)
+    full = na + nb - 1
+    size = full if size is None else size
+    rb = b[::-1]
+    out = [0] * size
+    for k in range(min(size, full)):
+        lo = max(0, k - nb + 1)
+        hi = min(k, na - 1) + 1
+        out[k] = sum(map(mul, a[lo:hi], rb[nb - 1 - k + lo:nb - 1 - k + hi]))
+    return out
+
+
+def add_into(acc: list[int], terms: Sequence[int], f: int) -> None:
+    """acc += f * terms on integer coefficient lists, lengthening acc as needed."""
+    acc += [0] * (len(terms) - len(acc))
+    for i, c in enumerate(terms):
+        acc[i] += f * c
 
 
 def evaluate(p: Poly, x: Fraction | int) -> Fraction | int:
@@ -74,4 +99,3 @@ def evaluate(p: Poly, x: Fraction | int) -> Fraction | int:
 
 def derivative(p: Poly) -> Poly:
     return _strip(tuple(i * c for i, c in enumerate(p))[1:]) if p else ZERO
-

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import comb
+from math import comb, lcm
 
 import mpmath
 
@@ -46,10 +46,22 @@ class Decomposition:
 
     @cached_property
     def normal_form(self) -> TreePolyNormalForm:
-        """The split folded into c(n, n+k) = n**(n-1) (P(n) + R(n) Q(n) + E(1/n))."""
-        return sum(
-            (t_normal_form(l).scale(b) for l, b in self.beta),
-            TreePolyNormalForm(r=_poly.poly(self.qterm)),
+        """The split folded into c(n, n+k) = n**(n-1) (P(n) + R(n) Q(n) + E(1/n)).
+
+        The fold runs on integers: the beta and qterm over their least
+        common denominator, each t_normal_form(l) over its own
+        (`integer_parts`), and every part over the product of the two lcms.
+        """
+        terms = [(b, t_normal_form(l).integer_parts) for l, b in self.beta]
+        terms.append((self.qterm, (1, (), (1,), ())))  # qterm Q(n) n**(n-1)
+        nums, d = _poly.over_one_denominator([b for b, _ in terms])
+        den = lcm(*(form[0] for _, form in terms))
+        parts: tuple[list[int], ...] = ([], [], [])
+        for b, (_, (form_d, *form_parts)) in zip(nums, terms):
+            for acc, part in zip(parts, form_parts):
+                _poly.add_into(acc, part, b * (den // form_d))
+        return TreePolyNormalForm(
+            *(_poly._strip(_poly.from_numerators(part, d * den)) for part in parts)
         )
 
     def evaluate(self, n: int) -> int:
@@ -76,10 +88,10 @@ def decompose(k: int) -> Decomposition:
         beta = ((-2, Fraction(-1, 4)), (-1, Fraction(1)))
         dec = Decomposition(0, beta, Fraction(1, 2), _VERIFY_N_MAX)
     else:
-        a = recover_ak(k)
+        a, d = _poly.over_one_denominator(recover_ak(k))
         # A_k(1-x) = sum_j gamma_j x**j, gamma_j = (-1)**j sum_{i>=j} C(i, j) a_i
         gamma = [
-            (-1) ** j * sum(comb(i, j) * a[i] for i in range(j, len(a)))
+            Fraction((-1) ** j * sum(comb(i, j) * a[i] for i in range(j, len(a))), d)
             for j in range(len(a))
         ]
         beta = tuple(

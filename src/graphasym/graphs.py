@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, lcm
 
 from . import _poly
 from ._poly import Poly
@@ -104,15 +104,14 @@ def connected_counts(n_max: int, k_max: int) -> CountTable:
     return CountTable(n_max, k_max, connected_rows(n_max, n_max + max(k_max, 0)))
 
 
-_ONE_MINUS_T = _poly.poly(1, -1)
-_THETA_W0 = _poly.poly(0, 0, 0, Fraction(1, 2))  # theta W_0 = (T**3/2) / (1-T)**2
+def _theta(f: list[int], s: int) -> list[int]:
+    """theta (f / (1-T)**s) = T (f' (1-T) + s f) / (1-T)**(s+2); the numerator.
 
-
-def _theta(f: Poly, s: int) -> Poly:
-    """theta (f / (1-T)**s) = T (f' (1-T) + s f) / (1-T)**(s+2); the numerator."""
-    return _poly.shift(
-        _poly.add(_poly.mul(_poly.derivative(f), _ONE_MINUS_T), _poly.scale(f, s)), 1
-    )
+    The T**(m+1) coefficient is (m+1) f_{m+1} + (s-m) f_m, so integer
+    numerators over a denominator stay over that denominator.
+    """
+    ext = list(f) + [0]
+    return [0] + [(m + 1) * ext[m + 1] + (s - m) * ext[m] for m in range(len(f))]
 
 
 def _wright_step(lower: list[Poly]) -> Poly:
@@ -127,25 +126,43 @@ def _wright_step(lower: list[Poly]) -> Poly:
     and the left side is 2 sum_j [(j+k+1) a_j + (2k+3-j) a_{j-1}] T**j over
     the same power, so the a_j follow in order from p_0 .. p_{deg P - 1}.
     The one equation left over, at j = deg P, is checked.
+
+    All of it runs on integer numerators: B_i over the least common
+    denominator d_i of A_i (d_0 = 2), P over the lcm `den` of d_k and every
+    d_i d_{k-i}, each product B_i B_j once per unordered pair, and a_j over
+    2 den prod_{i<=j} (i+k+1), so one Fraction is built per coefficient.
     """
     k = len(lower)
-    thetas = [_THETA_W0] + [_theta(a, 3 * i) for i, a in enumerate(lower, 1)]
-    b = thetas[k]
-    p = _poly.add(_theta(b, 3 * k + 2), _poly.scale(_poly.mul(b, _poly.poly(1, -2, 1)), -3))
-    if k:
-        p = _poly.add(p, _poly.scale(_poly.mul(lower[-1], _poly.poly(1, -4, 6, -4, 1)), -2 * k))
-    for i in range(k + 1):
-        p = _poly.add(p, _poly.mul(thetas[i], thetas[k - i]))
+    thetas = [([0, 0, 0, 1], 2)]  # theta W_0 = (T**3/2) / (1-T)**2
+    for i, a in enumerate(lower, 1):
+        nums, d = _poly.over_one_denominator(a)
+        thetas.append((_theta(nums, 3 * i), d))
+    b, db = thetas[k]
+    # the terms in B_k and A_k alone, over d_k
+    own = _theta(b, 3 * k + 2)
+    _poly.add_into(own, _poly.convolve(b, [1, -2, 1]), -3)
+    if k:  # nums is A_k over d_k, from the last pass of the loop
+        _poly.add_into(own, _poly.convolve(nums, [1, -4, 6, -4, 1]), -2 * k)
+    pairs = [(i, k - i) for i in range(k // 2 + 1)]
+    den = lcm(db, *(thetas[i][1] * thetas[j][1] for i, j in pairs))
+    p = [c * (den // db) for c in own]
+    for i, j in pairs:
+        (bi, di), (bj, dj) = thetas[i], thetas[j]
+        _poly.add_into(p, _poly.convolve(bi, bj), den // (di * dj) * (1 if i == j else 2))
+    p = _poly._strip(p)
+    # a_j = num_j / (2 den prod_{i<=j} (i+k+1)), num_j = p_j prod_{i<j} (i+k+1) - (2k+3-j) num_{j-1}
     coeffs = []
-    a = Fraction(0)
+    num, run = 0, 1
     for j in range(len(p) - 1):
-        a = (p[j] / 2 - (2 * k + 3 - j) * a) / (j + k + 1)
-        coeffs.append(a)
+        num = p[j] * run - (2 * k + 3 - j) * num
+        run *= j + k + 1
+        coeffs.append(Fraction(num, 2 * den * run))
     top = len(p) - 1
-    want = 2 * (2 * k + 3 - top) * a
-    if p[top] != want:
+    # p_top = 2 (2k+3-top) a_{top-1}, over the denominator den * run
+    if p[top] * run != (2 * k + 3 - top) * num:
         raise VerificationFailure(
-            f"Wright's recurrence for A_{k + 1} is inconsistent at T**{top}: {p[top]} != {want}"
+            f"Wright's recurrence for A_{k + 1} is inconsistent at T**{top}: "
+            f"{Fraction(p[top], den)} != {Fraction((2 * k + 3 - top) * num, den * run)}"
         )
     return tuple(coeffs)
 
@@ -158,8 +175,9 @@ def recover_ak(k: int) -> Poly:
                              + sum_{i+j=k-1} theta W_i theta W_j,
 
     with theta = z d/dz = T/(1-T) d/dT and theta W_0 = T**3 / (2(1-T)**2).
-    Exact polynomial algebra over Fraction: no count table, no truncated
-    series and no degree bound; deg A_k = 3k + 2 comes out of the recurrence.
+    Exact polynomial algebra on integer numerators: no count table, no
+    truncated series and no degree bound; deg A_k = 3k + 2 comes out of the
+    recurrence.
     Each step ends with the one equation the recurrence over-determines, and
     raises `VerificationFailure` if it fails.
     """

@@ -122,6 +122,7 @@ def d_asym(depth: int) -> AsymSeries:
     return AsymSeries.from_u_polynomial(d_coefficients(depth), 0, -(2 * depth + 1))
 
 
+@lru_cache(maxsize=None)
 def q_asym(depth: int) -> AsymSeries:
     """Expansion of Q(n), leading term xi/2 * n**(1/2).
 

@@ -3,7 +3,9 @@
 A Series holds coefficients c[0..order] of a power series known through
 z**order; everything past the order is unknown, not zero.  All arithmetic
 is exact over Fraction, so any coefficient the algebra can reach is
-computed without rounding.
+computed without rounding.  The product, log, exp and inverse run on
+integer numerators over one denominator (`_poly.over_one_denominator`,
+`_poly.convolve`) and build one Fraction per output coefficient.
 
 >>> z = Series.variable(5)
 >>> (z.exp() * (-z).exp()).coeffs()
@@ -15,9 +17,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
+from operator import mul
 from typing import Iterable, Sequence, Union
 
+from ._poly import convolve, from_numerators, over_one_denominator
 from .errors import ConstantTermError
 
 Rat = Fraction
@@ -30,7 +34,7 @@ class Series:
     __slots__ = ("_c",)
 
     def __init__(self, coeffs: Iterable[Scalar]):
-        c = tuple(Fraction(x) for x in coeffs)
+        c = tuple(x if type(x) is Fraction else Fraction(x) for x in coeffs)
         if not c:
             raise ValueError("a series needs at least the constant term")
         self._c = c
@@ -97,74 +101,70 @@ class Series:
         return Series([c * s for c in self._c])
 
     def __mul__(self, other: "Series") -> "Series":
-        n = self._common(other)
-        a, b = self._c, other._c
-        out = [Fraction(0)] * (n + 1)
-        for i in range(n + 1):
-            ai = a[i]
-            if ai == 0:
-                continue
-            for j in range(n + 1 - i):
-                bj = b[j]
-                if bj != 0:
-                    out[i + j] += ai * bj
-        return Series(out)
+        size = self._common(other) + 1
+        a, da = over_one_denominator(self._c[:size])
+        b, db = over_one_denominator(other._c[:size])
+        return Series(from_numerators(convolve(a, b, size), da * db))
 
     # ---- analytic operations --------------------------------------------
     #
-    # log and exp are computed coefficient by coefficient from the ODE each
-    # satisfies: (log a)' = a'/a and E' = a' E.  Both are O(order**2) exact
-    # Fraction operations.
+    # log, exp and inverse are computed coefficient by coefficient from the
+    # equation each satisfies: (log a)' = a'/a, E' = a' E and a * inv = 1.
+    # Each is O(order**2) integer operations: the input sits on integer
+    # numerators over its least common denominator, the output produced so
+    # far over the running lcm of its denominators, and one Fraction is built
+    # per output coefficient.
 
     def log(self) -> "Series":
         """log of a series with constant term 1."""
         if self._c[0] != 1:
             raise ConstantTermError("log requires constant term 1")
-        n = self.order
-        a = self._c
-        b = [Fraction(0)] * (n + 1)  # log coefficients
-        for m in range(1, n + 1):
-            # m*b[m] = m*a[m] - sum_{i=1}^{m-1} i*b[i]*a[m-i]
-            acc = m * a[m]
-            for i in range(1, m):
-                if b[i] != 0 and a[m - i] != 0:
-                    acc -= i * b[i] * a[m - i]
-            b[m] = acc / m
-        return Series(b)
+        a, da = over_one_denominator(self._c)
+        # m b_m = m a_m - sum_{i=1}^{m-1} i b_i a_{m-i}; ib[i] = i b_i d
+        out = [Fraction(0)]
+        ib: list[int] = [0]
+        d = 1
+        for m in range(1, self.order + 1):
+            acc = sum(map(mul, ib[1:m], a[m - 1:0:-1]))
+            c = Fraction(m * d * a[m] - acc, m * d * da)
+            d, ib = _running_lcm(d, ib, c)
+            ib.append(m * c.numerator * (d // c.denominator))
+            out.append(c)
+        return Series(out)
 
     def exp(self) -> "Series":
         """exp of a series with constant term 0."""
         if self._c[0] != 0:
             raise ConstantTermError("exp requires constant term 0")
-        n = self.order
-        a = self._c
-        e = [Fraction(0)] * (n + 1)
-        e[0] = Fraction(1)
-        for m in range(1, n + 1):
-            # m*e[m] = sum_{i=1}^{m} i*a[i]*e[m-i]
-            acc = Fraction(0)
-            for i in range(1, m + 1):
-                if a[i] != 0 and e[m - i] != 0:
-                    acc += i * a[i] * e[m - i]
-            e[m] = acc / m
-        return Series(e)
+        a, da = over_one_denominator(self._c)
+        ia = [i * x for i, x in enumerate(a)]
+        # m e_m = sum_{i=1}^{m} i a_i e_{m-i}; e[j] = e_j d
+        out = [Fraction(1)]
+        e = [1]
+        d = 1
+        for m in range(1, self.order + 1):
+            c = Fraction(sum(map(mul, ia[1:m + 1], e[::-1])), m * d * da)
+            d, e = _running_lcm(d, e, c)
+            e.append(c.numerator * (d // c.denominator))
+            out.append(c)
+        return Series(out)
 
     def inverse(self) -> "Series":
         """Multiplicative inverse; requires a nonzero constant term."""
-        c0 = self._c[0]
-        if c0 == 0:
+        if self._c[0] == 0:
             raise ConstantTermError("inverse requires a nonzero constant term")
-        n = self.order
-        a = self._c
-        inv = [Fraction(0)] * (n + 1)
-        inv[0] = 1 / c0
-        for m in range(1, n + 1):
-            acc = Fraction(0)
-            for i in range(1, m + 1):
-                if a[i] != 0 and inv[m - i] != 0:
-                    acc += a[i] * inv[m - i]
-            inv[m] = -acc / c0
-        return Series(inv)
+        a, da = over_one_denominator(self._c)
+        # inv_m = -(1/a_0) sum_{i=1}^{m} a_i inv_{m-i}; v[j] = inv_j d, a_0 = a[0] / da
+        c = Fraction(da, a[0])
+        out = [c]
+        v = [c.numerator]
+        d = c.denominator
+        for m in range(1, self.order + 1):
+            c = Fraction(-sum(map(mul, a[1:m + 1], v[::-1])), d * a[0])
+            d, v = _running_lcm(d, v, c)
+            v.append(c.numerator * (d // c.denominator))
+            out.append(c)
+        return Series(out)
 
     def pow(self, e: int) -> "Series":
         """Integer power, negative exponents via the inverse."""
@@ -179,6 +179,14 @@ class Series:
             base = base * base if e > 1 else base
             e >>= 1
         return acc
+
+
+def _running_lcm(d: int, nums: list[int], c: Fraction) -> tuple[int, list[int]]:
+    """Widen the denominator d of nums to a multiple of c's, rescaling nums."""
+    if d % c.denominator == 0:
+        return d, nums
+    f = lcm(d, c.denominator) // d
+    return d * f, [x * f for x in nums]
 
 
 @lru_cache(maxsize=None)

@@ -22,7 +22,14 @@ from typing import Iterable, Sequence, Union
 
 import mpmath
 
-from .errors import ConstantTermError, NonMonomialDivisor, OrderMismatch, UnknownLeadingTerm
+from . import _poly
+from .errors import (
+    ConstantTermError,
+    NonMonomialDivisor,
+    OrderMismatch,
+    UnknownLeadingTerm,
+    VerificationFailure,
+)
 from .series import Series
 
 Scalar = Union[Fraction, int]
@@ -380,21 +387,78 @@ def bernoulli(m: int) -> Fraction:
     return -acc / (m + 1)
 
 
+def _tail_weight(i: int) -> Fraction:
+    """B_{2i} / (2i(2i-1)), the weight of y**(2i-1) in the Stirling tail."""
+    return bernoulli(2 * i) / (2 * i * (2 * i - 1))
+
+
+def _odd_power_sum(y: Series, weights: Sequence[Fraction]) -> Series:
+    """sum_i weights[i-1] y**(2i-1) to the order of y, in one pass on integers.
+
+    With y = Y/d and the weights W_i/w, term i is W_i Y**(2i-1) d**(2(n-i)) /
+    (w d**(2n-1)) for n weights, so the powers of Y are accumulated as
+    integers and one Fraction is built per coefficient.
+    """
+    if not weights:
+        return Series.zero(y.order)
+    size = y.order + 1
+    yn, d = _poly.over_one_denominator(y.coeffs())
+    wn, w = _poly.over_one_denominator(weights)
+    y2 = _poly.convolve(yn, yn, size)
+    d2 = d * d
+    acc: list[int] = []
+    power = yn
+    for i, c in enumerate(wn):
+        if i:
+            power = _poly.convolve(power, y2, size)
+            acc = [x * d2 for x in acc]
+        _poly.add_into(acc, power, c)
+    acc += [0] * (size - len(acc))
+    return Series(_poly.from_numerators(acc, w * d ** (2 * len(wn) - 1)))
+
+
+@lru_cache(maxsize=None)
+def _tail_weights(count: int) -> tuple[Fraction, ...]:
+    """The first `count` weights of the Stirling tail, checked against Gamma(x+1) = x Gamma(x).
+
+    Stirling's formula at x and at x + 1, with u = 1/x and 1/(x+1) = u/(1+u),
+    turns the functional equation into the series identity
+
+        tau(u/(1+u)) - tau(u) = 1 - (1/u + 1/2) ln(1+u),
+
+    whose u**(2i) coefficient is -(2i-1) times weight i plus earlier weights.
+    It is checked through u**(2 count), so every weight returned is pinned;
+    a failure raises `VerificationFailure`.
+    """
+    weights = tuple(_tail_weight(i) for i in range(1, count + 1))
+    order = 2 * count
+    if order == 0:
+        return weights
+    u = Series.variable(order)
+    shifted = Series([0] + [(-1) ** (j + 1) for j in range(1, order + 1)])  # u/(1+u)
+    lhs = _odd_power_sum(shifted, weights) - _odd_power_sum(u, weights)
+    # (1/u + 1/2) ln(1+u) = sum_j (-1)**j u**j (1/(j+1) - 1/(2j)), the j = 0 term 1
+    rhs = [Fraction(0)] + [
+        (-1) ** (j + 1) * (Fraction(1, j + 1) - Fraction(1, 2 * j)) for j in range(1, order + 1)
+    ]
+    for j, (got, want) in enumerate(zip(lhs.coeffs(), rhs)):
+        if got != want:
+            raise VerificationFailure(
+                f"the Stirling tail fails Gamma(x+1) = x Gamma(x) at u**{j}: {got} != {want}"
+            )
+    return weights
+
+
 def stirling_tail(y: Series) -> Series:
     """tau(y) = sum_{i>=1} B_{2i} / (2i(2i-1)) y**(2i-1), to the order of y.
 
     Stirling's formula is ln x! = x ln x - x + ln(2 pi x)/2 + tau(1/x).  The
-    truncation is exact only when y has no constant term.
+    truncation is exact only when y has no constant term.  The weights are
+    checked once per order against Gamma(x+1) = x Gamma(x) (`_tail_weights`).
     """
     if y[0] != 0:
         raise ConstantTermError("the Stirling tail needs a zero constant term")
-    y2 = y * y
-    power = y
-    out = Series.zero(y.order)
-    for i in range(1, (y.order + 1) // 2 + 1):
-        out = out + power.scale(bernoulli(2 * i) / (2 * i * (2 * i - 1)))
-        power = power * y2
-    return out
+    return _odd_power_sum(y, _tail_weights((y.order + 1) // 2))
 
 
 @lru_cache(maxsize=None)

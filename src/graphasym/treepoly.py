@@ -60,21 +60,12 @@ class TreePolyNormalForm:
     r: Poly = ()
     e: Poly = ()
 
-    def __add__(self, other: "TreePolyNormalForm") -> "TreePolyNormalForm":
-        return TreePolyNormalForm(
-            _poly.add(self.p, other.p), _poly.add(self.r, other.r), _poly.add(self.e, other.e)
-        )
-
-    def scale(self, s: Fraction | int) -> "TreePolyNormalForm":
-        return TreePolyNormalForm(
-            _poly.scale(self.p, s), _poly.scale(self.r, s), _poly.scale(self.e, s)
-        )
-
     @cached_property
-    def _integer_parts(self) -> tuple[int, Poly, Poly, Poly]:
+    def integer_parts(self) -> tuple[int, Poly, Poly, Poly]:
         """(d, d*p, d*r, d*e) with d the least common denominator of all three."""
         d = lcm(*(c.denominator for c in self.p + self.r + self.e))
-        return (d, *(tuple(int(c * d) for c in part) for part in (self.p, self.r, self.e)))
+        parts = (self.p, self.r, self.e)
+        return (d, *(tuple(c.numerator * (d // c.denominator) for c in part) for part in parts))
 
     def value_at(self, n: int) -> int:
         """The form at n as an integer.
@@ -84,7 +75,7 @@ class TreePolyNormalForm:
         """
         if n < 1:
             raise ValueError("normal forms are read at n >= 1")
-        d, p, r, e = self._integer_parts
+        d, p, r, e = self.integer_parts
         lift = n ** max(len(e) - 1, 0)
         num = n ** n * (lift * _poly.evaluate(p, n) + _poly.evaluate(e[::-1], n))
         if r:

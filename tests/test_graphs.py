@@ -3,6 +3,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from graphasym import _poly, connected_counts, recover_ak
 from graphasym.errors import VerificationFailure
@@ -88,3 +89,38 @@ def test_wright_step_checks_its_leftover_equation():
     with pytest.raises(VerificationFailure, match="inconsistent at T"):
         _wright_step([corrupted])
 
+
+
+def test_wright_step_equals_the_fraction_object_step_for_a1_to_a12():
+    lower = []
+    for k in range(1, 13):
+        got = _wright_step(lower)
+        assert got == oracles.wright_step_by_fractions(lower) == recover_ak(k)
+        assert all(type(c) is F for c in got)
+        lower.append(got)
+
+
+@given(
+    st.integers(min_value=1, max_value=6),
+    st.data(),
+    st.one_of(
+        st.fractions(min_value=-3, max_value=3, max_denominator=50),
+        st.builds(F, st.integers(-10**30, 10**30), st.integers(-10**30, 10**30).filter(bool)),
+    ),
+)
+@settings(max_examples=60, deadline=None)
+def test_wright_step_on_perturbed_input_equals_the_fraction_object_step(k, data, delta):
+    # a perturbed A_i (including one with a zero top coefficient) must give
+    # the same A_{k+1} or the same inconsistency report on both routes
+    lower = [list(recover_ak(i)) for i in range(1, k + 1)]
+    i = data.draw(st.integers(min_value=0, max_value=k - 1))
+    j = data.draw(st.integers(min_value=0, max_value=len(lower[i]) - 1))
+    lower[i][j] += delta
+    lower = [tuple(a) for a in lower]
+    outcomes = []
+    for step in (_wright_step, oracles.wright_step_by_fractions):
+        try:
+            outcomes.append(step(lower))
+        except VerificationFailure as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]

@@ -4,13 +4,26 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from graphasym import Series, egf_coefficient, tree_function
+from graphasym import Series, _poly, egf_coefficient, tree_function
 from graphasym.errors import ConstantTermError
+
+import oracles
 
 F = Fraction
 
 small_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 series_st = st.lists(small_fractions, min_size=1, max_size=9).map(Series)
+
+# coefficient lists with runs of zeros and with huge numerators and
+# denominators of either sign (Fraction moves a negative denominator's sign
+# into the numerator), for the integer kernels against the Fraction loops
+_rationals = st.one_of(
+    small_fractions,
+    st.builds(F, st.integers(-10**40, 10**40), st.integers(-10**40, 10**40).filter(bool)),
+)
+_with_zero_runs = st.lists(
+    st.tuples(_rationals, st.integers(min_value=0, max_value=4)), min_size=1, max_size=6
+).map(lambda runs: [x for c, zeros in runs for x in [c] + [F(0)] * zeros][:13])
 
 
 def unit_series(s: Series) -> Series:
@@ -99,3 +112,36 @@ def test_constructors_and_accessors():
 def test_scale_and_arithmetic_with_scalars():
     s = Series([1, 2, 3]).scale(F(1, 2))
     assert s.coeffs() == (F(1, 2), F(1), F(3, 2))
+
+
+@given(_with_zero_runs, _with_zero_runs)
+@settings(max_examples=150, deadline=None)
+def test_integer_kernels_equal_the_fraction_object_loops(p, q):
+    # mismatched orders: the product truncates to the shorter operand
+    a, b = Series(p), Series(q)
+    unit = Series([F(1)] + p[1:])
+    nilpotent = Series([F(0)] + p[1:])
+    pairs = [
+        (a * b, oracles.series_mul_by_fractions(a, b)),
+        (unit.log(), oracles.series_log_by_fractions(unit)),
+        (nilpotent.exp(), oracles.series_exp_by_fractions(nilpotent)),
+    ]
+    if q[0] != 0:
+        pairs.append((b.inverse(), oracles.series_inverse_by_fractions(b)))
+    for got, want in pairs:
+        assert got == want
+        assert all(type(c) is Fraction for c in got.coeffs())
+
+
+@given(_with_zero_runs, _with_zero_runs, st.integers(min_value=0, max_value=30))
+@settings(max_examples=150, deadline=None)
+def test_convolve_over_one_denominator_equals_the_fraction_product(p, q, size):
+    pn, pd = _poly.over_one_denominator(p)
+    qn, qd = _poly.over_one_denominator(q)
+    assert pd > 0 and qd > 0
+    assert [F(n, pd) for n in pn] == p
+    full = _poly.convolve(pn, qn)
+    product = _poly._strip(_poly.from_numerators(full, pd * qd))
+    assert product == oracles.poly_mul_by_fractions(tuple(p), tuple(q))
+    # a truncated product is the head of the full one, padded with zeros
+    assert _poly.convolve(pn, qn, size) == (full + [0] * size)[:size]

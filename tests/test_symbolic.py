@@ -6,8 +6,9 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from graphasym import AsymSeries, SymConst, bernoulli, stirling_series
-from graphasym.errors import NonMonomialDivisor, OrderMismatch
+from graphasym import AsymSeries, Series, SymConst, assembly, bernoulli, stirling_series, symbolic
+from graphasym.cli import main
+from graphasym.errors import NonMonomialDivisor, OrderMismatch, VerificationFailure
 
 import oracles
 
@@ -236,3 +237,47 @@ def test_stirling_series_numeric():
         exact = mpmath.factorial(n) * mpmath.exp(n) / mpmath.power(n, n)
         approx = stirling_series(8).evaluate(n, bits=256)
         assert abs(exact - approx) / exact < 1e-11
+
+
+def test_stirling_tail_is_the_weighted_sum_of_odd_powers():
+    y = Series([F(0), F(2), F(-1, 3), F(5, 7), F(0), F(1, 11), F(-4)])
+    want, power = Series.zero(6), y
+    for i in range(1, 4):
+        want = want + power.scale(bernoulli(2 * i) / (2 * i * (2 * i - 1)))
+        power = power * y * y
+    assert symbolic.stirling_tail(y) == want
+    # the functional-equation check pins every weight through y**39
+    assert symbolic._tail_weights(20)[:3] == (F(1, 12), F(-1, 360), F(1, 1260))
+
+
+_RIGHT_WEIGHT = symbolic._tail_weight
+
+
+@pytest.mark.parametrize(
+    "mutant, argv, power",
+    [
+        # 2i(2i+1) in place of 2i(2i-1): `asym --k 0 --which total` printed a
+        # wrong n**-1 term and exited 0 before the check
+        (lambda i: bernoulli(2 * i) / (2 * i * (2 * i + 1)), [], 2),
+        # 10**-6 too much in the y**9 weight, which only depth 9 and beyond reads
+        (lambda i: _RIGHT_WEIGHT(i) + (F(1, 10**6) if i == 5 else 0), ["--depth", "10"], 10),
+    ],
+)
+def test_a_wrong_stirling_weight_fails_gamma_functional_equation(
+    monkeypatch, capsys, mutant, argv, power
+):
+    monkeypatch.setattr(symbolic, "_tail_weight", mutant)
+    symbolic._tail_weights.cache_clear()
+    assembly.asym_g.cache_clear()
+    try:
+        at_power = rf"Gamma\(x\+1\) = x Gamma\(x\) at u\*\*{power}:"
+        with pytest.raises(VerificationFailure, match=at_power):
+            symbolic.stirling_tail(Series.variable(11))
+        assert main(["asym", "--k", "0", "--which", "total", *argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("verification error: the Stirling tail fails")
+        assert err.count("\n") == 1
+    finally:
+        symbolic._tail_weights.cache_clear()
+        assembly.asym_g.cache_clear()
