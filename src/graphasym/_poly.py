@@ -8,8 +8,8 @@ Arithmetic is exact.  The products behind this package's exact-rational
 layer run on integer numerators over one common denominator: a coefficient
 tuple goes to that form by `over_one_denominator`, `convolve` is the integer
 product kernel (shared with the truncated product of `series.Series`), and
-`from_numerators` builds one Fraction per output coefficient, not one per
-product and sum.
+`add_into` accumulates integer multiples.  One Fraction is built per output
+coefficient, not one per product and sum.
 """
 from __future__ import annotations
 
@@ -54,11 +54,6 @@ def over_one_denominator(p: Sequence[Fraction | int]) -> tuple[list[int], int]:
     """(nums, d) with p[i] == nums[i] / d and d > 0 the least common denominator."""
     d = lcm(*(c.denominator for c in p))
     return [c.numerator * (d // c.denominator) for c in p], d
-
-
-def from_numerators(nums: Sequence[int], d: int) -> tuple[Fraction, ...]:
-    """The Fractions nums[i] / d, each reduced once."""
-    return tuple(Fraction(n, d) for n in nums)
 
 
 def convolve(a: Sequence[int], b: Sequence[int], size: int | None = None) -> list[int]:

@@ -61,7 +61,7 @@ class Decomposition:
             for acc, part in zip(parts, form_parts):
                 _poly.add_into(acc, part, b * (den // form_d))
         return TreePolyNormalForm(
-            *(_poly._strip(_poly.from_numerators(part, d * den)) for part in parts)
+            *(_poly._strip(tuple(Fraction(n, d * den) for n in part)) for part in parts)
         )
 
     def evaluate(self, n: int) -> int:

@@ -5,7 +5,8 @@ z**order; everything past the order is unknown, not zero.  All arithmetic
 is exact over Fraction, so any coefficient the algebra can reach is
 computed without rounding.  The product, log, exp and inverse run on
 integer numerators over one denominator (`_poly.over_one_denominator`,
-`_poly.convolve`) and build one Fraction per output coefficient.
+`_poly.convolve`) and build one Fraction per output coefficient, not one
+per product and sum.
 
 >>> z = Series.variable(5)
 >>> (z.exp() * (-z).exp()).coeffs()
@@ -21,7 +22,7 @@ from math import factorial, lcm
 from operator import mul
 from typing import Iterable, Sequence, Union
 
-from ._poly import convolve, from_numerators, over_one_denominator
+from ._poly import convolve, over_one_denominator
 from .errors import ConstantTermError
 
 Rat = Fraction
@@ -104,7 +105,8 @@ class Series:
         size = self._common(other) + 1
         a, da = over_one_denominator(self._c[:size])
         b, db = over_one_denominator(other._c[:size])
-        return Series(from_numerators(convolve(a, b, size), da * db))
+        d = da * db
+        return Series(Fraction(n, d) for n in convolve(a, b, size))
 
     # ---- analytic operations --------------------------------------------
     #

@@ -413,8 +413,8 @@ def _odd_power_sum(y: Series, weights: Sequence[Fraction]) -> Series:
             power = _poly.convolve(power, y2, size)
             acc = [x * d2 for x in acc]
         _poly.add_into(acc, power, c)
-    acc += [0] * (size - len(acc))
-    return Series(_poly.from_numerators(acc, w * d ** (2 * len(wn) - 1)))
+    den = w * d ** (2 * len(wn) - 1)
+    return Series(Fraction(n, den) for n in acc)
 
 
 @lru_cache(maxsize=None)

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import factorial, lcm
+from math import factorial
 
 from . import _poly
 from ._poly import Poly
@@ -63,9 +63,9 @@ class TreePolyNormalForm:
     @cached_property
     def integer_parts(self) -> tuple[int, Poly, Poly, Poly]:
         """(d, d*p, d*r, d*e) with d the least common denominator of all three."""
-        d = lcm(*(c.denominator for c in self.p + self.r + self.e))
-        parts = (self.p, self.r, self.e)
-        return (d, *(tuple(c.numerator * (d // c.denominator) for c in part) for part in parts))
+        nums, d = _poly.over_one_denominator(self.p + self.r + self.e)
+        i, j = len(self.p), len(self.p) + len(self.r)
+        return d, tuple(nums[:i]), tuple(nums[i:j]), tuple(nums[j:])
 
     def value_at(self, n: int) -> int:
         """The form at n as an integer.

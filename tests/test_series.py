@@ -141,7 +141,7 @@ def test_convolve_over_one_denominator_equals_the_fraction_product(p, q, size):
     assert pd > 0 and qd > 0
     assert [F(n, pd) for n in pn] == p
     full = _poly.convolve(pn, qn)
-    product = _poly._strip(_poly.from_numerators(full, pd * qd))
+    product = _poly._strip(tuple(F(n, pd * qd) for n in full))
     assert product == oracles.poly_mul_by_fractions(tuple(p), tuple(q))
     # a truncated product is the head of the full one, padded with zeros
     assert _poly.convolve(pn, qn, size) == (full + [0] * size)[:size]
