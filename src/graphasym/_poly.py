@@ -23,7 +23,7 @@ Poly = tuple[Fraction, ...]
 ZERO: Poly = ()
 
 
-def _strip(c: tuple) -> tuple:
+def _strip(c: Sequence) -> Sequence:
     n = len(c)
     while n > 0 and c[n - 1] == 0:
         n -= 1
