@@ -3,6 +3,7 @@ the expansions and exact values the tables do not reach.  Also checks that the
 package rests no identity on an `assert` statement."""
 import ast
 import hashlib
+import json
 import re
 from pathlib import Path
 
@@ -11,7 +12,9 @@ from graphasym import (
     asym_c,
     asym_g,
     asym_p,
+    d_asym,
     decompose,
+    q_asym,
     recover_ak,
     stirling_series,
     t_asym,
@@ -96,6 +99,26 @@ def test_total_expansions_are_byte_identical():
     lines += [str(stirling_series(d)) for d in (7, 15)]
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == TOTAL_EXPANSIONS
+
+
+# sha256 over the str and then the sorted-key JSON of each of asym_c(k, 12)
+# for k = -1..30, asym_p(k, 10) and asym_g(k, 16) in turn for k = -1..8,
+# q_asym(12) and d_asym(6): the coefficient ring's printing and JSON at
+# depths and excesses the tables and the CLI pins do not reach
+SERIES_STR_AND_JSON = "89b71150c62a96ae9d4327025a93ef2e0057462f8f2e781fc4d8c05dec137cb1"
+
+
+def test_series_str_and_json_are_byte_identical():
+    series = [asym_c(k, 12) for k in range(-1, 31)]
+    series += [s for k in range(-1, 9) for s in (asym_p(k, 10), asym_g(k, 16))]
+    series += [q_asym(12), d_asym(6)]
+    lines = [
+        line
+        for s in series
+        for line in (str(s), json.dumps(s.to_json_dict(), sort_keys=True))
+    ]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == SERIES_STR_AND_JSON
 
 
 # sha256 over "<argv> <output> <exit code>\n" and then the stdout of each run,
