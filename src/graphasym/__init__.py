@@ -28,9 +28,8 @@ from .errors import (
     GraphAsymError,
     IllConditioned,
     InsufficientPoints,
-    NonMonomialDivisor,
     OrderMismatch,
-    UnknownLeadingTerm,
+    OutsideRing,
     VerificationFailure,
 )
 from .fitting import FitResult, identify_symbols, lsq_fit, reconstruct_symbolic

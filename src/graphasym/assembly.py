@@ -398,6 +398,17 @@ def expansion(kind: str, k: int, depth: int) -> AsymSeries:
     return _EXPANSIONS[kind](k, depth)
 
 
+SERIES_COLUMNS = ("j", "power_of_n", "coeff_rat", "coeff_xi_rat")
+
+
+def series_rows(series: AsymSeries) -> list[list[str]]:
+    """One row per slot of `series`, in the order of SERIES_COLUMNS."""
+    return [
+        [str(j), str(Fraction(series.lead - j, 2)), str(c.rational_part()), str(c.xi_part())]
+        for j, c in enumerate(series.coeffs)
+    ]
+
+
 @dataclass(frozen=True)
 class ExpansionTable:
     kind: str
@@ -405,11 +416,10 @@ class ExpansionTable:
     rows: tuple[tuple[int, AsymSeries], ...]
 
     def csv_rows(self):
-        yield "k,j,power_of_n,coeff_rat,coeff_xi_rat"
+        yield ",".join(("k",) + SERIES_COLUMNS)
         for k, series in self.rows:
-            for j, c in enumerate(series.coeffs):
-                power = Fraction(series.lead - j, 2)
-                yield f"{k},{j},{power},{c.rational_part()},{c.xi_part()}"
+            for row in series_rows(series):
+                yield ",".join([str(k)] + row)
 
     def to_json_dict(self) -> dict:
         return {

@@ -223,18 +223,7 @@ def _tables_manifest() -> tuple[list[tuple[str, list[list[str]]]], dict[str, boo
         table = assembly.expansion_table(kind, ks, depth)
         return [line.split(",") for line in table.csv_rows()]
 
-    q_rows = [["j", "power_of_n", "coeff_rat", "coeff_xi_rat"]]
-    q_series = q_asym(5)
-    for j, c in enumerate(q_series.coeffs):
-        q_rows.append(
-            [
-                str(j),
-                str(Fraction(q_series.lead - j, 2)),
-                str(c.rational_part()),
-                str(c.xi_part()),
-            ]
-        )
-    files.append(("q_expansion.csv", q_rows))
+    files.append(("q_expansion.csv", [assembly.SERIES_COLUMNS] + assembly.series_rows(q_asym(5))))
 
     files.append(("connected_expansion.csv", expansion_rows("connected", (0, 1, 2), 5)))
     files.append(("total_expansion.csv", expansion_rows("total", (-1, 0, 1), 5)))
@@ -314,7 +303,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("asym", help="expansion rows for connected or all graphs")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--depth", type=int, default=5)
+    p.add_argument(
+        "--depth",
+        type=int,
+        default=5,
+        help="half-power rows below the leading one; for --which total, powers of 1/n "
+        "(2*depth+2 half-power rows)",
+    )
     p.add_argument("--which", choices=("connected", "total"), default="connected")
 
     p = sub.add_parser("prob", help="expansion of the connectedness probability")

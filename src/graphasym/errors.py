@@ -15,13 +15,10 @@ class ConstantTermError(GraphAsymError):
     constant 1, exp needs constant 0) and did not get it."""
 
 
-class NonMonomialDivisor(GraphAsymError):
-    """Division of symbolic constants requires a single-term divisor."""
-
-
-class UnknownLeadingTerm(GraphAsymError):
-    """An asymptotic division needs the divisor's leading coefficient to be
-    a single symbolic monomial so the quotient stays in the ring."""
+class OutsideRing(GraphAsymError):
+    """A symbolic value left the ring of rationals and rationals times xi:
+    a product with xi on both sides, a divisor carrying xi, or a sum or
+    series mixing the two xi parities."""
 
 
 class VerificationFailure(GraphAsymError):

@@ -29,7 +29,7 @@ from math import comb, factorial
 
 from .errors import VerificationFailure
 from .series import Series
-from .symbolic import AsymSeries, SymConst, stirling_series
+from .symbolic import AsymSeries, stirling_series
 
 
 # _q_split sums ranges this short directly; timings are flat from 32 to 128 terms
@@ -88,18 +88,17 @@ def delta_log_series(order: int) -> Series:
     return -g.log()
 
 
-def _difference_polynomial(k: int, order: int) -> list[Fraction]:
-    """Coefficients of E_k(u) = sum_r C(k,r)(-1)**r r prod_{i<r}(1-iu)."""
-    out = [Fraction(0)] * (order + 1)
-    prod = [Fraction(1)] + [Fraction(0)] * order
+def _difference_polynomial(k: int, order: int) -> list[int]:
+    """Integer coefficients of E_k(u) = sum_r C(k,r)(-1)**r r prod_{i<r}(1-iu)."""
+    out = [0] * (order + 1)
+    prod = [1] + [0] * order
     for r in range(1, k + 1):
         if r > 1:
             for j in range(order, 0, -1):
                 prod[j] -= (r - 1) * prod[j - 1]
-        c = Fraction(comb(k, r) * (-1) ** r * r)
+        c = comb(k, r) * (-1) ** r * r
         for j in range(order + 1):
-            if prod[j]:
-                out[j] += c * prod[j]
+            out[j] += c * prod[j]
     return out
 
 

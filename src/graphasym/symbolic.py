@@ -1,15 +1,20 @@
 """Symbolic asymptotic scales: exact constants and half-power expansions.
 
-The coefficient ring is the Q-module spanned by pi**a * xi**b with a >= 0
-and b in {0, 1}, where xi = sqrt(2*pi).  Products reduce via xi**2 = 2*pi,
-so the ring is closed under multiplication.
+Every coefficient the expansions here carry is a rational or a rational
+times xi = sqrt(2*pi), and the two kinds alternate with the power of n.  An
+AsymSeries is a truncated expansion on the half-integer grid,
 
-An AsymSeries is a truncated expansion on the half-integer grid,
+    sum_j  rats[j] * xi**b_j * n**((lead - j)/2),
 
-    sum_j  coeffs[j] * n**((lead - j)/2),
+one rational per slot and one parity bit: b_j = 1, the slot carries xi,
+exactly when lead - j + parity is odd.  Sums need equal parities (or a zero
+side), a product adds the parities and may not meet xi on both sides
+(xi**2 = 2*pi is outside the ring), and a divisor may not carry xi.  Each
+way out of the ring raises `OutsideRing`; a SymConst is the value of one
+slot, for readback and printing.
 
-where every stored coefficient is known exactly and everything below the
-last stored slot is unknown.  Arithmetic tracks how far down the result is
+Every stored coefficient is known exactly and everything below the last
+stored slot is unknown.  Arithmetic tracks how far down the result is
 still trustworthy, which is what makes remainder tests meaningful.
 """
 from __future__ import annotations
@@ -23,16 +28,12 @@ from typing import Iterable, Sequence, Union
 import mpmath
 
 from . import _poly
-from .errors import (
-    ConstantTermError,
-    NonMonomialDivisor,
-    OrderMismatch,
-    UnknownLeadingTerm,
-    VerificationFailure,
-)
+from .errors import ConstantTermError, OrderMismatch, OutsideRing, VerificationFailure
 from .series import Series
 
 Scalar = Union[Fraction, int]
+
+_ZERO = Fraction(0)
 
 # ---------------------------------------------------------------------------
 # exact constants
@@ -40,158 +41,56 @@ Scalar = Union[Fraction, int]
 
 @dataclass(frozen=True)
 class SymConst:
-    """Exact constant sum_i rat_i * pi**a_i * xi**b_i, canonically sorted."""
+    """Exact constant rat, or rat * xi when is_xi; zero is never marked xi.
 
-    terms: tuple[tuple[int, int, Fraction], ...]
+    Build one with `rational`, `xi` or `zero`, which keep zero canonical.
+    """
 
-    @staticmethod
-    def _make(d: dict[tuple[int, int], Fraction]) -> "SymConst":
-        items = tuple(
-            (a, b, r) for (a, b), r in sorted(d.items()) if r != 0
-        )
-        return SymConst(items)
+    rat: Fraction
+    is_xi: bool = False
 
     @staticmethod
     def zero() -> "SymConst":
-        return SymConst(())
+        return SymConst(_ZERO)
 
     @staticmethod
     def rational(r: Scalar) -> "SymConst":
-        r = Fraction(r)
-        return SymConst(((0, 0, r),)) if r != 0 else SymConst(())
+        return SymConst(Fraction(r))
 
     @staticmethod
     def xi(r: Scalar = 1) -> "SymConst":
         r = Fraction(r)
-        return SymConst(((0, 1, r),)) if r != 0 else SymConst(())
-
-    # -- ring structure --
-
-    def __add__(self, other: "SymConst") -> "SymConst":
-        d: dict[tuple[int, int], Fraction] = {}
-        for a, b, r in self.terms + other.terms:
-            d[(a, b)] = d.get((a, b), Fraction(0)) + r
-        return SymConst._make(d)
-
-    def __sub__(self, other: "SymConst") -> "SymConst":
-        return self + (-other)
-
-    def __neg__(self) -> "SymConst":
-        return SymConst(tuple((a, b, -r) for a, b, r in self.terms))
-
-    def __mul__(self, other: "SymConst") -> "SymConst":
-        d: dict[tuple[int, int], Fraction] = {}
-        for a1, b1, r1 in self.terms:
-            for a2, b2, r2 in other.terms:
-                a, b, r = a1 + a2, b1 + b2, r1 * r2
-                if b == 2:  # xi**2 = 2*pi
-                    a, b, r = a + 1, 0, 2 * r
-                d[(a, b)] = d.get((a, b), Fraction(0)) + r
-        return SymConst._make(d)
-
-    def scale(self, s: Scalar) -> "SymConst":
-        s = Fraction(s)
-        if s == 0:
-            return SymConst(())
-        return SymConst(tuple((a, b, r * s) for a, b, r in self.terms))
-
-    def monomial(self) -> tuple[int, int, Fraction] | None:
-        return self.terms[0] if len(self.terms) == 1 else None
-
-    def div_monomial(self, divisor: "SymConst") -> "SymConst":
-        """Divide by a single-term constant, staying inside the ring."""
-        mono = divisor.monomial()
-        if mono is None:
-            raise NonMonomialDivisor(f"cannot divide by {divisor!r}")
-        ad, bd, rd = mono
-        d: dict[tuple[int, int], Fraction] = {}
-        for ax, bx, rx in self.terms:
-            if bd == 0:
-                a, b, r = ax - ad, bx, rx / rd
-            elif bx == 1:  # xi/xi cancels
-                a, b, r = ax - ad, 0, rx / rd
-            else:  # 1/xi = xi/(2*pi)
-                a, b, r = ax - ad - 1, 1, rx / (2 * rd)
-            if a < 0:
-                raise ValueError("division leaves a negative power of pi")
-            d[(a, b)] = d.get((a, b), Fraction(0)) + r
-        return SymConst._make(d)
-
-    # -- inspection --
+        return SymConst(r, r != 0)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.rat
 
     def rational_part(self) -> Fraction:
-        """Coefficient of pi**0 * xi**0; requires no higher pi powers."""
-        out = Fraction(0)
-        for a, b, r in self.terms:
-            if a != 0:
-                raise ValueError("constant carries an explicit power of pi")
-            if b == 0:
-                out = r
-        return out
+        """The coefficient of xi**0."""
+        return _ZERO if self.is_xi else self.rat
 
     def xi_part(self) -> Fraction:
-        """Coefficient of xi; requires no higher pi powers."""
-        out = Fraction(0)
-        for a, b, r in self.terms:
-            if a != 0:
-                raise ValueError("constant carries an explicit power of pi")
-            if b == 1:
-                out = r
-        return out
+        """The coefficient of xi."""
+        return self.rat if self.is_xi else _ZERO
 
     def evaluate(self, bits: int = 256) -> mpmath.mpf:
         with mpmath.workprec(bits):
-            total = mpmath.mpf(0)
-            for a, b, r in self.terms:
-                t = mpmath.mpf(r.numerator) / r.denominator
-                if a:
-                    t *= mpmath.pi ** a
-                if b:
-                    t *= mpmath.sqrt(2 * mpmath.pi)
-                total += t
-            return total
+            t = mpmath.mpf(self.rat.numerator) / self.rat.denominator
+            return t * mpmath.sqrt(2 * mpmath.pi) if self.is_xi else t
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for a, b, r in self.terms:
-            syms = []
-            if a == 1:
-                syms.append("pi")
-            elif a > 1:
-                syms.append(f"pi^{a}")
-            if b:
-                syms.append("xi")
-            if not syms:
-                parts.append(str(r))
-                continue
-            head = "*".join(syms)
-            num, den = r.numerator, r.denominator
-            prefix = "-" if num < 0 else ""
-            mag = abs(num)
-            s = head if mag == 1 else f"{mag}*{head}"
-            if den != 1:
-                s = f"{s}/{den}"
-            parts.append(prefix + s)
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+        if not self.is_xi:
+            return str(self.rat)
+        num, den = self.rat.numerator, self.rat.denominator
+        s = "xi" if abs(num) == 1 else f"{abs(num)}*xi"
+        if den != 1:
+            s = f"{s}/{den}"
+        return "-" + s if num < 0 else s
 
     def to_json_dict(self) -> dict:
-        return {
-            "terms": [
-                {"pi": a, "xi": b, "rat": str(r)} for a, b, r in self.terms
-            ]
-        }
-
-
-def _coerce(c: Union["SymConst", Scalar]) -> SymConst:
-    return c if isinstance(c, SymConst) else SymConst.rational(c)
+        if not self.rat:
+            return {"terms": []}
+        return {"terms": [{"pi": 0, "xi": int(self.is_xi), "rat": str(self.rat)}]}
 
 
 # ---------------------------------------------------------------------------
@@ -200,35 +99,74 @@ def _coerce(c: Union["SymConst", Scalar]) -> SymConst:
 
 @dataclass(frozen=True)
 class AsymSeries:
-    """Expansion sum_j coeffs[j] * n**((lead - j)/2), exact coefficients.
+    """Expansion sum_j rats[j] * xi**b_j * n**((lead - j)/2), exact coefficients.
 
-    Exponents below (lead - depth)/2 are unknown, not zero.  `lead` and the
-    floor are measured in half-exponent units (exponent * 2).
+    b_j = (lead - j + parity) % 2.  Exponents below (lead - depth)/2 are
+    unknown, not zero.  `lead` and the floor are measured in half-exponent
+    units (exponent * 2).  The constructors strip leading zero slots and
+    give the zero series parity 0, so equal expansions compare equal.
     """
 
     lead: int
-    coeffs: tuple[SymConst, ...]
+    rats: tuple[Fraction, ...]
+    parity: int
 
     def __post_init__(self):
-        if not self.coeffs:
+        if not self.rats:
             raise ValueError("an asymptotic series needs at least one slot")
+
+    @staticmethod
+    def _canonical(lead: int, rats: Sequence[Fraction], parity: int) -> "AsymSeries":
+        i = 0
+        while i < len(rats) - 1 and not rats[i]:
+            i += 1
+        return AsymSeries(lead - i, tuple(rats[i:]), parity % 2 if rats[i] else 0)
 
     @property
     def depth(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.rats) - 1
 
     @property
     def known_floor(self) -> int:
         """Lowest half-exponent whose coefficient is still known."""
         return self.lead - self.depth
 
+    @property
+    def coeffs(self) -> tuple[SymConst, ...]:
+        """The slots as constants, lead first."""
+        return tuple(self._slot(j) for j in range(len(self.rats)))
+
+    def _slot(self, j: int) -> SymConst:
+        r = self.rats[j]
+        return SymConst(r, bool(r) and (self.lead - j + self.parity) % 2 == 1)
+
+    def _carries_xi(self) -> bool:
+        return any(self.rats[(self.lead + self.parity + 1) % 2 :: 2])
+
     @staticmethod
     def build(lead: int, coeffs: Iterable[Union[SymConst, Scalar]]) -> "AsymSeries":
-        return AsymSeries(lead, tuple(_coerce(c) for c in coeffs))._stripped()
+        """The series with slot j = coeffs[j] at half-exponent lead - j.
+
+        Every nonzero slot must sit on the one xi parity (`OutsideRing` if not).
+        """
+        rats: list[Fraction] = []
+        parity = None
+        for j, c in enumerate(coeffs):
+            if not isinstance(c, SymConst):
+                c = SymConst.rational(c)
+            if c.rat:
+                p = (lead - j + c.is_xi) % 2
+                if parity not in (None, p):
+                    raise OutsideRing(
+                        f"slot {j} of a series has the other xi parity: {c} at n**({lead - j}/2)"
+                    )
+                parity = p
+            rats.append(c.rat)
+        return AsymSeries._canonical(lead, rats, parity or 0)
 
     @staticmethod
     def zero(floor: int) -> "AsymSeries":
-        return AsymSeries(floor, (SymConst.zero(),))
+        return AsymSeries(floor, (_ZERO,), 0)
 
     @staticmethod
     def from_u_polynomial(
@@ -241,22 +179,14 @@ class AsymSeries:
         top = shift_half
         if floor > top:
             raise ValueError("floor is above the polynomial's leading slot")
-        slots = [SymConst.zero()] * (top - floor + 1)
+        slots: list[Union[SymConst, Scalar]] = [0] * (top - floor + 1)
         for i, c in enumerate(pcoeffs):
-            h = shift_half - 2 * i
-            if h >= floor:
-                slots[top - h] = _coerce(c)
-        return AsymSeries(top, tuple(slots))._stripped()
-
-    def _stripped(self) -> "AsymSeries":
-        lead, coeffs = self.lead, self.coeffs
-        while len(coeffs) > 1 and coeffs[0].is_zero():
-            coeffs = coeffs[1:]
-            lead -= 1
-        return AsymSeries(lead, coeffs)
+            if 2 * i <= top - floor:
+                slots[2 * i] = c
+        return AsymSeries.build(top, slots)
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
+        return not any(self.rats)
 
     def coefficient_at(self, half_exponent: int) -> SymConst:
         """Coefficient of n**(half_exponent/2)."""
@@ -266,77 +196,54 @@ class AsymSeries:
             )
         if half_exponent > self.lead:
             return SymConst.zero()
-        return self.coeffs[self.lead - half_exponent]
+        return self._slot(self.lead - half_exponent)
 
     def truncate(self, depth: int) -> "AsymSeries":
         if depth > self.depth:
             raise OrderMismatch(f"cannot deepen a series from {self.depth} to {depth}")
-        return AsymSeries(self.lead, self.coeffs[: depth + 1])
+        return AsymSeries(self.lead, self.rats[: depth + 1], self.parity)
 
     def shift(self, half_units: int) -> "AsymSeries":
         """Multiply by n**(half_units/2)."""
-        return AsymSeries(self.lead + half_units, self.coeffs)
+        return AsymSeries._canonical(self.lead + half_units, self.rats, self.parity + half_units)
 
-    def scale(self, c: Union[SymConst, Scalar]) -> "AsymSeries":
-        c = _coerce(c)
-        return AsymSeries(self.lead, tuple(x * c for x in self.coeffs))._stripped()
+    def scale(self, s: Scalar) -> "AsymSeries":
+        """Multiply by the rational s."""
+        s = Fraction(s)
+        return AsymSeries._canonical(self.lead, [r * s for r in self.rats], self.parity)
 
     # -- arithmetic with floor bookkeeping --
 
     def __add__(self, other: "AsymSeries") -> "AsymSeries":
+        if self.parity != other.parity and not (self.is_zero() or other.is_zero()):
+            raise OutsideRing("sum of two series with different xi parities")
+        parity = other.parity if self.is_zero() else self.parity
         lead = max(self.lead, other.lead)
         floor = max(self.known_floor, other.known_floor)
-        slots = [
-            self.coefficient_at(h) + other.coefficient_at(h)
-            for h in range(lead, floor - 1, -1)
-        ]
-        return AsymSeries(lead, tuple(slots))._stripped()
+        a = (_ZERO,) * (lead - self.lead) + self.rats[: self.lead - floor + 1]
+        b = (_ZERO,) * (lead - other.lead) + other.rats[: other.lead - floor + 1]
+        return AsymSeries._canonical(lead, [x + y for x, y in zip(a, b)], parity)
 
     def __sub__(self, other: "AsymSeries") -> "AsymSeries":
         return self + other.scale(-1)
 
-    def __neg__(self) -> "AsymSeries":
-        return self.scale(-1)
-
     def __mul__(self, other: "AsymSeries") -> "AsymSeries":
-        lead = self.lead + other.lead
-        floor = max(
-            self.known_floor + other.lead, other.known_floor + self.lead
-        )
-        slots = [SymConst.zero()] * (lead - floor + 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                h = lead - i - j
-                if h < floor:
-                    break
-                if not b.is_zero():
-                    slots[i + j] = slots[i + j] + a * b
-        return AsymSeries(lead, tuple(slots))._stripped()
+        """Product known through the shallower factor's depth (the integer kernel of `Series`)."""
+        if self._carries_xi() and other._carries_xi():
+            raise OutsideRing("product of two series that both carry xi (xi**2 = 2*pi)")
+        rats = (Series(self.rats) * Series(other.rats)).coeffs()
+        return AsymSeries._canonical(self.lead + other.lead, rats, self.parity + other.parity)
 
     def __truediv__(self, other: "AsymSeries") -> "AsymSeries":
-        num, den = self._stripped(), other._stripped()
-        if den.is_zero():
+        if other.is_zero():
             raise ZeroDivisionError("division by an identically zero expansion")
-        lead_c = den.coeffs[0]
-        if lead_c.monomial() is None:
-            raise UnknownLeadingTerm(
-                "divisor leading coefficient must be a single symbolic term"
-            )
-        if num.is_zero():
-            return AsymSeries.zero(num.known_floor - den.lead)
-        j_out = min(num.depth, den.depth)
-        a = num.coeffs
-        b = den.coeffs
-        q: list[SymConst] = []
-        for m in range(j_out + 1):
-            acc = a[m]
-            for i in range(1, m + 1):
-                if not b[i].is_zero():
-                    acc = acc - b[i] * q[m - i]
-            q.append(acc.div_monomial(lead_c))
-        return AsymSeries(num.lead - den.lead, tuple(q))._stripped()
+        if other._carries_xi():
+            raise OutsideRing("division by a series that carries xi")
+        if self.is_zero():
+            return AsymSeries.zero(self.known_floor - other.lead)
+        size = min(self.depth, other.depth) + 1
+        rats = (Series(self.rats[:size]) * Series(other.rats[:size]).inverse()).coeffs()
+        return AsymSeries._canonical(self.lead - other.lead, rats, self.parity + other.parity)
 
     # -- numerics and display --
 
@@ -346,9 +253,8 @@ class AsymSeries:
         with mpmath.workprec(bits):
             total = mpmath.mpf(0)
             for j, c in enumerate(coeffs):
-                if c.is_zero():
-                    continue
-                total += c.evaluate(bits) * mpmath.power(n, mpmath.mpf(self.lead - j) / 2)
+                if c.rat:
+                    total += c.evaluate(bits) * mpmath.power(n, mpmath.mpf(self.lead - j) / 2)
             return total
 
     def __str__(self) -> str:

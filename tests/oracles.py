@@ -200,16 +200,19 @@ def t_recurrence_check(n_max: int, y_min: int, y_max: int) -> bool:
 
 
 def sym_const_from_json(d: dict) -> SymConst:
-    """Decode `SymConst.to_json_dict`: the sum of rat * pi**a * xi**b."""
-    acc = SymConst.zero()
-    for t in d["terms"]:
-        acc = acc + SymConst(((int(t["pi"]), int(t["xi"]), Fraction(t["rat"])),))
-    return acc
+    """Decode `SymConst.to_json_dict`: no term for zero, else one term rat * xi**b with no pi."""
+    if not d["terms"]:
+        return SymConst.zero()
+    (t,) = d["terms"]
+    if int(t["pi"]) != 0:
+        raise ValueError(f"a constant with a power of pi: {t}")
+    r = Fraction(t["rat"])
+    return SymConst.xi(r) if int(t["xi"]) else SymConst.rational(r)
 
 
 def asym_series_from_json(d: dict) -> AsymSeries:
     """Decode `AsymSeries.to_json_dict`."""
-    return AsymSeries(int(d["lead"]), tuple(sym_const_from_json(c) for c in d["coeffs"]))
+    return AsymSeries.build(int(d["lead"]), [sym_const_from_json(c) for c in d["coeffs"]])
 
 
 def t_by_recurrence(n: int, y: int) -> Fraction:

@@ -4,7 +4,7 @@ from fractions import Fraction
 import mpmath
 from hypothesis import given, settings, strategies as st
 
-from graphasym import d_coefficients, q_asym, q_exact, stirling_series
+from graphasym import SymConst, d_coefficients, q_asym, q_exact, stirling_series
 from graphasym.ramanujan import d_asym, delta_log_series, q_scaled
 
 import oracles
@@ -90,8 +90,6 @@ def test_d_numeric_converges_to_expansion():
 
 def test_q_asym_row():
     series = q_asym(5)
-    from graphasym import SymConst
-
     expected = [
         SymConst.xi(F(1, 2)),
         SymConst.rational(F(-1, 3)),
@@ -119,4 +117,5 @@ def test_q_asym_consistent_with_stirling_and_d():
     s = stirling_series(6)
     d = d_asym(3)
     for h in range(-4, 2):
-        assert q.coefficient_at(h).scale(2) == s.coefficient_at(h) - d.coefficient_at(h)
+        for part in (SymConst.rational_part, SymConst.xi_part):
+            assert 2 * part(q.coefficient_at(h)) == part(s.coefficient_at(h)) - part(d.coefficient_at(h))
