@@ -223,7 +223,8 @@ def _tables_manifest() -> tuple[list[tuple[str, list[list[str]]]], dict[str, boo
         table = assembly.expansion_table(kind, ks, depth)
         return [line.split(",") for line in table.csv_rows()]
 
-    files.append(("q_expansion.csv", [assembly.SERIES_COLUMNS] + assembly.series_rows(q_asym(5))))
+    q_rows = [list(assembly.SERIES_COLUMNS)] + assembly.series_rows(q_asym(5))
+    files.append(("q_expansion.csv", q_rows))
 
     files.append(("connected_expansion.csv", expansion_rows("connected", (0, 1, 2), 5)))
     files.append(("total_expansion.csv", expansion_rows("total", (-1, 0, 1), 5)))
