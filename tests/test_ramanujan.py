@@ -118,4 +118,5 @@ def test_q_asym_consistent_with_stirling_and_d():
     d = d_asym(3)
     for h in range(-4, 2):
         for part in (SymConst.rational_part, SymConst.xi_part):
-            assert 2 * part(q.coefficient_at(h)) == part(s.coefficient_at(h)) - part(d.coefficient_at(h))
+            want = part(s.coefficient_at(h)) - part(d.coefficient_at(h))
+            assert 2 * part(q.coefficient_at(h)) == want

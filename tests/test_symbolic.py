@@ -70,7 +70,7 @@ def test_asym_series_ring_laws(abc, xy):
     [
         # xi * xi = 2 pi
         lambda: AsymSeries.build(1, [XI(1)]) * AsymSeries.build(0, [RAT(1), XI(2)]),
-        lambda: AsymSeries.build(0, [RAT(1), RAT(2)]) / AsymSeries.build(0, [RAT(1), XI(1)]),
+        lambda: AsymSeries.build(0, [RAT(1), XI(2)]) / AsymSeries.build(0, [RAT(1), XI(1)]),
         lambda: AsymSeries.build(0, [RAT(1), RAT(2)]),
         lambda: AsymSeries.build(0, [RAT(1)]) + AsymSeries.build(0, [XI(1)]),
     ],
@@ -86,7 +86,8 @@ def test_zero_is_canonical():
     assert SymConst.zero().to_json_dict() == {"terms": []}
     assert str(XI(0)) == "0"
     assert AsymSeries.build(2, [XI(0), 0]) == AsymSeries.build(1, [RAT(0)]) == AsymSeries.zero(1)
-    assert AsymSeries.build(0, [1]).scale(0) + AsymSeries.build(0, [XI(1)]) == AsymSeries.build(0, [XI(1)])
+    xi_one = AsymSeries.build(0, [XI(1)])
+    assert AsymSeries.build(0, [1]).scale(0) + xi_one == xi_one  # zero adds to either parity
 
 
 def test_part_extraction():
@@ -150,7 +151,8 @@ def test_add_floor_is_max_of_floors(ab):
     assert s.known_floor == max(a.known_floor, b.known_floor)
     for h in range(s.known_floor, max(a.lead, b.lead) + 1):
         for part in (SymConst.rational_part, SymConst.xi_part):
-            assert part(s.coefficient_at(h)) == part(a.coefficient_at(h)) + part(b.coefficient_at(h))
+            want = part(a.coefficient_at(h)) + part(b.coefficient_at(h))
+            assert part(s.coefficient_at(h)) == want
 
 
 @given(asym_series(), asym_series(xi_free=True))
