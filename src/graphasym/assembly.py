@@ -16,7 +16,6 @@ the normalizing prefactor, and those cancellations are checked at run time
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import comb, lcm
@@ -24,6 +23,7 @@ from math import comb, lcm
 import mpmath
 
 from . import _poly
+from ._record import Record
 from .errors import CrosscheckFailure, VerificationFailure
 from .graphs import connected_counts, recover_ak
 from .series import Series
@@ -35,8 +35,7 @@ from .treepoly import TreePolyNormalForm, t_normal_form
 # exact decomposition over tree polynomials
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(Record):
     """c(n, n+k) = sum_l beta_l t_n(l) + qterm * Q(n) n**(n-1)."""
 
     k: int
@@ -276,8 +275,7 @@ def asym_p(k: int, depth: int) -> AsymSeries:
 # cross-check of the corrected literature formula
 
 
-@dataclass(frozen=True)
-class CrosscheckReport:
+class CrosscheckReport(Record):
     k: int
     a0_series: str
     a0_formula: str
@@ -344,8 +342,7 @@ def fss_crosscheck(k: int, bits: int = 256, tolerance: float = 1e-12) -> Crossch
 # tables and normalizations
 
 
-@dataclass(frozen=True)
-class Normalization:
+class Normalization(Record):
     kind: str
     description: str
 
@@ -409,8 +406,7 @@ def series_rows(series: AsymSeries) -> list[list[str]]:
     ]
 
 
-@dataclass(frozen=True)
-class ExpansionTable:
+class ExpansionTable(Record):
     kind: str
     depth: int
     rows: tuple[tuple[int, AsymSeries], ...]

@@ -2,10 +2,11 @@
 
 Every subcommand prints CSV by default (or JSON with --output json) and is
 deterministic: identical invocations produce identical bytes.  Exit codes:
-0 on success, 1 on usage errors and invalid input, including a fit window
-with too few points and an output path that cannot be written (one line on
-stderr), 2 when an internal verification fails.  `errata` and `tables` exit 2
-after writing their output when an errata finding does not verify.
+0 on success, 1 on usage errors and invalid input, including an empty n
+range, a fit window with too few points and an output path that cannot be
+written (one line on stderr), 2 when an internal verification fails.
+`errata` and `tables` exit 2 after writing their output when an errata
+finding does not verify.
 """
 from __future__ import annotations
 
@@ -54,6 +55,8 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 
 def _cmd_q(args: argparse.Namespace) -> int:
+    if args.n_max < 1:
+        raise ValueError("q needs --n-max >= 1")
     rows = [(n, q_exact(n)) for n in range(1, args.n_max + 1)]
     if args.output == "json":
         return _emit_json({"q": [{"n": n, "value": str(v)} for n, v in rows]})
@@ -64,6 +67,8 @@ def _cmd_q(args: argparse.Namespace) -> int:
 
 
 def _cmd_tpoly(args: argparse.Namespace) -> int:
+    if args.n_max < 1:
+        raise ValueError("tpoly needs --n-max >= 1")
     rows = [(n, args.y, t_value(n, args.y)) for n in range(1, args.n_max + 1)]
     if args.output == "json":
         return _emit_json(
@@ -109,25 +114,22 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         args.k, args.degree, args.n_min, args.n_max, bits=args.precision_bits
     )
     symbols = fitting.two_window_symbols(result, args.max_denominator)
-    digits = args.precision_bits * 30103 // 100000 + 3
-    rows = [
-        (j, str(Fraction(-j, 2)), mpmath.nstr(est, digits), "?" if sym is None else str(sym))
-        for j, (est, sym) in enumerate(zip(result.estimates, symbols))
-    ]
+    d = result.to_json_dict()
+    d["symbolic"] = ["?" if sym is None else str(sym) for sym in symbols]
     if args.output == "json":
-        d = result.to_json_dict()
-        d["symbolic"] = [r[3] for r in rows]
         return _emit_json(d)
     print("j,power_of_n,estimate,symbolic")
     w = _writer(sys.stdout)
-    for row in rows:
-        w.writerow(row)
+    for j, (est, sym) in enumerate(zip(d["estimates"], d["symbolic"])):
+        w.writerow((j, str(Fraction(-j, 2)), est, sym))
     return 0
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     if args.n_min < 1:
         raise ValueError("compare needs --n-min >= 1")
+    if args.n_max < args.n_min:
+        raise ValueError("compare needs --n-max >= --n-min")
     if args.precision_bits < 53:
         raise ValueError("compare needs --precision-bits >= 53")
     depths = tuple(int(d) for d in args.depths.split(","))
@@ -141,6 +143,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     n = args.n_min
     while n <= args.n_max:
         ev = norm.exact(args.k, n, bits)
+        if not ev:
+            raise ValueError(f"the exact value at n={n} is 0, so it has no relative error")
         with mpmath.workprec(bits):
             row = [str(n), mpmath.nstr(ev, 15)]
             approxs = [series.evaluate(n, bits, depth=d) for d in depths]

@@ -8,11 +8,11 @@ correct value predicts and not otherwise) or exactly (integer identities).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
 
+from ._record import Record
 from .assembly import asym_c, asym_p, normalization
 from .graphs import connected_counts
 from .ramanujan import q_asym, q_exact, q_scaled
@@ -21,8 +21,7 @@ from .symbolic import SymConst
 from .treepoly import t_series, t_value
 
 
-@dataclass(frozen=True)
-class Finding:
+class Finding(Record):
     key: str
     quantity: str
     stated: str

@@ -14,12 +14,12 @@ kept in tests/oracles.py, which a property test checks.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
 from mpmath.libmp import fzero, mpf_div, mpf_ge, mpf_mul, mpf_mul_int, mpf_neg, mpf_sqrt, mpf_sub, mpf_sum
 
+from ._record import Record
 from .assembly import normalization
 from .errors import IllConditioned, InsufficientPoints
 from .symbolic import SymConst
@@ -85,8 +85,7 @@ def _qr_solve(rows: list[list[mpmath.mpf]], rhs: list[mpmath.mpf]) -> tuple[list
     return x, rms, cond
 
 
-@dataclass(frozen=True)
-class FitResult:
+class FitResult(Record):
     """Estimated coefficients of n**(-j/2), j = 0..degree."""
 
     k: int
@@ -98,12 +97,11 @@ class FitResult:
     estimates: tuple[mpmath.mpf, ...]
     residual_rms: mpmath.mpf
     condition: mpmath.mpf
-
-    def _digits(self) -> int:
-        return self.bits * 30103 // 100000 + 3
+    xs: tuple[mpmath.mpf, ...]  # n**(-1/2) for n = n_min..n_max
+    ys: tuple[mpmath.mpf, ...]  # the normalized exact values at those n
 
     def to_json_dict(self) -> dict:
-        d = self._digits()
+        d = self.bits * 30103 // 100000 + 3  # decimal digits of `bits`, plus 3
         return {
             "k": self.k,
             "degree": self.degree,
@@ -137,8 +135,14 @@ def lsq_fit(
     if len(ns) < degree + 1:
         raise InsufficientPoints(f"{len(ns)} points cannot fix {degree + 1} coefficients")
     with mpmath.workprec(bits):
-        xs = [1 / mpmath.sqrt(n) for n in ns]
-        ys = [normalization("connected").exact(k, n, bits) for n in ns]
+        xs = tuple(1 / mpmath.sqrt(n) for n in ns)
+        ys = tuple(normalization("connected").exact(k, n, bits) for n in ns)
+    return _fit(k, degree, n_min, xs, ys, bits)
+
+
+def _fit(k: int, degree: int, n_min: int, xs: tuple, ys: tuple, bits: int) -> FitResult:
+    """`lsq_fit`'s solve of ys at xs = n**(-1/2), n = n_min, n_min + 1, ..."""
+    with mpmath.workprec(bits):
         x_lo, x_hi = min(xs), max(xs)
         halfspan = (x_hi - x_lo) / 2
         center = (x_hi + x_lo) / 2
@@ -172,12 +176,14 @@ def lsq_fit(
             k=k,
             degree=degree,
             n_min=n_min,
-            n_max=n_max,
-            npoints=len(ns),
+            n_max=n_min + len(xs) - 1,
+            npoints=len(xs),
             bits=bits,
             estimates=tuple(acc),
             residual_rms=+rms,
             condition=+cond,
+            xs=xs,
+            ys=ys,
         )
 
 
@@ -237,10 +243,12 @@ def two_window_symbols(full: FitResult, max_denominator: int) -> list[SymConst |
     """`identify_symbols` of `full` against a refit on the upper half of its window.
 
     The half window runs from the midpoint of `full`'s window to its end; when
-    it has fewer than degree + 2 points the refit is skipped (half=None).
+    it has fewer than degree + 2 points the refit is skipped (half=None).  The
+    refit reuses `full`'s values rather than recounting them.
     """
     mid = (full.n_min + full.n_max) // 2
     half = None
     if mid + full.degree + 1 <= full.n_max:
-        half = lsq_fit(full.k, full.degree, mid, full.n_max, bits=full.bits)
+        i = mid - full.n_min
+        half = _fit(full.k, full.degree, mid, full.xs[i:], full.ys[i:], full.bits)
     return identify_symbols(full, half, max_denominator)

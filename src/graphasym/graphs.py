@@ -32,13 +32,13 @@ stays the independent route that `assembly.decompose` checks A_k against.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm
 
 from . import _poly
 from ._poly import Poly
+from ._record import Record
 from .errors import VerificationFailure
 
 
@@ -69,8 +69,7 @@ def connected_rows(n_max: int, w_cap: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-@dataclass(frozen=True)
-class CountTable:
+class CountTable(Record):
     """Connected counts c(n, m) for 1 <= n <= n_max and m <= n + k_max."""
 
     n_max: int

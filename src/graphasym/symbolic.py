@@ -19,7 +19,6 @@ still trustworthy, which is what makes remainder tests meaningful.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -28,6 +27,7 @@ from typing import Iterable, Sequence, Union
 import mpmath
 
 from . import _poly
+from ._record import Record
 from .errors import ConstantTermError, OrderMismatch, OutsideRing, VerificationFailure
 from .series import Series
 
@@ -39,8 +39,7 @@ _ZERO = Fraction(0)
 # exact constants
 
 
-@dataclass(frozen=True)
-class SymConst:
+class SymConst(Record):
     """Exact constant rat, or rat * xi when is_xi; zero is never marked xi.
 
     Build one with `rational`, `xi` or `zero`, which keep zero canonical.
@@ -97,8 +96,7 @@ class SymConst:
 # asymptotic series on the half-integer grid
 
 
-@dataclass(frozen=True)
-class AsymSeries:
+class AsymSeries(Record):
     """Expansion sum_j rats[j] * xi**b_j * n**((lead - j)/2), exact coefficients.
 
     b_j = (lead - j + parity) % 2.  Exponents below (lead - depth)/2 are
@@ -111,9 +109,10 @@ class AsymSeries:
     rats: tuple[Fraction, ...]
     parity: int
 
-    def __post_init__(self):
-        if not self.rats:
+    def __init__(self, lead: int, rats: tuple[Fraction, ...], parity: int) -> None:
+        if not rats:
             raise ValueError("an asymptotic series needs at least one slot")
+        super().__init__(lead, rats, parity)
 
     @staticmethod
     def _canonical(lead: int, rats: Sequence[Fraction], parity: int) -> "AsymSeries":

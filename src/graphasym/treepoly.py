@@ -22,13 +22,13 @@ exact value and every asymptotic expansion built on t_n(y).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import factorial
 
 from . import _poly
 from ._poly import Poly
+from ._record import Record
 from .errors import VerificationFailure
 from .ramanujan import q_asym, q_scaled, _difference_polynomial
 from .series import Series, tree_function
@@ -48,8 +48,7 @@ def t_value(n: int, y: int) -> int:
     return t_normal_form(y).value_at(n)
 
 
-@dataclass(frozen=True)
-class TreePolyNormalForm:
+class TreePolyNormalForm(Record):
     """n**(n-1) * (p(n) + r(n) * Q(n) + e(1/n)) for every n >= 1.
 
     t_n(y) has only p and r for y >= 1 and only e for y <= 0; sums of tree

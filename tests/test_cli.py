@@ -254,6 +254,12 @@ def test_parser_covers_all_commands():
         ["compare", "--precision-bits", "0"],
         ["compare", "--precision-bits", "-5"],
         ["tables", "--output-dir", "/dev/null/x"],
+        # an empty n range is an input error, not a header-only table
+        ["q", "--n-max", "0"],
+        ["tpoly", "--n-max", "0", "--y", "2"],
+        ["compare", "--n-min", "64", "--n-max", "32"],
+        # c(1, 1) = 0 has no relative error
+        ["compare", "--n-min", "1", "--n-max", "1"],
     ],
 )
 def test_bad_input_is_one_line_not_a_traceback(capsys, argv):

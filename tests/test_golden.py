@@ -178,6 +178,19 @@ def test_the_package_has_no_assert_statement():
     assert found == []
 
 
+def test_the_package_has_no_exec_or_eval_call():
+    # code generated at import costs every cold command its compile time
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call)
+        and (node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None))
+        in ("exec", "eval")
+    ]
+    assert found == []
+
+
 def test_every_public_name_has_a_reader_besides_the_tests():
     # a public module-level function or class that no other package module,
     # no script, no README line and no second line of its own module names
