@@ -11,16 +11,18 @@ class Record:
     def __init_subclass__(cls) -> None:
         cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
         cls._defaults = {f: cls.__dict__[f] for f in cls._fields if f in cls.__dict__}
+        cls._required = max((i + 1 for i, f in enumerate(cls._fields) if f not in cls._defaults), default=0)
         cls._values = property(attrgetter(*cls._fields))
 
     def __init__(self, *args, **kwargs) -> None:
         fields = self._fields
-        if kwargs or len(args) != len(fields):
+        if kwargs or not self._required <= len(args) <= len(fields):
             named = dict(zip(fields, args))
             values = {**self._defaults, **named, **kwargs}
             if len(args) > len(fields) or named.keys() & kwargs.keys() or values.keys() != set(fields):
                 raise TypeError(f"{type(self).__qualname__} takes the fields {', '.join(fields)}")
             args = [values[f] for f in fields]
+        # trailing fields left out read their defaults from the class attributes
         self.__dict__.update(zip(fields, args))
 
     def __eq__(self, other: object) -> bool:

@@ -151,16 +151,16 @@ class AsymSeries(Record):
         rats: list[Fraction] = []
         parity = None
         for j, c in enumerate(coeffs):
-            if not isinstance(c, SymConst):
-                c = SymConst.rational(c)
-            if c.rat:
-                p = (lead - j + c.is_xi) % 2
+            rat, is_xi = (c.rat, c.is_xi) if isinstance(c, SymConst) else (Fraction(c), False)
+            if rat:
+                p = (lead - j + is_xi) % 2
                 if parity not in (None, p):
                     raise OutsideRing(
-                        f"slot {j} of a series has the other xi parity: {c} at n**({lead - j}/2)"
+                        f"slot {j} of a series has the other xi parity: "
+                        f"{SymConst(rat, is_xi)} at n**({lead - j}/2)"
                     )
                 parity = p
-            rats.append(c.rat)
+            rats.append(rat)
         return AsymSeries._canonical(lead, rats, parity or 0)
 
     @staticmethod
