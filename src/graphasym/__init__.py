@@ -15,7 +15,6 @@ from .assembly import (
     asym_p,
     decompose,
     exact_count_via_t,
-    exact_probability,
     exact_total,
     expansion,
     expansion_table,

@@ -21,6 +21,7 @@ from functools import cached_property, lru_cache
 from math import comb, lcm
 
 import mpmath
+from mpmath.libmp import from_rational, round_nearest
 
 from . import _poly
 from ._record import Record
@@ -246,14 +247,6 @@ def exact_total(n: int, k: int) -> int:
     return comb(comb(n, 2), m)
 
 
-def exact_probability(n: int, k: int) -> Fraction:
-    """P(n, n+k), the chance a uniform (n, n+k)-graph is connected."""
-    g = exact_total(n, k)
-    if g == 0:
-        raise ValueError(f"no graphs with n={n}, m={n + k}")
-    return Fraction(exact_count_via_t(n, k), g)
-
-
 # ---------------------------------------------------------------------------
 # probability of connectedness
 
@@ -368,10 +361,19 @@ class Normalization(Record):
             raise ValueError(f"unknown normalization kind {self.kind!r}")
 
     def exact(self, k: int, n: int, bits: int = 256) -> mpmath.mpf:
-        """The exact value of this kind at (n, n+k) over its normalization, at `bits`."""
-        value = exact_value(self.kind, n, k)
+        """The exact value of this kind at (n, n+k) over its normalization, at `bits`.
+
+        The unreduced pair (c, g) for the probability, (c, 1) or (g, 1) for
+        the counts, is rounded once to `bits` by one division, so no
+        fraction is reduced; dividing by the normalization rounds again.
+        """
+        den = exact_total(n, k) if self.kind == "probability" else 1
+        if den == 0:
+            raise ValueError(f"no graphs with n={n}, m={n + k}")
+        num = exact_total(n, k) if self.kind == "total" else exact_count_via_t(n, k)
+        value = mpmath.mp.make_mpf(from_rational(num, den, bits, round_nearest))
         with mpmath.workprec(bits):
-            return mpmath.mpf(value.numerator) / value.denominator / self.evaluate(k, n, bits)
+            return value / self.evaluate(k, n, bits)
 
 
 _NORMALIZATIONS = {
@@ -430,13 +432,3 @@ def expansion_table(kind: str, ks: tuple[int, ...], depth: int) -> ExpansionTabl
     builder = _EXPANSIONS[kind]
     rows = tuple((k, builder(k, depth)) for k in ks)
     return ExpansionTable(kind, depth, rows)
-
-
-def exact_value(kind: str, n: int, k: int) -> Fraction:
-    if kind == "connected":
-        return Fraction(exact_count_via_t(n, k))
-    if kind == "total":
-        return Fraction(exact_total(n, k))
-    if kind == "probability":
-        return exact_probability(n, k)
-    raise ValueError(f"unknown kind {kind!r}")

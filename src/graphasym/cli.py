@@ -6,7 +6,8 @@ deterministic: identical invocations produce identical bytes.  Exit codes:
 range, a fit window with too few points and an output path that cannot be
 written (one line on stderr), 2 when an internal verification fails.
 `errata` and `tables` exit 2 after writing their output when an errata
-finding does not verify.
+finding does not verify.  `compare`'s exact column is c/g (or the count c
+or g) rounded once at --precision-bits, then divided by the normalization.
 """
 from __future__ import annotations
 
@@ -336,7 +337,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depths", type=str, default="1,3,5")
     p.add_argument("--n-min", type=int, default=16)
     p.add_argument("--n-max", type=int, default=4096)
-    p.add_argument("--precision-bits", type=int, default=256)
+    p.add_argument(
+        "--precision-bits", type=int, default=256,
+        help="working precision; the exact column is c/g rounded once at it",
+    )
 
     p = sub.add_parser("tables", help="write every canonical table as CSV")
     p.add_argument("--output-dir", type=str, default="tables")

@@ -18,6 +18,8 @@ from graphasym import (
     Series,
     SymConst,
     egf_coefficient,
+    exact_count_via_t,
+    exact_total,
     q_exact,
     t_series,
     tree_function,
@@ -249,6 +251,53 @@ def unicyclic_count(n: int) -> int:
 def unicyclic_probability(n: int) -> Fraction:
     """Share of graphs on n nodes with n edges that are connected."""
     return Fraction(unicyclic_count(n), comb(comb(n, 2), n))
+
+
+def exact_probability(n: int, k: int) -> Fraction:
+    """P(n, n+k) = c/g as a reduced fraction; the package rounds c/g unreduced."""
+    g = exact_total(n, k)
+    if g == 0:
+        raise ValueError(f"no graphs with n={n}, m={n + k}")
+    return Fraction(exact_count_via_t(n, k), g)
+
+
+def exact_value(kind: str, n: int, k: int) -> Fraction:
+    """The exact count (`connected`, `total`) or probability at (n, n+k)."""
+    if kind == "connected":
+        return Fraction(exact_count_via_t(n, k))
+    if kind == "total":
+        return Fraction(exact_total(n, k))
+    if kind == "probability":
+        return exact_probability(n, k)
+    raise ValueError(f"unknown kind {kind!r}")
+
+
+def round_to_bits(x: Fraction, bits: int) -> tuple[int, int]:
+    """(man, exp) with man * 2**exp the `bits`-bit float nearest x, ties to even.
+
+    Integers only: one floor division of x scaled to `bits` or `bits` + 1
+    integer bits, then twice the remainder against the divisor.
+    """
+    if x == 0:
+        return 0, 0
+    a, b = abs(x.numerator), x.denominator
+
+    def scaled(shift: int) -> tuple[int, int, int]:
+        num, den = (a << shift, b) if shift >= 0 else (a, b << -shift)
+        return (*divmod(num, den), den)
+
+    # a/b lies in [2**(e-1), 2**(e+1)) for e = len(a) - len(b)
+    shift = bits - (a.bit_length() - b.bit_length())
+    q, r, den = scaled(shift)
+    if q.bit_length() > bits:
+        shift -= 1
+        q, r, den = scaled(shift)
+    if 2 * r > den or (2 * r == den and q & 1):
+        q += 1
+    if q.bit_length() > bits:  # rounded up to 2**bits
+        q >>= 1
+        shift -= 1
+    return (q if x > 0 else -q), -shift
 
 
 def qr_solve_by_mpf(rows: list[list[mpmath.mpf]], rhs: list[mpmath.mpf]) -> tuple[list[mpmath.mpf], mpmath.mpf, mpmath.mpf]:

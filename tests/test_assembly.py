@@ -14,12 +14,12 @@ from graphasym import (
     connected_counts,
     decompose,
     exact_count_via_t,
-    exact_probability,
     exact_total,
     expansion_table,
     fss_crosscheck,
 )
-from graphasym.assembly import exact_value, expansion, normalization
+from graphasym import assembly
+from graphasym.assembly import expansion, normalization
 from graphasym.errors import CrosscheckFailure
 
 import oracles
@@ -179,7 +179,7 @@ def test_probability_expansion_numeric():
     n = 1024
     for k in (-1, 0, 1):
         series = asym_p(k, 4)
-        p = exact_probability(n, k)
+        p = oracles.exact_probability(n, k)
         with mpmath.workprec(1024):
             exact = (mpmath.mpf(p.numerator) / p.denominator) / normalization(
                 "probability"
@@ -193,7 +193,7 @@ def test_probability_is_quotient_of_families():
     # P = c/g, so the three normalized families must recombine numerically
     n, k = 512, 1
     with mpmath.workprec(512):
-        lhs = exact_probability(n, k)
+        lhs = oracles.exact_probability(n, k)
         lhs = mpmath.mpf(lhs.numerator) / lhs.denominator
         rhs = mpmath.mpf(exact_count_via_t(n, k)) / exact_total(n, k)
         assert abs(lhs - rhs) / lhs < mpmath.mpf(2) ** -400
@@ -201,10 +201,30 @@ def test_probability_is_quotient_of_families():
 
 def test_exact_total_and_probability():
     assert exact_total(5, 0) == comb(10, 5) == 252
-    assert exact_probability(5, 0) == F(222, 252)
-    assert exact_value("connected", 5, 0) == 222
-    assert exact_value("total", 5, 0) == 252
-    assert exact_value("probability", 5, 0) == F(222, 252)
+    assert oracles.exact_probability(5, 0) == F(222, 252)
+    assert oracles.exact_value("connected", 5, 0) == 222
+    assert oracles.exact_value("total", 5, 0) == 252
+    assert oracles.exact_value("probability", 5, 0) == F(222, 252)
+
+
+def test_normalized_exact_values_build_no_fraction(monkeypatch):
+    # the exact pair is rounded once, unreduced: reducing c/g was a gcd of two
+    # ~110,000-bit integers at n = 8192
+    k, n = 1, 1024
+    decompose(k)  # the split and its normal form are built over Fractions once
+
+    def no_fraction(*args):
+        raise AssertionError("a Fraction was built on the route to mpf")
+
+    monkeypatch.setattr(assembly, "Fraction", no_fraction)
+    for kind in ("connected", "total", "probability"):
+        assert normalization(kind).exact(k, n, 256) > 0, kind
+
+
+def test_probability_with_no_graphs_is_a_value_error():
+    # C(1, 3) = 0 graphs on 2 nodes with 3 edges: no division by zero
+    with pytest.raises(ValueError, match=r"^no graphs with n=2, m=3$"):
+        normalization("probability").exact(1, 2)
 
 
 def test_fss_crosscheck_report():

@@ -7,12 +7,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import graphasym
 from graphasym import errata, q_exact, treepoly
+from graphasym.assembly import normalization
 from graphasym.cli import build_parser, main
+
+import oracles
 
 
 def run(capsys, *argv):
@@ -156,15 +160,26 @@ def test_compare_command(capsys):
     assert lines[1].startswith("16,")
 
 
-def test_compare_normalizes_the_reduced_probability(capsys):
-    # P = c/g reduced before the conversion to mpf; converting the unreduced
-    # c and g at 53 bits prints 0.181501445922844 here instead
+def test_compare_rounds_the_probability_once(capsys):
+    # the exact column is c/g rounded once at --precision-bits, then divided by
+    # the normalization; rounding the reduced numerator and then the quotient
+    # printed 0.181501445922845 in the cell below at 53 bits
+    prob = normalization("probability")
+    for n, k in ((32, 2), (512, 1), (1024, 0), (4096, 2)):
+        p = oracles.exact_probability(n, k)
+        for bits in (53, 64, 256):
+            with mpmath.workprec(bits):
+                want = mpmath.mpf(oracles.round_to_bits(p, bits)) / prob.evaluate(k, n, bits)
+            assert prob.exact(k, n, bits) == want, (n, k, bits)
     code, out, _ = run(
         capsys, "compare", "--which", "probability", "--k", "2", "--depths", "1",
         "--n-min", "4096", "--n-max", "4096", "--precision-bits", "53",
     )
     assert code == 0
-    assert out.splitlines()[1].split(",")[1] == "0.181501445922845"
+    with mpmath.workprec(600):
+        p = oracles.round_to_bits(oracles.exact_probability(4096, 2), 600)
+        reference = mpmath.nstr(mpmath.mpf(p) / prob.evaluate(2, 4096, 600), 15)
+    assert out.splitlines()[1].split(",")[1] == reference == "0.181501445922844"
 
 
 def test_fit_command(capsys):
@@ -260,6 +275,8 @@ def test_parser_covers_all_commands():
         ["compare", "--n-min", "64", "--n-max", "32"],
         # c(1, 1) = 0 has no relative error
         ["compare", "--n-min", "1", "--n-max", "1"],
+        # C(1, 3) = 0: no graphs on 2 nodes with 3 edges
+        ["compare", "--which", "probability", "--k", "1", "--n-min", "2", "--n-max", "2"],
     ],
 )
 def test_bad_input_is_one_line_not_a_traceback(capsys, argv):

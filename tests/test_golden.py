@@ -123,7 +123,7 @@ def test_series_str_and_json_are_byte_identical():
 
 # sha256 over "<argv> <output> <exit code>\n" and then the stdout of each run,
 # every argument list below once with --output csv and once with --output json
-CLI_OUTPUTS = "88d72b75b55a74ee41c0486a14289454da0f8d5775691c3518ab9045e391b229"
+CLI_OUTPUTS = "45ba42d9e0583c096bfb34efd80da7ed5a39a3763361d136e029bf174727f451"
 CLI_RUNS = (
     [["count", "--n-max", "12", "--k-max", "3"]]
     + [["decompose", "--k", str(k)] for k in range(0, 8)]
