@@ -6,13 +6,14 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import graphasym
-from graphasym import errata, q_exact, treepoly
+from graphasym import errata, fitting, q_exact, treepoly
 from graphasym.assembly import normalization
 from graphasym.cli import build_parser, main
 
@@ -33,6 +34,7 @@ def test_count_csv(capsys):
     assert "5,5,0,222" in lines
     assert "6,6,0,3660" in lines
     assert "4,5,1,6" in lines
+    assert "6,7,1,5700" in lines
 
 
 def test_count_json(capsys):
@@ -81,7 +83,20 @@ def test_asym_command_connected(capsys):
     lines = out.splitlines()
     assert lines[0] == "k,j,power_of_n,coeff_rat,coeff_xi_rat"
     assert "1,0,0,5/24,0" in lines
+    assert "1,1,-1/2,0,-7/24" in lines  # -7 xi/24 at n^(-1/2)
     assert "1,4,-2,-79/3240,0" in lines
+
+
+def test_asym_command_json(capsys):
+    code, out, _ = run(capsys, "asym", "--k", "0", "--depth", "3")
+    assert code == 0
+    assert "0,0,0,0,1/4" in out.splitlines()  # xi/4 at n^0
+    code, out, _ = run(capsys, "asym", "--k", "0", "--depth", "3", "--output", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["kind"] == "connected"
+    assert doc["normalization"] == "n**(n + (3k-1)/2)"
+    assert set(doc["rows"]) == {"0"}
 
 
 def test_asym_command_total(capsys):
@@ -218,6 +233,24 @@ def test_tables_command(tmp_path, capsys):
     # every written path is reported on stdout
     for name in written:
         assert name in out
+
+
+def test_fit_json(capsys, monkeypatch):
+    # the fit reads 1 + 2 n**(-1/2) in place of the normalized exact counts
+    with mpmath.workprec(256):
+        vals = {n: 1 + 2 / mpmath.sqrt(n) for n in range(100, 141)}
+    synthetic = SimpleNamespace(exact=lambda k, n, bits: vals[n])
+    monkeypatch.setattr(fitting, "normalization", lambda kind: synthetic)
+    code, out, _ = run(
+        capsys, "fit", "--k", "0", "--degree", "1", "--n-min", "100", "--n-max", "140",
+        "--output", "json",
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["degree"] == 1
+    assert doc["npoints"] == 41
+    assert isinstance(doc["estimates"][0], str)
+    assert float(doc["estimates"][0]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_domain_error_exit_code(capsys):

@@ -137,14 +137,18 @@ CLI_RUNS = (
 )
 
 
-def test_cli_outputs_are_byte_identical(capsys):
+def _cli_digest(capsys, runs) -> str:
     h = hashlib.sha256()
-    for argv in CLI_RUNS:
+    for argv in runs:
         for out in ("csv", "json"):
             rc = main(argv + ["--output", out])
             h.update(f"{' '.join(argv)} {out} {rc}\n".encode())
             h.update(capsys.readouterr().out.encode())
-    assert h.hexdigest() == CLI_OUTPUTS
+    return h.hexdigest()
+
+
+def test_cli_outputs_are_byte_identical(capsys):
+    assert _cli_digest(capsys, CLI_RUNS) == CLI_OUTPUTS
 
 
 # the same over three fit runs the list above does not reach: the defaults
@@ -158,13 +162,20 @@ FIT_RUNS = (
 
 
 def test_fit_outputs_are_byte_identical(capsys):
-    h = hashlib.sha256()
-    for argv in FIT_RUNS:
-        for out in ("csv", "json"):
-            rc = main(argv + ["--output", out])
-            h.update(f"{' '.join(argv)} {out} {rc}\n".encode())
-            h.update(capsys.readouterr().out.encode())
-    assert h.hexdigest() == FIT_OUTPUTS
+    assert _cli_digest(capsys, FIT_RUNS) == FIT_OUTPUTS
+
+
+# the same over the exact-value commands neither list reaches: Q(n) and the
+# tree polynomial on both sides of y = 0 and at y = 0 itself
+VALUE_OUTPUTS = "08e25614f4db53cd6c46cc32998b824fcac93a1fb571ed47aa80ab76897e08a6"
+VALUE_RUNS = (
+    [["q", "--n-max", "12"]]
+    + [["tpoly", "--n-max", "8", "--y", str(y)] for y in (-3, 0, 4)]
+)
+
+
+def test_value_outputs_are_byte_identical(capsys):
+    assert _cli_digest(capsys, VALUE_RUNS) == VALUE_OUTPUTS
 
 
 def test_the_package_has_no_assert_statement():
