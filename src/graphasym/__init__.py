@@ -8,7 +8,6 @@ totals, and for the probability that a random graph is connected.
 from .assembly import (
     CrosscheckReport,
     Decomposition,
-    ExpansionTable,
     Normalization,
     asym_c,
     asym_g,
@@ -17,7 +16,6 @@ from .assembly import (
     exact_count_via_t,
     exact_total,
     expansion,
-    expansion_table,
     fss_crosscheck,
     normalization,
 )

@@ -332,7 +332,7 @@ def fss_crosscheck(k: int, bits: int = 256, tolerance: float = 1e-12) -> Crossch
 
 
 # ---------------------------------------------------------------------------
-# tables and normalizations
+# normalizations
 
 
 class Normalization(Record):
@@ -396,39 +396,3 @@ def normalization(kind: str) -> Normalization:
 def expansion(kind: str, k: int, depth: int) -> AsymSeries:
     return _EXPANSIONS[kind](k, depth)
 
-
-SERIES_COLUMNS = ("j", "power_of_n", "coeff_rat", "coeff_xi_rat")
-
-
-def series_rows(series: AsymSeries) -> list[list[str]]:
-    """One row per slot of `series`, in the order of SERIES_COLUMNS."""
-    return [
-        [str(j), str(Fraction(series.lead - j, 2)), str(c.rational_part()), str(c.xi_part())]
-        for j, c in enumerate(series.coeffs)
-    ]
-
-
-class ExpansionTable(Record):
-    kind: str
-    depth: int
-    rows: tuple[tuple[int, AsymSeries], ...]
-
-    def csv_rows(self):
-        yield ",".join(("k",) + SERIES_COLUMNS)
-        for k, series in self.rows:
-            for row in series_rows(series):
-                yield ",".join([str(k)] + row)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "normalization": normalization(self.kind).description,
-            "depth": self.depth,
-            "rows": {str(k): s.to_json_dict() for k, s in self.rows},
-        }
-
-
-def expansion_table(kind: str, ks: tuple[int, ...], depth: int) -> ExpansionTable:
-    builder = _EXPANSIONS[kind]
-    rows = tuple((k, builder(k, depth)) for k in ks)
-    return ExpansionTable(kind, depth, rows)

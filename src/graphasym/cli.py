@@ -32,82 +32,107 @@ def _writer(stream):
     return csv.writer(stream, lineterminator="\n")
 
 
-def _emit_json(obj) -> int:
-    print(json.dumps(obj, indent=2, sort_keys=True))
+def _emit(args: argparse.Namespace, rows, document: Callable[[], object]) -> int:
+    """Print `rows` (header first) as CSV, or under --output json what `document()` returns.
+
+    `document` is called only for JSON, so a value is turned into text once.
+    """
+    if args.output == "json":
+        print(json.dumps(document(), indent=2, sort_keys=True))
+    else:
+        _writer(sys.stdout).writerows(rows)
     return 0
+
+
+_SERIES_COLUMNS = ("j", "power_of_n", "coeff_rat", "coeff_xi_rat")
+
+
+def _series_rows(series, *key) -> list[tuple]:
+    """One row per slot of `series`: the `key` columns, then _SERIES_COLUMNS."""
+    return [
+        (*key, j, Fraction(series.lead - j, 2), c.rational_part(), c.xi_part())
+        for j, c in enumerate(series.coeffs)
+    ]
+
+
+def _expansion_rows(kind: str, ks: Sequence[int], depth: int) -> list[tuple]:
+    rows = [("k",) + _SERIES_COLUMNS]
+    for k in ks:
+        rows += _series_rows(assembly.expansion(kind, k, depth), k)
+    return rows
+
+
+def _count_rows(table) -> list[tuple]:
+    return [("n", "m", "k", "count")] + [(n, m, m - n, c) for n, m, c in table.entries()]
+
+
+def _errata_rows(results: dict[str, bool]) -> list[tuple]:
+    rows = [("key", "quantity", "stated", "derived", "verified")]
+    for f in errata.FINDINGS:
+        rows.append((f.key, f.quantity, f.stated, f.derived, results[f.key]))
+    return rows
+
+
+def _errata_exit(results: dict[str, bool]) -> int:
+    """0 when every finding verifies; else one stderr line and exit 2."""
+    failed = [key for key, ok in results.items() if not ok]
+    if not failed:
+        return 0
+    print(f"verification error: findings not verified: {', '.join(failed)}", file=sys.stderr)
+    return 2
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
     table = connected_counts(args.n_max, args.k_max)
-    if args.output == "json":
-        return _emit_json(
-            {
-                "n_max": table.n_max,
-                "k_max": table.k_max,
-                "counts": [
-                    {"n": n, "m": m, "k": m - n, "count": str(c)}
-                    for n, m, c in table.entries()
-                ],
-            }
-        )
-    for line in table.csv_rows():
-        print(line)
-    return 0
+    return _emit(args, _count_rows(table), lambda: {
+        "n_max": table.n_max,
+        "k_max": table.k_max,
+        "counts": [
+            {"n": n, "m": m, "k": m - n, "count": str(c)} for n, m, c in table.entries()
+        ],
+    })
 
 
 def _cmd_q(args: argparse.Namespace) -> int:
     if args.n_max < 1:
         raise ValueError("q needs --n-max >= 1")
-    rows = [(n, q_exact(n)) for n in range(1, args.n_max + 1)]
-    if args.output == "json":
-        return _emit_json({"q": [{"n": n, "value": str(v)} for n, v in rows]})
-    print("n,q")
-    for n, v in rows:
-        print(f"{n},{v}")
-    return 0
+    values = [(n, q_exact(n)) for n in range(1, args.n_max + 1)]
+    return _emit(args, [("n", "q")] + values, lambda: {
+        "q": [{"n": n, "value": str(v)} for n, v in values],
+    })
 
 
 def _cmd_tpoly(args: argparse.Namespace) -> int:
     if args.n_max < 1:
         raise ValueError("tpoly needs --n-max >= 1")
-    rows = [(n, args.y, t_value(n, args.y)) for n in range(1, args.n_max + 1)]
-    if args.output == "json":
-        return _emit_json(
-            {"t": [{"n": n, "y": y, "value": str(v)} for n, y, v in rows]}
-        )
-    print("n,y,t")
-    for n, y, v in rows:
-        print(f"{n},{y},{v}")
-    return 0
+    values = [(n, args.y, t_value(n, args.y)) for n in range(1, args.n_max + 1)]
+    return _emit(args, [("n", "y", "t")] + values, lambda: {
+        "t": [{"n": n, "y": y, "value": str(v)} for n, y, v in values],
+    })
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
     dec = assembly.decompose(args.k)
-    if args.output == "json":
-        return _emit_json(
-            {
-                "k": dec.k,
-                "beta": {str(l): str(b) for l, b in dec.beta},
-                "qterm": str(dec.qterm),
-                "constant": "0",  # the split has no constant term (erratum excess_zero_constant)
-                "verified_n_max": dec.verified_n_max,
-            }
-        )
-    print("part,index,coefficient")
-    for l, b in dec.beta:
-        print(f"t,{l},{b}")
-    print(f"q,,{dec.qterm}")
-    print("const,,0")
-    return 0
+    rows = [("part", "index", "coefficient")]
+    rows += [("t", l, b) for l, b in dec.beta]
+    rows += [("q", "", dec.qterm), ("const", "", 0)]
+    return _emit(args, rows, lambda: {
+        "k": dec.k,
+        "beta": {str(l): str(b) for l, b in dec.beta},
+        "qterm": str(dec.qterm),
+        "constant": "0",  # the split has no constant term (erratum excess_zero_constant)
+        "verified_n_max": dec.verified_n_max,
+    })
 
 
 def _cmd_asym(args: argparse.Namespace) -> int:
-    table = assembly.expansion_table(args.which, (args.k,), args.depth)
-    if args.output == "json":
-        return _emit_json(table.to_json_dict())
-    for line in table.csv_rows():
-        print(line)
-    return 0
+    rows = _expansion_rows(args.which, (args.k,), args.depth)
+    return _emit(args, rows, lambda: {
+        "kind": args.which,
+        "normalization": assembly.normalization(args.which).description,
+        "depth": args.depth,
+        "rows": {str(args.k): assembly.expansion(args.which, args.k, args.depth).to_json_dict()},
+    })
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
@@ -115,15 +140,23 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         args.k, args.degree, args.n_min, args.n_max, bits=args.precision_bits
     )
     symbols = fitting.two_window_symbols(result, args.max_denominator)
-    d = result.to_json_dict()
-    d["symbolic"] = ["?" if sym is None else str(sym) for sym in symbols]
-    if args.output == "json":
-        return _emit_json(d)
-    print("j,power_of_n,estimate,symbolic")
-    w = _writer(sys.stdout)
-    for j, (est, sym) in enumerate(zip(d["estimates"], d["symbolic"])):
-        w.writerow((j, str(Fraction(-j, 2)), est, sym))
-    return 0
+    symbolic = ["?" if sym is None else str(sym) for sym in symbols]
+    digits = result.bits * 30103 // 100000 + 3  # decimal digits of `bits`, plus 3
+    estimates = [mpmath.nstr(e, digits) for e in result.estimates]
+    rows = [("j", "power_of_n", "estimate", "symbolic")]
+    rows += [(j, Fraction(-j, 2), est, sym) for j, (est, sym) in enumerate(zip(estimates, symbolic))]
+    return _emit(args, rows, lambda: {
+        "k": result.k,
+        "degree": result.degree,
+        "n_min": result.n_min,
+        "n_max": result.n_max,
+        "npoints": result.npoints,
+        "precision_bits": result.bits,
+        "estimates": estimates,
+        "residual_rms": mpmath.nstr(result.residual_rms, digits),
+        "condition": mpmath.nstr(result.condition, 8),
+        "symbolic": symbolic,
+    })
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
@@ -153,109 +186,62 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             row += [mpmath.nstr(abs(ev - a) / abs(ev), 6) for a in approxs]
         out_rows.append(row)
         n *= 2
-    if args.output == "json":
-        return _emit_json({"columns": header, "rows": out_rows})
-    print(",".join(header))
-    for row in out_rows:
-        print(",".join(row))
-    return 0
+    return _emit(args, [header] + out_rows, lambda: {"columns": header, "rows": out_rows})
 
 
 def _cmd_errata(args: argparse.Namespace) -> int:
     results = errata.verify_all()
-    if args.output == "json":
-        _emit_json(
-            [
-                {
-                    "key": f.key,
-                    "quantity": f.quantity,
-                    "stated": f.stated,
-                    "derived": f.derived,
-                    "method": f.method,
-                    "verified": results[f.key],
-                }
-                for f in errata.FINDINGS
-            ]
-        )
-    else:
-        _writer(sys.stdout).writerows(_errata_rows(results))
+    _emit(args, _errata_rows(results), lambda: [
+        {
+            "key": f.key,
+            "quantity": f.quantity,
+            "stated": f.stated,
+            "derived": f.derived,
+            "method": f.method,
+            "verified": results[f.key],
+        }
+        for f in errata.FINDINGS
+    ])
     return _errata_exit(results)
 
 
-def _errata_exit(results: dict[str, bool]) -> int:
-    """0 when every finding verifies; else one stderr line and exit 2."""
-    failed = [key for key, ok in results.items() if not ok]
-    if not failed:
-        return 0
-    print(f"verification error: findings not verified: {', '.join(failed)}", file=sys.stderr)
-    return 2
-
-
-def _errata_rows(results: dict[str, bool]) -> list[list[str]]:
-    rows = [["key", "quantity", "stated", "derived", "verified"]]
-    for f in errata.FINDINGS:
-        rows.append([f.key, f.quantity, f.stated, f.derived, str(results[f.key])])
-    return rows
-
-
-def _tables_manifest() -> tuple[list[tuple[str, list[list[str]]]], dict[str, bool]]:
+def _tables_manifest() -> tuple[list[tuple[str, list]], dict[str, bool]]:
     """The canonical tables as (file name, rows), and the errata results."""
-    files: list[tuple[str, list[list[str]]]] = []
-
-    counts = connected_counts(10, 3)
-    files.append(("counts.csv", [line.split(",") for line in counts.csv_rows()]))
-
-    ak_rows = [["k", "degree", "value_at_1", "derivative_at_1", "coefficients"]]
+    ak_rows = [("k", "degree", "value_at_1", "derivative_at_1", "coefficients")]
     for k in range(1, 8):
         a = recover_ak(k)
-        ak_rows.append(
-            [
-                str(k),
-                str(_poly.degree(a)),
-                str(_poly.evaluate(a, 1)),
-                str(_poly.evaluate(_poly.derivative(a), 1)),
-                " ".join(str(c) for c in a),
-            ]
-        )
-    files.append(("excess_numerators.csv", ak_rows))
-
-    d_rows = [["j", "coefficient"]]
-    for j, c in enumerate(d_coefficients(5)):
-        d_rows.append([str(j), str(c)])
-    files.append(("d_expansion.csv", d_rows))
-
-    def expansion_rows(kind: str, ks: tuple[int, ...], depth: int) -> list[list[str]]:
-        table = assembly.expansion_table(kind, ks, depth)
-        return [line.split(",") for line in table.csv_rows()]
-
-    q_rows = [list(assembly.SERIES_COLUMNS)] + assembly.series_rows(q_asym(5))
-    files.append(("q_expansion.csv", q_rows))
-
-    files.append(("connected_expansion.csv", expansion_rows("connected", (0, 1, 2), 5)))
-    files.append(("total_expansion.csv", expansion_rows("total", (-1, 0, 1), 5)))
-    files.append(
-        ("probability_expansion.csv", expansion_rows("probability", (-1, 0, 1), 4))
-    )
-
-    cross_rows = [["k", "a0_series", "a0_formula", "rel_a0", "ratio_series", "ratio_formula", "rel_ratio", "passed"]]
+        ak_rows.append((
+            k,
+            _poly.degree(a),
+            _poly.evaluate(a, 1),
+            _poly.evaluate(_poly.derivative(a), 1),
+            " ".join(str(c) for c in a),
+        ))
+    cross_rows = [("k", "a0_series", "a0_formula", "rel_a0", "ratio_series", "ratio_formula", "rel_ratio", "passed")]
     for k in range(2, 8):
         r = assembly.fss_crosscheck(k)
-        cross_rows.append(
-            [
-                str(r.k),
-                r.a0_series,
-                r.a0_formula,
-                f"{r.rel_a0:.3e}",
-                r.ratio_series,
-                r.ratio_formula,
-                f"{r.rel_ratio:.3e}",
-                str(r.passed),
-            ]
-        )
-    files.append(("crosscheck.csv", cross_rows))
-
+        cross_rows.append((
+            r.k,
+            r.a0_series,
+            r.a0_formula,
+            f"{r.rel_a0:.3e}",
+            r.ratio_series,
+            r.ratio_formula,
+            f"{r.rel_ratio:.3e}",
+            r.passed,
+        ))
     results = errata.verify_all()
-    files.append(("errata.csv", _errata_rows(results)))
+    files = [
+        ("counts.csv", _count_rows(connected_counts(10, 3))),
+        ("excess_numerators.csv", ak_rows),
+        ("d_expansion.csv", [("j", "coefficient")] + list(enumerate(d_coefficients(5)))),
+        ("q_expansion.csv", [_SERIES_COLUMNS] + _series_rows(q_asym(5))),
+        ("connected_expansion.csv", _expansion_rows("connected", (0, 1, 2), 5)),
+        ("total_expansion.csv", _expansion_rows("total", (-1, 0, 1), 5)),
+        ("probability_expansion.csv", _expansion_rows("probability", (-1, 0, 1), 4)),
+        ("crosscheck.csv", cross_rows),
+        ("errata.csv", _errata_rows(results)),
+    ]
     return files, results
 
 

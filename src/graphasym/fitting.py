@@ -100,20 +100,6 @@ class FitResult(Record):
     xs: tuple[mpmath.mpf, ...]  # n**(-1/2) for n = n_min..n_max
     ys: tuple[mpmath.mpf, ...]  # the normalized exact values at those n
 
-    def to_json_dict(self) -> dict:
-        d = self.bits * 30103 // 100000 + 3  # decimal digits of `bits`, plus 3
-        return {
-            "k": self.k,
-            "degree": self.degree,
-            "n_min": self.n_min,
-            "n_max": self.n_max,
-            "npoints": self.npoints,
-            "precision_bits": self.bits,
-            "estimates": [mpmath.nstr(e, d) for e in self.estimates],
-            "residual_rms": mpmath.nstr(self.residual_rms, d),
-            "condition": mpmath.nstr(self.condition, 8),
-        }
-
 
 def lsq_fit(
     k: int,

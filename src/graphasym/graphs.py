@@ -89,11 +89,6 @@ class CountTable(Record):
             for m in range(max(0, n - 1), min(n + self.k_max, comb(n, 2)) + 1):
                 yield n, m, self.rows[n][m]
 
-    def csv_rows(self):
-        yield "n,m,k,count"
-        for n, m, c in self.entries():
-            yield f"{n},{m},{m - n},{c}"
-
 
 @lru_cache(maxsize=None)
 def connected_counts(n_max: int, k_max: int) -> CountTable:

@@ -15,7 +15,6 @@ from graphasym import (
     decompose,
     exact_count_via_t,
     exact_total,
-    expansion_table,
     fss_crosscheck,
 )
 from graphasym import assembly
@@ -247,14 +246,3 @@ def test_expansion_dispatch():
     assert expansion("probability", -1, 1).coefficient_at(0) == RAT(F(1, 2))
     with pytest.raises(KeyError):
         expansion("nonsense", 0, 1)
-
-
-def test_expansion_table_csv():
-    table = expansion_table("connected", (0, 1), 3)
-    lines = list(table.csv_rows())
-    assert lines[0] == "k,j,power_of_n,coeff_rat,coeff_xi_rat"
-    assert "0,0,0,0,1/4" in lines          # xi/4 at n^0
-    assert "1,1,-1/2,0,-7/24" in lines     # -7 xi/24 at n^(-1/2)
-    d = table.to_json_dict()
-    assert d["kind"] == "connected"
-    assert set(d["rows"]) == {"0", "1"}

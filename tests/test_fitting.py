@@ -106,16 +106,6 @@ def test_reconstruct_symbolic_rejects_generic_values():
     assert reconstruct_symbolic(mpmath.mpf("0.3333333333"), 10000) == RAT(F(1, 3))
 
 
-def test_fit_result_serialization(monkeypatch):
-    _fit_values(monkeypatch, _synthetic_values([F(1), F(2)], 100, 140))
-    result = lsq_fit(0, degree=1, n_min=100, n_max=140)
-    d = result.to_json_dict()
-    assert d["degree"] == 1
-    assert d["npoints"] == 41
-    assert isinstance(d["estimates"][0], str)
-    assert float(d["estimates"][0]) == pytest.approx(1.0, abs=1e-12)
-
-
 def test_two_window_symbols_skips_a_half_window_too_short_to_refit():
     # n = 105..110 is 6 points, one short of the 7 a degree-6 refit needs
     full = lsq_fit(1, 6, 100, 110)

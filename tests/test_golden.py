@@ -202,6 +202,20 @@ def test_the_package_has_no_exec_or_eval_call():
     assert found == []
 
 
+def test_only_the_cli_imports_csv_or_json():
+    # the layout of every printed and written table is decided in one module
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "cli.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and {(a.name if isinstance(node, ast.Import) else node.module or "") for a in node.names}
+        & {"csv", "json"}
+    ]
+    assert found == []
+
+
 def test_every_public_name_has_a_reader_besides_the_tests():
     # a public module-level function or class that no other package module,
     # no script, no README line and no second line of its own module names

@@ -50,14 +50,6 @@ def test_count_table_access_rules():
         table.get(8, 11)  # m beyond n + k_max but below binom(8,2)
 
 
-def test_count_table_csv():
-    table = connected_counts(6, 2)
-    lines = list(table.csv_rows())
-    assert lines[0] == "n,m,k,count"
-    assert "5,5,0,222" in lines
-    assert "6,7,1,5700" in lines
-
-
 def test_recover_ak_table_values():
     at_one = {
         1: F(5, 24), 2: F(5, 16), 3: F(1105, 1152), 4: F(565, 128),

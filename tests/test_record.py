@@ -15,7 +15,6 @@ from graphasym import (
     CountTable,
     CrosscheckReport,
     Decomposition,
-    ExpansionTable,
     FitResult,
     Normalization,
     SymConst,
@@ -23,7 +22,6 @@ from graphasym import (
     connected_counts,
     decompose,
     errata,
-    expansion_table,
     fss_crosscheck,
     lsq_fit,
     normalization,
@@ -48,7 +46,6 @@ RECORDS = [
          "rel_ratio", "tolerance", "passed"),
     ),
     (Normalization, lambda: normalization("total"), ("kind", "description")),
-    (ExpansionTable, lambda: expansion_table("connected", (0, 1), 3), ("kind", "depth", "rows")),
     (CountTable, lambda: connected_counts(5, 1), ("n_max", "k_max", "rows")),
     (TreePolyNormalForm, lambda: t_normal_form(3), ("p", "r", "e")),
     (
