@@ -168,6 +168,8 @@ def asym_g(k: int, depth: int) -> AsymSeries:
     """
     if k < -1:
         raise ValueError("needs n + k >= n - 1 >= 0 edges")
+    if depth < 0:
+        raise ValueError("depth must be nonnegative")
 
     def u_series(order: int, *coeffs: int) -> Series:
         return Series((list(coeffs) + [0] * (order + 1))[: order + 1])

@@ -167,6 +167,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     if args.precision_bits < 53:
         raise ValueError("compare needs --precision-bits >= 53")
     depths = tuple(int(d) for d in args.depths.split(","))
+    if min(depths) < 0:
+        raise ValueError("compare needs every --depths entry >= 0")
     series = assembly.expansion(args.which, args.k, max(depths))
     norm = assembly.normalization(args.which)
     bits = args.precision_bits

@@ -198,6 +198,8 @@ class AsymSeries(Record):
         return self._slot(self.lead - half_exponent)
 
     def truncate(self, depth: int) -> "AsymSeries":
+        if depth < 0:
+            raise ValueError(f"a series keeps at least its leading slot, not depth {depth}")
         if depth > self.depth:
             raise OrderMismatch(f"cannot deepen a series from {self.depth} to {depth}")
         return AsymSeries(self.lead, self.rats[: depth + 1], self.parity)

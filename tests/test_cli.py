@@ -310,6 +310,9 @@ def test_parser_covers_all_commands():
         ["compare", "--n-min", "1", "--n-max", "1"],
         # C(1, 3) = 0: no graphs on 2 nodes with 3 edges
         ["compare", "--which", "probability", "--k", "1", "--n-min", "2", "--n-max", "2"],
+        # a negative depth keeps no term; it is not a slice from the end
+        ["compare", "--k", "1", "--depths", "3,2,-2", "--n-min", "64", "--n-max", "128"],
+        ["asym", "--k", "0", "--which", "total", "--depth", "-1"],
     ],
 )
 def test_bad_input_is_one_line_not_a_traceback(capsys, argv):

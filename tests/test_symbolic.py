@@ -192,6 +192,8 @@ def test_shift_scale_truncate_power():
     assert s.truncate(1).depth == 1
     with pytest.raises(OrderMismatch):
         s.truncate(5)
+    with pytest.raises(ValueError):
+        s.truncate(-1)  # a negative slice would count from the end
     prod = s * AsymSeries.build(0, [RAT(1), 0, RAT(2)])
     assert prod.coefficient_at(0) == RAT(1)
     assert prod.coefficient_at(-1) == XI(2)
