@@ -322,7 +322,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="exact values against truncated expansions")
     p.add_argument("--k", type=int, default=0)
     p.add_argument("--which", choices=("connected", "total", "probability"), default="connected")
-    p.add_argument("--depths", type=str, default="1,3,5")
+    p.add_argument(
+        "--depths", type=str, default="1,3,5",
+        help="truncation depths, each in half-power slots below the leading one for every "
+        "--which; the total expansion has only integer powers of 1/n, so there an odd "
+        "depth adds no term and the default 1,3,5 keeps 1, 2 and 3 terms",
+    )
     p.add_argument("--n-min", type=int, default=16)
     p.add_argument("--n-max", type=int, default=4096)
     p.add_argument(
@@ -330,13 +335,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="working precision; the exact column is c/g rounded once at it",
     )
 
-    p = sub.add_parser("tables", help="write every canonical table as CSV")
-    p.add_argument("--output-dir", type=str, default="tables")
-
     sub.add_parser("errata", help="corrections to commonly printed values")
 
     for sp in sub.choices.values():
         sp.add_argument("--output", choices=("csv", "json"), default="csv")
+
+    # tables writes CSV files and prints their paths, so it takes no --output; with
+    # abbreviations allowed, argparse would read --output as --output-dir
+    p = sub.add_parser("tables", help="write every canonical table as CSV", allow_abbrev=False)
+    p.add_argument("--output-dir", type=str, default="tables")
     return parser
 
 

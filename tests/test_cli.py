@@ -253,6 +253,17 @@ def test_fit_json(capsys, monkeypatch):
     assert float(doc["estimates"][0]) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_tables_takes_no_output_format(tmp_path, capsys, monkeypatch):
+    # nor does it read --output as an abbreviation of --output-dir
+    monkeypatch.chdir(tmp_path)
+    for argv in (["--output", "json"], ["--output", "json", "--output-dir", "out"]):
+        code, out, err = run(capsys, "tables", *argv)
+        assert code == 1
+        assert out == ""
+        assert "unrecognized arguments: --output json" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_domain_error_exit_code(capsys):
     # a fit window with too few points is a usage error, not a failed check
     code, out, err = run(capsys, "fit", "--n-min", "100", "--n-max", "103")
