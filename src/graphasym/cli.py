@@ -1,7 +1,9 @@
 """Command line interface.
 
-Every subcommand prints CSV by default (or JSON with --output json) and is
-deterministic: identical invocations produce identical bytes.  Exit codes:
+Every subcommand but `tables` prints CSV by default (or JSON with --output
+json) through one emitter, `_emit`; `tables` writes the same row lists as CSV
+files.  This module alone decides the layout of every row and document, and
+identical invocations produce identical bytes.  Exit codes:
 0 on success, 1 on usage errors and invalid input, including an empty n
 range, a fit window with too few points and an output path that cannot be
 written (one line on stderr), 2 when an internal verification fails.
