@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from graphasym import _poly, connected_counts, recover_ak
+from graphasym.cli import main
 from graphasym.errors import VerificationFailure
 from graphasym.graphs import _wright_step, connected_rows
 
@@ -48,6 +49,17 @@ def test_count_table_access_rules():
         table.get(9, 9)  # n beyond the table
     with pytest.raises(KeyError):
         table.get(8, 11)  # m beyond n + k_max but below binom(8,2)
+
+
+def test_count_table_csv(capsys):
+    # the CSV of `graphasym count` is the table's entries, one row each, in order
+    table = connected_counts(6, 2)
+    assert main(["count", "--n-max", "6", "--k-max", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "n,m,k,count"
+    assert "5,5,0,222" in lines
+    assert "6,7,1,5700" in lines
+    assert lines[1:] == [f"{n},{m},{m - n},{c}" for n, m, c in table.entries()]
 
 
 def test_recover_ak_table_values():
