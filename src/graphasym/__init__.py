@@ -29,7 +29,7 @@ from .errors import (
     OutsideRing,
     VerificationFailure,
 )
-from .fitting import FitResult, identify_symbols, lsq_fit, reconstruct_symbolic
+from .fitting import FitResult, lsq_fit, reconstruct_symbolic, two_window_symbols
 from .graphs import CountTable, connected_counts, recover_ak
 from .ramanujan import (
     d_asym,
@@ -44,7 +44,6 @@ from .treepoly import (
     TreePolyNormalForm,
     t_asym,
     t_normal_form,
-    t_series,
     t_value,
 )
 

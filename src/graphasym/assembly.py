@@ -114,6 +114,8 @@ def exact_count_via_t(n: int, k: int) -> int:
     """c(n, n+k) evaluated through the tree-polynomial split."""
     if n < 1:
         raise ValueError("counts need n >= 1")
+    if k < -1:
+        raise ValueError("excess below -1 is empty")
     if k == -1:
         return 1 if n == 1 else n ** (n - 2)
     val = decompose(k).evaluate(n)

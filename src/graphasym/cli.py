@@ -276,8 +276,15 @@ _HANDLERS: dict[str, Callable[[argparse.Namespace], int]] = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports bad arguments in one stderr line, without the usage block."""
+
+    def error(self, message: str):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="graphasym",
         description="Exact and asymptotic enumeration of connected labelled graphs by excess.",
     )

@@ -2,23 +2,25 @@
 
 Every quantity in this package is derived from first principles, so when a
 derived coefficient disagrees with the value usually quoted in print, the
-disagreement is recorded as a finding and backed by a machine check that
-separates the two candidates numerically (remainders shrink at the rate the
-correct value predicts and not otherwise) or exactly (integer identities).
+disagreement is recorded as a finding and backed by a machine check on the
+package's own routes that separates the two candidates, as the finding's text
+states them, numerically (remainders shrink at the rate the correct value
+predicts and not otherwise) or exactly (integer identities).
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 
 import mpmath
 
 from ._record import Record
-from .assembly import asym_c, asym_p, normalization
+from .assembly import asym_c, asym_p, decompose, normalization
 from .graphs import connected_counts
-from .ramanujan import q_asym, q_exact, q_scaled
-from .series import egf_coefficient
+from .ramanujan import q_asym, q_scaled
+from .series import Series, egf_coefficient, tree_function
 from .symbolic import SymConst
-from .treepoly import t_series, t_value
+from .treepoly import t_value
 
 
 class Finding(Record):
@@ -77,109 +79,91 @@ FINDINGS: tuple[Finding, ...] = (
 )
 
 
-def _remainder_separation(
-    exact_val: mpmath.mpf,
-    series,
-    j_target: int,
-    stated_delta: mpmath.mpf,
-    n: int,
-) -> bool:
-    """True when the derived coefficient explains the remainder 10x better."""
-    partial = series.evaluate(n, depth=j_target)
-    rem_derived = abs(exact_val - partial)
-    rem_stated = abs(exact_val - (partial + stated_delta))
-    return rem_derived * 10 < rem_stated
+_BY_KEY = {f.key: f for f in FINDINGS}
+
+
+def _constant(text: str) -> SymConst:
+    """The constant a finding's text states: p/q, or p/q times xi as SymConst prints it."""
+    if "xi" not in text:
+        return SymConst.rational(Fraction(text))
+    return SymConst.xi(Fraction(text.replace("*xi", "").replace("xi", "1")))
 
 
 def _verify_tree_value_at_one() -> bool:
+    finding = _BY_KEY["tree_value_at_one"]
+    egf = (Series.one(8) - tree_function(8)).inverse()  # (1-T)**(-1)
     for n in range(1, 9):
-        if t_value(n, 1) != n ** n:
+        if not egf_coefficient(egf, n) == t_value(n, 1) == n ** n:
             return False
-        if egf_coefficient(t_series(1, 8), n) != n ** n:
-            return False
-    return t_value(3, 1) != 1
+    return t_value(3, 1) != int(finding.stated)
 
 
 def _verify_excess_zero_constant() -> bool:
+    finding = _BY_KEY["excess_zero_constant"]
+    dec = decompose(0)
+    if dict(dec.beta) != {-2: Fraction(-1, 4), -1: 1} or dec.qterm != Fraction(1, 2):
+        return False
     table = connected_counts(12, 0)
     for n in range(3, 13):
-        split = (
-            Fraction(q_exact(n) * n ** (n - 1), 2)
-            + t_value(n, -1)
-            - Fraction(t_value(n, -2), 4)
-        )
-        if split != table.get(n, n):
+        split = dec.evaluate(n)
+        if split + Fraction(finding.derived) != table.get(n, n):
             return False
-        if split + Fraction(3, 2) == table.get(n, n):
+        if split + Fraction(finding.stated) == table.get(n, n):
             return False
     return True
 
 
-def _remainder_converges(exact_at, series, j_target: int, stated) -> bool:
-    """Remainder checks of coefficient j_target of `series` against a stated value.
+def _remainder_converges(finding: Finding, series, slot: int, exact_at) -> bool:
+    """Remainder checks of the coefficient in `slot` of `series` against `finding`.
 
-    `exact_at(n)` is the exact normalized value at 512 bits.  At n = 1024
-    and 4096 the derived coefficient must explain the remainder 10x better
-    than the stated one, and the remainder after the terms before it, scaled
-    by that term's power of n, must keep the derived sign and move towards
-    the derived value from the smaller n to the larger.
+    The slot must print as the finding's derived value.  `exact_at(n)` is the
+    exact normalized value at 512 bits.  At n = 1024 and 4096 the remainder
+    after the slots above, scaled by the slot's power of n, must lie 10x
+    closer to the derived value than to the stated one, keep the derived
+    sign, and move towards the derived value from the smaller n to the larger.
     """
-    half = series.lead - j_target
+    if str(series.coeffs[slot]) != finding.derived:
+        return False
     gaps = []
     with mpmath.workprec(512):
-        derived = series.coeffs[j_target].evaluate(512)
-        delta = stated.evaluate(512) - derived
+        derived = _constant(finding.derived).evaluate(512)
+        stated = _constant(finding.stated).evaluate(512)
         for n in (1024, 4096):
-            exact_val = exact_at(n)
-            power = mpmath.power(n, mpmath.mpf(half) / 2)
-            if not _remainder_separation(exact_val, series, j_target, delta * power, n):
+            power = mpmath.power(n, mpmath.mpf(series.lead - slot) / 2)
+            scaled = (exact_at(n) - series.evaluate(n, 512, depth=slot - 1)) / power
+            gap = abs(scaled - derived)
+            if not gap * 10 < abs(scaled - stated) or mpmath.sign(scaled) != mpmath.sign(derived):
                 return False
-            scaled = (exact_val - series.evaluate(n, 512, depth=j_target - 1)) / power
-            if mpmath.sign(scaled) != mpmath.sign(derived):
-                return False
-            gaps.append(abs(scaled - derived))
-    return all(a > b for a, b in zip(gaps, gaps[1:]))
+            gaps.append(gap)
+    return gaps[0] > gaps[1]
 
 
 def _q_at(n: int) -> mpmath.mpf:
     return mpmath.mpf(q_scaled(n)) / mpmath.mpf(n) ** n
 
 
-def _verify_q_coefficient_n1() -> bool:
-    return _remainder_converges(_q_at, q_asym(3), 3, SymConst.rational(Fraction(-4, 35)))
+def _exact_at(kind: str):
+    return lambda n: normalization(kind).exact(0, n, 512)
 
 
-def _verify_q_coefficient_n2() -> bool:
-    return _remainder_converges(_q_at, q_asym(5), 5, SymConst.rational(Fraction(8, 235)))
+# each numeric finding: its expansion, the slot of its coefficient and the exact value
+_REMAINDERS = {
+    "q_coefficient_n1": (lambda: q_asym(3), 3, _q_at),
+    "q_coefficient_n2": (lambda: q_asym(5), 5, _q_at),
+    "connected_k0_n52": (lambda: asym_c(0, 5), 5, _exact_at("connected")),
+    "probability_k0_n1": (lambda: asym_p(0, 2), 2, _exact_at("probability")),
+}
 
 
-def _verify_connected_k0_n52() -> bool:
-    series = asym_c(0, 5)
-    if series.coeffs[5].rational_part() != Fraction(4, 2835):
-        return False
-    return _remainder_converges(
-        lambda n: normalization("connected").exact(0, n, 512),
-        series, 5, SymConst.rational(Fraction(-4, 2835)),
-    )
-
-
-def _verify_probability_k0_n1() -> bool:
-    series = asym_p(0, 2)
-    if series.coeffs[2].xi_part() != Fraction(1, 3):
-        return False
-    return _remainder_converges(
-        lambda n: normalization("probability").exact(0, n, 512),
-        series, 2, SymConst.xi(Fraction(-1, 3)),
-    )
+def _verify_remainder(key: str) -> bool:
+    expansion, slot, exact_at = _REMAINDERS[key]
+    return _remainder_converges(_BY_KEY[key], expansion(), slot, exact_at)
 
 
 _VERIFIERS = {
     "tree_value_at_one": _verify_tree_value_at_one,
     "excess_zero_constant": _verify_excess_zero_constant,
-    "q_coefficient_n1": _verify_q_coefficient_n1,
-    "q_coefficient_n2": _verify_q_coefficient_n2,
-    "connected_k0_n52": _verify_connected_k0_n52,
-    "probability_k0_n1": _verify_probability_k0_n1,
+    **{key: partial(_verify_remainder, key) for key in _REMAINDERS},
 }
 
 

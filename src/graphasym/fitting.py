@@ -201,18 +201,22 @@ def reconstruct_symbolic(
         return candidates[0][3]
 
 
-def identify_symbols(
-    full: FitResult, half: FitResult | None, max_denominator: int
-) -> list[SymConst | None]:
+def two_window_symbols(full: FitResult, max_denominator: int) -> list[SymConst | None]:
     """Symbolic readback of each estimate of `full`, or None where declined.
 
-    `half` is a refit on the upper half of the window.  Truncation bias
-    moves with the window, so the spread between the two estimates tracks
-    it while the residuals cannot see it: the tolerance is ten times that
-    spread, and a symbol counts only when both windows recover it.  With
-    half=None (a window too short to refit) the tolerance comes from the
-    residual rms and the second check is skipped.
+    `full` is refit on the upper half of its window, from the midpoint to
+    the end, on its own values.  Truncation bias moves with the window, so
+    the spread between the two estimates tracks it while the residuals
+    cannot see it: the tolerance is ten times that spread, and a symbol
+    counts only when both windows recover it.  When the half window has
+    fewer than degree + 2 points there is no refit: the tolerance comes
+    from the residual rms and the second check is skipped.
     """
+    mid = (full.n_min + full.n_max) // 2
+    half = None
+    if mid + full.degree + 1 <= full.n_max:
+        i = mid - full.n_min
+        half = _fit(full.k, full.degree, mid, full.xs[i:], full.ys[i:], full.bits)
     out: list[SymConst | None] = []
     for j, est in enumerate(full.estimates):
         spread = full.residual_rms if half is None else abs(est - half.estimates[j])
@@ -223,18 +227,3 @@ def identify_symbols(
                 sym = None
         out.append(sym)
     return out
-
-
-def two_window_symbols(full: FitResult, max_denominator: int) -> list[SymConst | None]:
-    """`identify_symbols` of `full` against a refit on the upper half of its window.
-
-    The half window runs from the midpoint of `full`'s window to its end; when
-    it has fewer than degree + 2 points the refit is skipped (half=None).  The
-    refit reuses `full`'s values rather than recounting them.
-    """
-    mid = (full.n_min + full.n_max) // 2
-    half = None
-    if mid + full.degree + 1 <= full.n_max:
-        i = mid - full.n_min
-        half = _fit(full.k, full.degree, mid, full.xs[i:], full.ys[i:], full.bits)
-    return identify_symbols(full, half, max_denominator)

@@ -168,20 +168,6 @@ class Series:
             out.append(c)
         return Series(out)
 
-    def pow(self, e: int) -> "Series":
-        """Integer power, negative exponents via the inverse."""
-        if e == 0:
-            return Series.one(self.order)
-        base = self if e > 0 else self.inverse()
-        e = abs(e)
-        acc = Series.one(self.order)
-        while e:
-            if e & 1:
-                acc = acc * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return acc
-
 
 def _running_lcm(d: int, nums: list[int], c: Fraction) -> tuple[int, list[int]]:
     """Widen the denominator d of nums to a multiple of c's, rescaling nums."""

@@ -31,14 +31,7 @@ from ._poly import Poly
 from ._record import Record
 from .errors import VerificationFailure
 from .ramanujan import q_asym, q_scaled, _difference_polynomial
-from .series import Series, tree_function
 from .symbolic import AsymSeries
-
-
-@lru_cache(maxsize=None)
-def t_series(y: int, order: int) -> Series:
-    """EGF sum_n t_n(y) z**n / n! = (1 - T)**(-y), exact through z**order."""
-    return (Series.one(order) - tree_function(order)).pow(-y)
 
 
 def t_value(n: int, y: int) -> int:

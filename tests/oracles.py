@@ -2,12 +2,13 @@
 
 Everything here is deliberately written against different identities (or by
 plain exhaustion) than the library code, so agreement is meaningful.  The
-checkers that read library series against an identity (t_recurrence_check,
-q_egf_check) and the JSON decoders live here too: nothing in the package
-calls them.
+EGF route to t_n(y) (t_series), the checkers that read library series against
+an identity (t_recurrence_check, q_egf_check) and the JSON decoders live here
+too: nothing in the package calls them.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import comb, factorial
 
@@ -21,7 +22,6 @@ from graphasym import (
     exact_count_via_t,
     exact_total,
     q_exact,
-    t_series,
     tree_function,
 )
 from graphasym.errors import ConstantTermError, IllConditioned, VerificationFailure
@@ -180,6 +180,17 @@ def q_egf_check(order: int) -> bool:
                 f"Q generating function mismatch at z**{n}: {lhs[n]} != {rhs[n]}"
             )
     return True
+
+
+@lru_cache(maxsize=None)
+def t_series(y: int, order: int) -> Series:
+    """EGF sum_n t_n(y) z**n / n! = (1 - T)**(-y), exact through z**order, by |y| products."""
+    base = Series.one(order) - tree_function(order)
+    factor = base.inverse() if y > 0 else base
+    out = Series.one(order)
+    for _ in range(abs(y)):
+        out = out * factor
+    return out
 
 
 def t_recurrence_check(n_max: int, y_min: int, y_max: int) -> bool:

@@ -324,6 +324,12 @@ def test_parser_covers_all_commands():
         # a negative depth keeps no term; it is not a slice from the end
         ["compare", "--k", "1", "--depths", "3,2,-2", "--n-min", "64", "--n-max", "128"],
         ["asym", "--k", "0", "--which", "total", "--depth", "-1"],
+        # argparse's own errors: the error line without the usage block
+        ["bogus"],
+        ["count", "--n-max", "x"],
+        ["count"],
+        ["tables", "--output", "json"],
+        ["fit", "--k", "-2"],
     ],
 )
 def test_bad_input_is_one_line_not_a_traceback(capsys, argv):
@@ -332,6 +338,11 @@ def test_bad_input_is_one_line_not_a_traceback(capsys, argv):
     assert out == ""
     assert len(err.splitlines()) == 1
     assert "Traceback" not in err
+
+
+def test_a_fit_below_excess_minus_one_says_the_excess_is_empty(capsys):
+    code, out, err = run(capsys, "fit", "--k", "-2")
+    assert (code, out, err) == (1, "", "error: excess below -1 is empty\n")
 
 
 def test_exact_values_print_past_the_default_digit_limit(capsys):

@@ -1,0 +1,34 @@
+"""Errata findings: each numeric check reads its constants from the finding's text."""
+import pytest
+
+from graphasym import errata
+from graphasym.errata import Finding
+
+NUMERIC = sorted(errata._REMAINDERS)
+
+
+@pytest.mark.parametrize("key", NUMERIC)
+def test_stated_and_derived_texts_round_trip_through_the_parser(key):
+    finding = errata._BY_KEY[key]
+    for text in (finding.stated, finding.derived):
+        assert str(errata._constant(text)) == text
+
+
+def _verify_with_texts(monkeypatch, key, stated, derived):
+    f = errata._BY_KEY[key]
+    monkeypatch.setitem(errata._BY_KEY, key, Finding(f.key, f.quantity, stated, derived, f.method))
+    return errata.verify_finding(key)
+
+
+@pytest.mark.parametrize("key", NUMERIC)
+def test_a_finding_with_stated_and_derived_swapped_reads_false(monkeypatch, key):
+    f = errata._BY_KEY[key]
+    assert _verify_with_texts(monkeypatch, key, f.derived, f.stated) is False
+
+
+@pytest.mark.parametrize("key", NUMERIC)
+def test_a_stated_value_equal_to_the_derived_one_is_not_separated(monkeypatch, key):
+    # the derived text still matches the expansion, so only the 10x
+    # remainder separation can tell the two apart, and here it must not
+    f = errata._BY_KEY[key]
+    assert _verify_with_texts(monkeypatch, key, f.derived, f.derived) is False

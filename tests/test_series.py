@@ -64,22 +64,6 @@ def test_exp_log_inverse_each_other(a):
     assert u * u.inverse() == Series.one(a.order)
 
 
-@given(series_st, st.integers(min_value=0, max_value=5))
-@settings(max_examples=40, deadline=None)
-def test_pow_matches_repeated_product(a, e):
-    prod = Series.one(a.order)
-    for _ in range(e):
-        prod = prod * a
-    assert a.pow(e) == prod
-
-
-@given(series_st, st.integers(min_value=1, max_value=3))
-@settings(max_examples=30, deadline=None)
-def test_negative_pow_is_inverse_power(a, e):
-    u = unit_series(a)
-    assert u.pow(-e) == u.inverse().pow(e)
-
-
 def test_domain_errors():
     z = Series.variable(4)
     with pytest.raises(ConstantTermError):
