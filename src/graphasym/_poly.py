@@ -20,8 +20,6 @@ from typing import Sequence
 
 Poly = tuple[Fraction, ...]
 
-ZERO: Poly = ()
-
 
 def _strip(c: Sequence) -> Sequence:
     n = len(c)
@@ -31,23 +29,8 @@ def _strip(c: Sequence) -> Sequence:
 
 
 def degree(p: Poly) -> int:
-    """Degree, with degree(ZERO) == -1."""
+    """Degree, with degree(()) == -1."""
     return len(p) - 1
-
-
-def add(p: Poly, q: Poly) -> Poly:
-    if len(p) < len(q):
-        p, q = q, p
-    out = list(p)
-    for i, c in enumerate(q):
-        out[i] += c
-    return _strip(tuple(out))
-
-
-def scale(p: Poly, s: Fraction | int) -> Poly:
-    if s == 0:
-        return ZERO
-    return tuple(c * s for c in p)
 
 
 def over_one_denominator(p: Sequence[Fraction | int]) -> tuple[list[int], int]:
@@ -93,4 +76,4 @@ def evaluate(p: Poly, x: Fraction | int) -> Fraction | int:
 
 
 def derivative(p: Poly) -> Poly:
-    return _strip(tuple(i * c for i, c in enumerate(p))[1:]) if p else ZERO
+    return _strip(tuple(i * c for i, c in enumerate(p))[1:])

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import comb, lcm
+from math import comb
 
 import mpmath
 from mpmath.libmp import from_rational, round_nearest
@@ -29,7 +29,7 @@ from .errors import CrosscheckFailure, VerificationFailure
 from .graphs import connected_counts, recover_ak
 from .series import Series
 from .symbolic import AsymSeries, stirling_tail
-from .treepoly import TreePolyNormalForm, t_normal_form
+from .treepoly import TreePolyNormalForm, t_combination
 
 
 # ---------------------------------------------------------------------------
@@ -42,35 +42,19 @@ class Decomposition(Record):
     k: int
     beta: tuple[tuple[int, Fraction], ...]
     qterm: Fraction
-    verified_n_max: int
 
     @cached_property
     def normal_form(self) -> TreePolyNormalForm:
-        """The split folded into c(n, n+k) = n**(n-1) (P(n) + R(n) Q(n) + E(1/n)).
-
-        The fold runs on integers: the beta and qterm over their least
-        common denominator, each t_normal_form(l) over its own
-        (`integer_parts`), and every part over the product of the two lcms.
-        """
-        terms = [(b, t_normal_form(l).integer_parts) for l, b in self.beta]
-        terms.append((self.qterm, (1, (), (1,), ())))  # qterm Q(n) n**(n-1)
-        nums, d = _poly.over_one_denominator([b for b, _ in terms])
-        den = lcm(*(form[0] for _, form in terms))
-        parts: tuple[list[int], ...] = ([], [], [])
-        for b, (_, (form_d, *form_parts)) in zip(nums, terms):
-            for acc, part in zip(parts, form_parts):
-                _poly.add_into(acc, part, b * (den // form_d))
-        return TreePolyNormalForm(
-            *(_poly._strip(tuple(Fraction(n, d * den) for n in part)) for part in parts)
-        )
+        """The split folded into c(n, n+k) = n**(n-1) (P(n) + R(n) Q(n) + E(1/n))."""
+        return t_combination(self.beta, self.qterm)
 
     def evaluate(self, n: int) -> int:
         """c(n, n+k) as an integer, from the folded form."""
         return self.normal_form.value_at(n)
 
 
-# decompose(k) checks its split against the count table for n = 1.._VERIFY_N_MAX
-_VERIFY_N_MAX = 12
+# decompose(k) checks its split against the count table for n = 1..VERIFY_N_MAX
+VERIFY_N_MAX = 12
 
 
 @lru_cache(maxsize=None)
@@ -86,7 +70,7 @@ def decompose(k: int) -> Decomposition:
         raise ValueError("decompositions start at excess 0")
     if k == 0:
         beta = ((-2, Fraction(-1, 4)), (-1, Fraction(1)))
-        dec = Decomposition(0, beta, Fraction(1, 2), _VERIFY_N_MAX)
+        dec = Decomposition(0, beta, Fraction(1, 2))
     else:
         a, d = _poly.over_one_denominator(recover_ak(k))
         # A_k(1-x) = sum_j gamma_j x**j, gamma_j = (-1)**j sum_{i>=j} C(i, j) a_i
@@ -94,12 +78,10 @@ def decompose(k: int) -> Decomposition:
             Fraction((-1) ** j * sum(comb(i, j) * a[i] for i in range(j, len(a))), d)
             for j in range(len(a))
         ]
-        beta = tuple(
-            (3 * k - j, g) for j, g in enumerate(gamma) if g != 0
-        )
-        dec = Decomposition(k, tuple(sorted(beta)), Fraction(0), _VERIFY_N_MAX)
-    table = connected_counts(_VERIFY_N_MAX, max(k, 0))
-    for n in range(1, _VERIFY_N_MAX + 1):
+        beta = tuple(sorted((3 * k - j, g) for j, g in enumerate(gamma) if g != 0))
+        dec = Decomposition(k, beta, Fraction(0))
+    table = connected_counts(VERIFY_N_MAX, max(k, 0))
+    for n in range(1, VERIFY_N_MAX + 1):
         want = table.get(n, n + k)
         got = dec.evaluate(n)
         if want != got:

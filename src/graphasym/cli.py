@@ -3,13 +3,14 @@
 Every subcommand but `tables` prints CSV by default (or JSON with --output
 json) through one emitter, `_emit`; `tables` writes the same row lists as CSV
 files.  This module alone decides the layout of every row and document, and
-identical invocations produce identical bytes.  Exit codes:
-0 on success, 1 on usage errors and invalid input, including an empty n
-range, a fit window with too few points and an output path that cannot be
-written (one line on stderr), 2 when an internal verification fails.
-`errata` and `tables` exit 2 after writing their output when an errata
-finding does not verify.  `compare`'s exact column is c/g (or the count c
-or g) rounded once at --precision-bits, then divided by the normalization.
+identical invocations produce identical bytes.  Exit codes: 0 on success, 1
+on usage errors and invalid input, including an empty n range, a fit window
+with too few points, a fit too ill-conditioned for its degree and precision,
+and an output path that cannot be written (one line on stderr), 2 when an
+internal verification fails.  `errata` and `tables` exit 2 after writing
+their output when an errata finding does not verify.  `compare`'s exact
+column is c/g (or the count c or g) rounded once at --precision-bits, then
+divided by the normalization.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ from typing import Callable, Sequence
 import mpmath
 
 from . import _poly, assembly, errata, fitting
-from .errors import GraphAsymError, InsufficientPoints
+from .errors import GraphAsymError, IllConditioned, InsufficientPoints
 from .graphs import connected_counts, recover_ak
 from .ramanujan import d_coefficients, q_asym, q_exact
 from .treepoly import t_value
@@ -123,7 +124,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
         "beta": {str(l): str(b) for l, b in dec.beta},
         "qterm": str(dec.qterm),
         "constant": "0",  # the split has no constant term (erratum excess_zero_constant)
-        "verified_n_max": dec.verified_n_max,
+        "verified_n_max": assembly.VERIFY_N_MAX,
     })
 
 
@@ -359,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
 def dispatch(args: argparse.Namespace) -> int:
     try:
         return _HANDLERS[args.command](args)
-    except (ValueError, InsufficientPoints, OSError) as exc:
+    except (ValueError, InsufficientPoints, IllConditioned, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except GraphAsymError as exc:

@@ -15,16 +15,17 @@ One normal form splits the n-dependence from the Q-dependence,
     y >= 1:  t_n(y) = n**n * (P_y(n) + R_y(n) Q(n)),  so p = n P_y, r = n R_y
     y <= 0:  t_n(y) = n**(n-1) * E_{|y|}(1/n),         so e = E_{|y|}
 
-with E_m(u) = sum_{r=1}^{m} C(m,r)(-1)**r r prod_{i<r}(1 - iu).  Sums of
-tree polynomials (the decompositions of c(n, n+k) in `assembly`) fold into
-the same form, and its one integer evaluator and one expansion give every
-exact value and every asymptotic expansion built on t_n(y).
+with E_m(u) = sum_{r=1}^{m} C(m,r)(-1)**r r prod_{i<r}(1 - iu).  One
+backward sum of the recurrence (Clenshaw's scheme), `t_combination`, folds
+any sum of tree polynomials plus a Q term into this form on integers, one
+t_n(y) and each decomposition of c(n, n+k) alike; the form's one integer
+evaluator and one expansion give every exact value and expansion built on it.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import factorial
+from itertools import zip_longest
 
 from . import _poly
 from ._poly import Poly
@@ -115,21 +116,44 @@ class TreePolyNormalForm(Record):
         return out
 
 
+def t_combination(terms, qterm: Fraction | int = 0) -> TreePolyNormalForm:
+    """The normal form of sum b t_n(y) over (y, b) in terms, plus qterm Q(n) n**(n-1).
+
+    Each y >= 3 folds, top index first, through t(y) = (n/(y-2)) t(y-2) +
+    t(y-1); each y <= 0 adds b E_{|y|}.  The multiplier of t(y) is held as
+    C_y (y-1)! / (d (top-1)!), d the common denominator of the b, so both
+    steps are integer steps.
+    """
+    nums, d = _poly.over_one_denominator([b for _, b in terms])
+    top = max([2] + [y for y, _ in terms])
+    fresh = [0] * (top + 1)
+    e: list[int] = []
+    for (y, _), b in zip(terms, nums):
+        if y >= 1:
+            fresh[y] += b
+        else:
+            _poly.add_into(e, _difference_polynomial(-y, -y), b)
+    cur, nxt, scale = [0], [0], 1  # C_y, the part of C_{y-1} folded so far, (top-1)!/(y-1)!
+    for y in range(top, 2, -1):
+        cur[0] += fresh[y] * scale
+        # C_{y-1} += (y-1) C_y and C_{y-2} = (y-1) n C_y
+        step = [(y - 1) * c for c in cur]
+        cur, nxt = [a + b for a, b in zip_longest(nxt, step, fillvalue=0)], [0] + step
+        scale *= y - 1
+    # what is left is C_2 t(2) + C_1 t(1), with t(1) = n**n and t(2) = n**n (1 + Q)
+    cur[0] += fresh[2] * scale
+    nxt[0] += fresh[1] * scale
+    den = d * scale
+    p = [0] + [a + b for a, b in zip_longest(nxt, cur, fillvalue=0)]
+    return TreePolyNormalForm(*(
+        _poly._strip(tuple(Fraction(c, q) for c in part))
+        for part, q in ((p, den), ([qterm * den] + cur, den), (e, d))
+    ))
+
+
 @lru_cache(maxsize=None)
 def t_normal_form(y: int) -> TreePolyNormalForm:
-    if y <= 0:
-        return TreePolyNormalForm(e=_poly._strip(tuple(_difference_polynomial(-y, -y))))
-    if y == 1:
-        return TreePolyNormalForm(p=(0, 1))  # t_n(1) = n**n
-    # t(v) = (n/(v-2)) t(v-2) + t(v-1), applied coefficientwise to (v-1)! n (p, r),
-    # which keeps every coefficient an integer until the last step
-    prev, cur = ((0, 1), ()), ((0, 1), (0, 1))  # v = 1, 2
-    for v in range(3, y + 1):
-        prev, cur = cur, tuple(
-            _poly.scale(_poly.add((0,) + a, b), v - 1) for a, b in zip(prev, cur)
-        )
-    p, r = (_poly.scale(c, Fraction(1, factorial(y - 1))) for c in cur)
-    return TreePolyNormalForm(p=p, r=r)
+    return t_combination(((y, 1),))
 
 
 def t_asym(y: int, depth: int) -> AsymSeries:

@@ -8,6 +8,7 @@ import pytest
 
 from graphasym import (
     SymConst,
+    TreePolyNormalForm,
     asym_c,
     asym_g,
     asym_p,
@@ -16,8 +17,9 @@ from graphasym import (
     exact_count_via_t,
     exact_total,
     fss_crosscheck,
+    t_normal_form,
 )
-from graphasym import assembly
+from graphasym import _poly, assembly
 from graphasym.assembly import expansion, normalization
 from graphasym.errors import CrosscheckFailure
 
@@ -77,6 +79,20 @@ def test_decompositions_match_the_recurrence_oracle_past_the_runtime_check():
                 + dec.qterm * oracles.q_direct(n) * n ** (n - 1)
             )
             assert dec.evaluate(n) == want, (n, k)
+
+
+def test_decomposition_forms_are_sums_of_tree_polynomial_forms():
+    # the normal form is linear: fold each index on its own, then add part by part
+    for k in range(0, 31):
+        dec = decompose(k)
+        parts = [[F(0)], [dec.qterm], [F(0)]]
+        for l, b in dec.beta:
+            form = t_normal_form(l)
+            for acc, part in zip(parts, (form.p, form.r, form.e)):
+                acc += [F(0)] * (len(part) - len(acc))
+                for i, c in enumerate(part):
+                    acc[i] += b * c
+        assert dec.normal_form == TreePolyNormalForm(*(_poly._strip(tuple(a)) for a in parts)), k
 
 
 def test_exact_count_via_t():

@@ -330,6 +330,9 @@ def test_parser_covers_all_commands():
         ["count"],
         ["tables", "--output", "json"],
         ["fit", "--k", "-2"],
+        # an ill-conditioned fit comes from the degree and precision asked for
+        ["fit", "--k", "0", "--degree", "30", "--n-min", "100", "--n-max", "130",
+         "--precision-bits", "64"],
     ],
 )
 def test_bad_input_is_one_line_not_a_traceback(capsys, argv):

@@ -88,6 +88,17 @@ def test_reach_in_k_is_byte_identical():
     assert digest == REACH
 
 
+# sha256 over the str of asym_c(60, 12), recorded from the forward per-index
+# recurrence and the per-index fold of the decomposition: tree indices up to
+# 180, past the k = 30 the digest above reaches
+REACH_60 = "65980c025e8da57766dc5ca767196cf625a4be1b09ef98f30de83527b5d46cd8"
+
+
+def test_reach_at_excess_60_is_byte_identical():
+    digest = hashlib.sha256(str(asym_c(60, 12)).encode()).hexdigest()
+    assert digest == REACH_60
+
+
 # sha256 over the str of asym_g(k, 16) for k = -1..8, then stirling_series at
 # depths 7 and 15; recorded from the falling-factorial (Faulhaber) route, which
 # is independent of the Stirling-at-N, N-m and m route

@@ -38,7 +38,7 @@ RECORDS = [
         lambda: AsymSeries.build(1, [SymConst.xi(1), 0, SymConst.xi(Fraction(2, 3))]),
         ("lead", "rats", "parity"),
     ),
-    (Decomposition, lambda: decompose(2), ("k", "beta", "qterm", "verified_n_max")),
+    (Decomposition, lambda: decompose(2), ("k", "beta", "qterm")),
     (
         CrosscheckReport,
         lambda: fss_crosscheck(2),

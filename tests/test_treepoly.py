@@ -1,5 +1,6 @@
 """Tree polynomials t_n(y): exact values, normal forms, asymptotics."""
 from fractions import Fraction
+from math import lcm
 
 import mpmath
 from hypothesis import given, settings, strategies as st
@@ -11,6 +12,8 @@ from graphasym import (
     t_normal_form,
     t_value,
 )
+from graphasym import _poly
+from graphasym.treepoly import t_combination
 
 import oracles
 
@@ -105,3 +108,29 @@ def test_asymptotic_leading_terms():
     assert s3.coefficient_at(2) == SymConst.rational(1)
     assert s3.coefficient_at(1) == SymConst.xi(F(1, 2))
     assert s3.coefficient_at(0) == SymConst.rational(F(2, 3))
+
+
+def _form_value(form, n):
+    """n**(n-1) (p(n) + r(n) Q(n) + e(1/n)) in Fractions, without the integer evaluator."""
+    inner = _poly.evaluate(form.p, n) + _poly.evaluate(form.e, F(1, n))
+    return n ** (n - 1) * (inner + _poly.evaluate(form.r, n) * oracles.q_direct(n))
+
+
+_RATIONALS = st.fractions(min_value=-50, max_value=50, max_denominator=24)
+
+
+@given(
+    st.lists(st.tuples(st.integers(min_value=-6, max_value=40), _RATIONALS), max_size=6),
+    _RATIONALS,
+)
+@settings(max_examples=40, deadline=None)
+def test_a_combination_is_the_sum_of_its_terms(terms, qterm):
+    # sum b t_n(y) + qterm Q(n) n**(n-1), term by term through the recurrence oracle
+    form = t_combination(tuple(terms), qterm)
+    scale = lcm(qterm.denominator, *(b.denominator for _, b in terms))
+    whole = t_combination(tuple((y, b * scale) for y, b in terms), qterm * scale)
+    for n in range(1, 21):
+        want = qterm * n ** (n - 1) * oracles.q_direct(n)
+        want += sum(b * oracles.t_by_recurrence(n, y) for y, b in terms)
+        assert _form_value(form, n) == want, (n, terms, qterm)
+        assert whole.value_at(n) == scale * want, (n, terms, qterm)
