@@ -12,16 +12,20 @@ binomial C(N, m) as ln N! - ln (N-m)! - ln m!, each factorial by
 Stirling's formula with the one correction series `stirling_tail`; the
 large-scale terms (n log n, log n, n, n log 2, log pi) must cancel against
 the normalizing prefactor, and those cancellations are checked at run time
-(raising `VerificationFailure`), not assumed.
+(raising `VerificationFailure`), not assumed.  The exact values are rounded
+from integers alone: g = C(N, m) is first enclosed between two integer
+fractions from truncated product trees, and since rounding to nearest is
+monotone, when both ends of the enclosure round alike that is the correctly
+rounded value; only otherwise is the exact binomial built.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import comb
+from math import comb, prod
 
 import mpmath
-from mpmath.libmp import from_rational, round_nearest
+from mpmath.libmp import from_man_exp, fzero, round_nearest
 
 from . import _poly
 from ._record import Record
@@ -321,6 +325,93 @@ def fss_crosscheck(k: int, bits: int = 256, tolerance: float = 1e-12) -> Crossch
 # normalizations
 
 
+# the enclosure of C(N, m) is built at `bits` + this many bits
+_GUARD_BITS = 64
+# each leaf of a truncated product tree is one exact `prod` of this many ints
+_PRODUCT_LEAF = 64
+
+
+def _round_quotient(num: int, den: int, bits: int) -> tuple:
+    """num / den (num >= 0, den > 0) rounded to nearest at `bits`, as a raw mpf.
+
+    The quotient is taken to `bits` + 2 or + 3 bits by one `divmod`, a nonzero
+    remainder is ORed into its last bit, and `from_man_exp` rounds that once:
+    with at least two bits below the kept ones the sticky bit cannot turn an
+    inexact value into a tie or move it across one.
+    """
+    if num == 0:
+        return fzero
+    shift = bits + 2 - (num.bit_length() - den.bit_length())
+    q, r = divmod(num << shift, den) if shift >= 0 else divmod(num, den << -shift)
+    return from_man_exp(q | (r != 0), -shift, bits, round_nearest)
+
+
+def _truncated_product(start: int, stop: int, prec: int) -> tuple[int, int, int]:
+    """(x, e, t) with x 2**e <= prod(range(start, stop)) <= x 2**e (1+2**-(prec-1))**t.
+
+    A product tree with leaves of `_PRODUCT_LEAF` factors, every node floored
+    to `prec` bits; t counts the floors.
+    """
+    if stop - start <= _PRODUCT_LEAF:
+        x, e, t = prod(range(start, stop)), 0, 0
+    else:
+        mid = (start + stop) // 2
+        x1, e1, t1 = _truncated_product(start, mid, prec)
+        x2, e2, t2 = _truncated_product(mid, stop, prec)
+        x, e, t = x1 * x2, e1 + e2, t1 + t2
+    drop = x.bit_length() - prec
+    if drop > 0:
+        x, e, t = x >> drop, e + drop, t + 1
+    return x, e, t
+
+
+def _binomial_enclosure(big_n: int, m: int, prec: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """Integer fractions lo = (num, den) and hi with lo <= C(big_n, m) <= hi, 0 <= m <= big_n.
+
+    C(N, m) = (N-m+1)...N / m!, with m replaced by min(m, N-m), each product
+    from `_truncated_product`.  A floor to prec bits keeps x >= 2**(prec-1)
+    and drops less than 2**e, so it loses a relative amount below
+    2**-(prec-1); after t floors the true product lies in
+    [x 2**e, x 2**e (1 + t 2**-(prec-2))], because (1+d)**t <= exp(t d) <= 1 + 2 t d
+    whenever t d <= 1 with d = 2**-(prec-1).  The enclosure divides the lower
+    end of one product by the upper end of the other.  When prec < 2 or that
+    condition fails for either product, both ends are the exact C(N, m).
+    """
+    m = min(m, big_n - m)
+    if prec >= 2:
+        x_f, e_f, t_f = _truncated_product(big_n - m + 1, big_n + 1, prec)
+        x_m, e_m, t_m = _truncated_product(1, m + 1, prec)
+        if max(t_f, t_m) <= 1 << (prec - 1):
+            unit = 1 << (prec - 2)
+            lo, hi = (x_f * unit, x_m * (unit + t_m)), (x_f * (unit + t_f), x_m * unit)
+            e = e_f - e_m
+            if e >= 0:
+                return (lo[0] << e, lo[1]), (hi[0] << e, hi[1])
+            return (lo[0], lo[1] << -e), (hi[0], hi[1] << -e)
+    exact = comb(big_n, m)
+    return (exact, 1), (exact, 1)
+
+
+def _round_over_binomial(n: int, k: int, bits: int, probability: bool) -> tuple:
+    """g(n, n+k), or c/g with `probability`, rounded to `bits` (see `Normalization.exact`)."""
+    if n < 0:
+        raise ValueError("graphs need n >= 0")
+    big_n, m = n * (n - 1) // 2, n + k
+    if not 0 <= m <= big_n:
+        if probability:
+            raise ValueError(f"no graphs with n={n}, m={m}")
+        return fzero
+    lo, hi = _binomial_enclosure(big_n, m, bits + _GUARD_BITS)
+    if probability:  # c/hi <= c/g <= c/lo
+        c = exact_count_via_t(n, k)
+        lo, hi = (c * hi[1], hi[0]), (c * lo[1], lo[0])
+    value = _round_quotient(*lo, bits)
+    if value == _round_quotient(*hi, bits):
+        return value
+    g = exact_total(n, k)
+    return _round_quotient(c, g, bits) if probability else _round_quotient(g, 1, bits)
+
+
 class Normalization(Record):
     kind: str
     description: str
@@ -349,17 +440,24 @@ class Normalization(Record):
     def exact(self, k: int, n: int, bits: int = 256) -> mpmath.mpf:
         """The exact value of this kind at (n, n+k) over its normalization, at `bits`.
 
-        The unreduced pair (c, g) for the probability, (c, 1) or (g, 1) for
-        the counts, is rounded once to `bits` by one division, so no
-        fraction is reduced; dividing by the normalization rounds again.
+        The exact value (c, g = C(N, m) with N = n(n-1)/2 and m = n+k, or
+        c/g) is rounded once to `bits` from integers alone, by one division
+        (`_round_quotient`), so no fraction is reduced and no huge integer is
+        converted to mpf; dividing by the normalization rounds again.  g is
+        not built unless it has to be: with prec = `bits` + `_GUARD_BITS`,
+        `_binomial_enclosure` gives integer fractions lo <= g <= hi, and the
+        total rounds [lo, hi], the probability [c/hi, c/lo].  Rounding to
+        nearest is monotone, so when both ends round to the same float that
+        float is the correctly rounded exact value; otherwise, which includes
+        every exact tie, the exact g is built and rounded.  The result is
+        therefore that of the exact route by construction.
         """
-        den = exact_total(n, k) if self.kind == "probability" else 1
-        if den == 0:
-            raise ValueError(f"no graphs with n={n}, m={n + k}")
-        num = exact_total(n, k) if self.kind == "total" else exact_count_via_t(n, k)
-        value = mpmath.mp.make_mpf(from_rational(num, den, bits, round_nearest))
+        if self.kind == "connected":
+            value = _round_quotient(exact_count_via_t(n, k), 1, bits)
+        else:
+            value = _round_over_binomial(n, k, bits, self.kind == "probability")
         with mpmath.workprec(bits):
-            return value / self.evaluate(k, n, bits)
+            return mpmath.mp.make_mpf(value) / self.evaluate(k, n, bits)
 
 
 _NORMALIZATIONS = {

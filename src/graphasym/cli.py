@@ -169,7 +169,10 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         raise ValueError("compare needs --n-max >= --n-min")
     if args.precision_bits < 53:
         raise ValueError("compare needs --precision-bits >= 53")
-    depths = tuple(int(d) for d in args.depths.split(","))
+    try:
+        depths = tuple(int(d) for d in args.depths.split(","))
+    except ValueError:
+        raise ValueError("compare needs --depths as comma-separated integers") from None
     if min(depths) < 0:
         raise ValueError("compare needs every --depths entry >= 0")
     series = assembly.expansion(args.which, args.k, max(depths))

@@ -1,10 +1,12 @@
 """Count decompositions, the three asymptotic families, and cross-checks."""
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, factorial, prod
 
 import mpmath
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from mpmath.libmp import from_man_exp
 
 from graphasym import (
     SymConst,
@@ -236,10 +238,126 @@ def test_normalized_exact_values_build_no_fraction(monkeypatch):
         assert normalization(kind).exact(k, n, 256) > 0, kind
 
 
+BITS = st.sampled_from([53, 64, 100, 256, 512])
+
+
+def _rounded_by_oracle(num, den, bits):
+    return from_man_exp(*oracles.round_to_bits(F(num, den), bits))
+
+
+@given(st.integers(0, 2**700), st.integers(1, 2**700), BITS)
+@settings(max_examples=300, deadline=None)
+@example(0, 1, 53)
+@example(0, 3**400, 512)
+def test_round_quotient_is_the_nearest_float(num, den, bits):
+    assert assembly._round_quotient(num, den, bits) == _rounded_by_oracle(num, den, bits)
+    assert assembly._round_quotient(num, 1, bits) == _rounded_by_oracle(num, 1, bits)
+
+
+@given(st.integers(1, 12), st.integers(1, 2**300), BITS)
+@settings(max_examples=100, deadline=None)
+def test_round_quotient_of_numerators_with_many_trailing_zero_bits(j, den, bits):
+    # n**(n-1) at n = 2**j, the connected count's factor, is a power of two
+    num = (2**j) ** (2**j - 1)
+    for a in (num, num * 3, num * 3 - 2**j):
+        assert assembly._round_quotient(a, 1, bits) == _rounded_by_oracle(a, 1, bits)
+        assert assembly._round_quotient(a, den, bits) == _rounded_by_oracle(a, den, bits)
+
+
+@given(st.integers(0, 2**600), st.integers(-700, 700), st.integers(1, 2**200), BITS)
+@settings(max_examples=300, deadline=None)
+def test_round_quotient_breaks_exact_ties_to_even(odd, e, d, bits):
+    # q 2**e with q odd of bits + 1 bits lies halfway between two neighbours
+    q = (2**bits | odd % 2**bits) | 1
+    num, den = (q * d << e, d) if e >= 0 else (q * d, d << -e)
+    assert assembly._round_quotient(num, den, bits) == _rounded_by_oracle(num, den, bits)
+
+
+@st.composite
+def _binomials(draw):
+    big_n = draw(st.one_of(st.integers(0, 3000), st.integers(0, 10**9)))
+    m = draw(st.one_of(
+        st.sampled_from([0, big_n]),
+        st.integers(0, min(big_n, 64)),
+        st.integers(0, min(big_n, 3000)),
+        st.integers(max(big_n - 3000, big_n // 2), big_n),
+    ))
+    return big_n, m, draw(st.integers(0, 400))
+
+
+@given(_binomials())
+@settings(max_examples=200, deadline=None)
+@example((0, 0, 117))
+@example((10**9, 10**9, 117))
+@example((10**9, 64, 2))
+@example((3000, 2990, 1))
+def test_binomial_enclosure_holds_within_its_bound(case):
+    big_n, m, prec = case
+    g = comb(big_n, m)
+    (lo_num, lo_den), (hi_num, hi_den) = assembly._binomial_enclosure(big_n, m, prec)
+    assert lo_num <= g * lo_den and g * hi_den <= hi_num
+    if prec < 2:
+        assert (lo_num, lo_den) == (hi_num, hi_den) == (g, 1)
+        return
+    # each product has m' = min(m, N-m) factors, so fewer than m' + 1 tree nodes
+    # floor it: hi/lo <= (1 + (m'+1) 2**-(prec-2))**2
+    unit, floors = 1 << (prec - 2), min(m, big_n - m) + 1
+    assert hi_num * lo_den * unit**2 <= lo_num * hi_den * (unit + floors) ** 2
+    short = min(m, big_n - m)
+    if short <= assembly._PRODUCT_LEAF and max(
+        prod(range(big_n - short + 1, big_n + 1)), factorial(short)
+    ).bit_length() <= prec:
+        # one leaf each and nothing to floor: the enclosure is exact
+        assert lo_num == g * lo_den and hi_num == g * hi_den
+
+
+def _counting_comb(monkeypatch):
+    calls = []
+    monkeypatch.setattr(assembly, "comb", lambda a, b: calls.append((a, b)) or comb(a, b))
+    return calls
+
+
+def test_an_undecided_enclosure_falls_back_to_the_exact_binomial(monkeypatch):
+    # a guard below zero leaves the enclosure wider than an ulp whenever a node
+    # is floored, so its ends never round alike and every value takes the
+    # exact route
+    grid = [(kind, k, n, bits)
+            for kind in ("probability", "total")
+            for n in (32, 512, 4096) for k in (0, 1, 2) for bits in (53, 64, 256)]
+    unforced = {case: normalization(case[0]).exact(*case[1:]) for case in grid}
+    for k in (0, 1, 2):
+        decompose(k)  # its gamma_j use comb
+    calls = _counting_comb(monkeypatch)
+    monkeypatch.setattr(assembly, "_GUARD_BITS", -8)
+    for kind, k, n, bits in grid:
+        before = len(calls)
+        got = normalization(kind).exact(k, n, bits)
+        assert len(calls) > before, (kind, k, n, bits)
+        with mpmath.workprec(bits):
+            value = mpmath.mpf(oracles.round_to_bits(oracles.exact_value(kind, n, k), bits))
+            want = value / normalization(kind).evaluate(k, n, bits)
+        assert got == unforced[kind, k, n, bits] == want, (kind, k, n, bits)
+
+
+def test_normalized_exact_values_build_no_binomial(monkeypatch):
+    # the enclosure decides at n = 4096; C(N, m) would be ~50,000 bits
+    for k in (0, 1, 2):
+        decompose(k)  # its gamma_j use comb
+    calls = _counting_comb(monkeypatch)
+    for kind in ("probability", "total"):
+        for k in (0, 1, 2):
+            for bits in (53, 256):
+                assert normalization(kind).exact(k, 4096, bits) > 0
+    assert calls == []
+
+
 def test_probability_with_no_graphs_is_a_value_error():
     # C(1, 3) = 0 graphs on 2 nodes with 3 edges: no division by zero
     with pytest.raises(ValueError, match=r"^no graphs with n=2, m=3$"):
         normalization("probability").exact(1, 2)
+    assert normalization("total").exact(1, 2) == 0
+    with pytest.raises(ValueError):
+        normalization("total").exact(5, -3)
 
 
 def test_fss_crosscheck_report():

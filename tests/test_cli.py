@@ -304,6 +304,8 @@ def test_parser_covers_all_commands():
         ["asym", "--k", "1", "--depth", "-1"],
         ["decompose", "--k", "-1"],
         ["compare", "--depths", "x"],
+        ["compare", "--depths", "1,"],
+        ["compare", "--depths", ""],
         ["fit", "--degree", "0", "--n-min", "100", "--n-max", "100"],
         ["fit", "--n-min", "0", "--n-max", "10", "--degree", "2"],
         ["compare", "--which", "total", "--k", "0", "--n-min", "0", "--n-max", "8"],
@@ -341,6 +343,13 @@ def test_bad_input_is_one_line_not_a_traceback(capsys, argv):
     assert out == ""
     assert len(err.splitlines()) == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("depths", ["1,", "", "1,x"])
+def test_unreadable_depths_name_the_flag(capsys, depths):
+    code, out, err = run(capsys, "compare", "--depths", depths)
+    assert (code, out) == (1, "")
+    assert err == "error: compare needs --depths as comma-separated integers\n"
 
 
 def test_a_fit_below_excess_minus_one_says_the_excess_is_empty(capsys):
