@@ -13,10 +13,10 @@ Stirling's formula with the one correction series `stirling_tail`; the
 large-scale terms (n log n, log n, n, n log 2, log pi) must cancel against
 the normalizing prefactor, and those cancellations are checked at run time
 (raising `VerificationFailure`), not assumed.  The exact values are rounded
-from integers alone: g = C(N, m) is first enclosed between two integer
-fractions from truncated product trees, and since rounding to nearest is
-monotone, when both ends of the enclosure round alike that is the correctly
-rounded value; only otherwise is the exact binomial built.
+from integers alone: g = C(N, m), or c/g, is first enclosed in an interval
+whose every operation rounds outwards (mpmath's `libmpi`); rounding to
+nearest is monotone, so when both ends round alike that is the correctly
+rounded value, and only otherwise is the exact binomial built.
 """
 from __future__ import annotations
 
@@ -25,7 +25,8 @@ from functools import cached_property, lru_cache
 from math import comb, prod
 
 import mpmath
-from mpmath.libmp import from_man_exp, fzero, round_nearest
+from mpmath.libmp import from_int, from_man_exp, fzero, mpf_pos, round_ceiling, round_floor, round_nearest
+from mpmath.libmp.libmpi import mpi_div, mpi_mul
 
 from . import _poly
 from ._record import Record
@@ -68,11 +69,14 @@ def decompose(k: int) -> Decomposition:
     For k >= 1 the split comes from expanding the numerator polynomial
     around 1: A_k(T) (1-T)**(-3k) = sum_j gamma_j (1-T)**(j-3k), so each
     term is a tree polynomial of index 3k - j.  For k = 0 the closed form
-    is c(n,n) = Q(n) n**(n-1)/2 - n**(n-1) + n**(n-2)/2.
+    is c(n,n) = Q(n) n**(n-1)/2 - n**(n-1) + n**(n-2)/2, and for k = -1,
+    W_{-1} = T - T**2/2 = -(1-T)**2/2 + 1/2 gives c(n,n-1) = -t_n(-2)/2.
     """
-    if k < 0:
-        raise ValueError("decompositions start at excess 0")
-    if k == 0:
+    if k < -1:
+        raise ValueError("excess below -1 is empty")
+    if k == -1:
+        dec = Decomposition(-1, ((-2, Fraction(-1, 2)),), Fraction(0))
+    elif k == 0:
         beta = ((-2, Fraction(-1, 4)), (-1, Fraction(1)))
         dec = Decomposition(0, beta, Fraction(1, 2))
     else:
@@ -84,7 +88,7 @@ def decompose(k: int) -> Decomposition:
         ]
         beta = tuple(sorted((3 * k - j, g) for j, g in enumerate(gamma) if g != 0))
         dec = Decomposition(k, beta, Fraction(0))
-    table = connected_counts(VERIFY_N_MAX, max(k, 0))
+    table = connected_counts(VERIFY_N_MAX, k)
     for n in range(1, VERIFY_N_MAX + 1):
         want = table.get(n, n + k)
         got = dec.evaluate(n)
@@ -100,10 +104,6 @@ def exact_count_via_t(n: int, k: int) -> int:
     """c(n, n+k) evaluated through the tree-polynomial split."""
     if n < 1:
         raise ValueError("counts need n >= 1")
-    if k < -1:
-        raise ValueError("excess below -1 is empty")
-    if k == -1:
-        return 1 if n == 1 else n ** (n - 2)
     val = decompose(k).evaluate(n)
     if val < 0:
         raise VerificationFailure(f"negative count at n={n}, k={k}")
@@ -120,12 +120,8 @@ def asym_c(k: int, depth: int) -> AsymSeries:
 
     The excess -1 row is exact: c(n, n-1) = n**(n-2) gives the constant 1.
     """
-    if k < -1:
-        raise ValueError("excess below -1 is empty")
     if depth < 0:
         raise ValueError("depth must be nonnegative")
-    if k == -1:
-        return AsymSeries.build(0, [1] + [0] * depth)
     # the form is c(n, n+k) / n**(n-1), and n**(n + (3k-1)/2) = n**(n-1) n**((3k+1)/2)
     shifted = decompose(k).normal_form.expansion(3 * k + 1 - depth).shift(-(3 * k + 1))
     if shifted.lead != 0:
@@ -327,8 +323,8 @@ def fss_crosscheck(k: int, bits: int = 256, tolerance: float = 1e-12) -> Crossch
 
 # the enclosure of C(N, m) is built at `bits` + this many bits
 _GUARD_BITS = 64
-# each leaf of a truncated product tree is one exact `prod` of this many ints
-_PRODUCT_LEAF = 64
+# each leaf of an enclosing product tree is one exact `prod` of this many ints
+_PRODUCT_LEAF = 128
 
 
 def _round_quotient(num: int, den: int, bits: int) -> tuple:
@@ -346,50 +342,20 @@ def _round_quotient(num: int, den: int, bits: int) -> tuple:
     return from_man_exp(q | (r != 0), -shift, bits, round_nearest)
 
 
-def _truncated_product(start: int, stop: int, prec: int) -> tuple[int, int, int]:
-    """(x, e, t) with x 2**e <= prod(range(start, stop)) <= x 2**e (1+2**-(prec-1))**t.
+def _product_interval(start: int, stop: int, prec: int) -> tuple:
+    """An interval at `prec` bits that encloses prod(range(start, stop)).
 
-    A product tree with leaves of `_PRODUCT_LEAF` factors, every node floored
-    to `prec` bits; t counts the floors.
+    A product tree: the range is halved until a leaf has at most
+    `_PRODUCT_LEAF` ints, so j ints make at most max(1, 2j / `_PRODUCT_LEAF`)
+    leaves.  Each leaf is an exact `prod` rounded outwards and each node an
+    outward-rounded interval product, so every leaf and node moves each end
+    outwards by under one ulp.
     """
     if stop - start <= _PRODUCT_LEAF:
-        x, e, t = prod(range(start, stop)), 0, 0
-    else:
-        mid = (start + stop) // 2
-        x1, e1, t1 = _truncated_product(start, mid, prec)
-        x2, e2, t2 = _truncated_product(mid, stop, prec)
-        x, e, t = x1 * x2, e1 + e2, t1 + t2
-    drop = x.bit_length() - prec
-    if drop > 0:
-        x, e, t = x >> drop, e + drop, t + 1
-    return x, e, t
-
-
-def _binomial_enclosure(big_n: int, m: int, prec: int) -> tuple[tuple[int, int], tuple[int, int]]:
-    """Integer fractions lo = (num, den) and hi with lo <= C(big_n, m) <= hi, 0 <= m <= big_n.
-
-    C(N, m) = (N-m+1)...N / m!, with m replaced by min(m, N-m), each product
-    from `_truncated_product`.  A floor to prec bits keeps x >= 2**(prec-1)
-    and drops less than 2**e, so it loses a relative amount below
-    2**-(prec-1); after t floors the true product lies in
-    [x 2**e, x 2**e (1 + t 2**-(prec-2))], because (1+d)**t <= exp(t d) <= 1 + 2 t d
-    whenever t d <= 1 with d = 2**-(prec-1).  The enclosure divides the lower
-    end of one product by the upper end of the other.  When prec < 2 or that
-    condition fails for either product, both ends are the exact C(N, m).
-    """
-    m = min(m, big_n - m)
-    if prec >= 2:
-        x_f, e_f, t_f = _truncated_product(big_n - m + 1, big_n + 1, prec)
-        x_m, e_m, t_m = _truncated_product(1, m + 1, prec)
-        if max(t_f, t_m) <= 1 << (prec - 1):
-            unit = 1 << (prec - 2)
-            lo, hi = (x_f * unit, x_m * (unit + t_m)), (x_f * (unit + t_f), x_m * unit)
-            e = e_f - e_m
-            if e >= 0:
-                return (lo[0] << e, lo[1]), (hi[0] << e, hi[1])
-            return (lo[0], lo[1] << -e), (hi[0], hi[1] << -e)
-    exact = comb(big_n, m)
-    return (exact, 1), (exact, 1)
+        x = prod(range(start, stop))
+        return from_int(x, prec, round_floor), from_int(x, prec, round_ceiling)
+    mid = (start + stop) // 2
+    return mpi_mul(_product_interval(start, mid, prec), _product_interval(mid, stop, prec), prec)
 
 
 def _round_over_binomial(n: int, k: int, bits: int, probability: bool) -> tuple:
@@ -401,13 +367,16 @@ def _round_over_binomial(n: int, k: int, bits: int, probability: bool) -> tuple:
         if probability:
             raise ValueError(f"no graphs with n={n}, m={m}")
         return fzero
-    lo, hi = _binomial_enclosure(big_n, m, bits + _GUARD_BITS)
-    if probability:  # c/hi <= c/g <= c/lo
+    prec, j = bits + _GUARD_BITS, min(m, big_n - m)
+    value = mpi_div(
+        _product_interval(big_n - j + 1, big_n + 1, prec), _product_interval(1, j + 1, prec), prec
+    )
+    if probability:
         c = exact_count_via_t(n, k)
-        lo, hi = (c * hi[1], hi[0]), (c * lo[1], lo[0])
-    value = _round_quotient(*lo, bits)
-    if value == _round_quotient(*hi, bits):
-        return value
+        value = mpi_div((from_int(c, prec, round_floor), from_int(c, prec, round_ceiling)), value, prec)
+    lo, hi = (mpf_pos(end, bits, round_nearest) for end in value)
+    if lo == hi:
+        return lo
     g = exact_total(n, k)
     return _round_quotient(c, g, bits) if probability else _round_quotient(g, 1, bits)
 
@@ -417,6 +386,8 @@ class Normalization(Record):
     description: str
 
     def evaluate(self, k: int, n: int, bits: int = 256) -> mpmath.mpf:
+        if bits < 1:
+            raise ValueError("the precision needs bits >= 1")
         with mpmath.workprec(bits):
             nn = mpmath.mpf(n)
             if self.kind == "connected":
@@ -441,17 +412,19 @@ class Normalization(Record):
         """The exact value of this kind at (n, n+k) over its normalization, at `bits`.
 
         The exact value (c, g = C(N, m) with N = n(n-1)/2 and m = n+k, or
-        c/g) is rounded once to `bits` from integers alone, by one division
-        (`_round_quotient`), so no fraction is reduced and no huge integer is
-        converted to mpf; dividing by the normalization rounds again.  g is
-        not built unless it has to be: with prec = `bits` + `_GUARD_BITS`,
-        `_binomial_enclosure` gives integer fractions lo <= g <= hi, and the
-        total rounds [lo, hi], the probability [c/hi, c/lo].  Rounding to
-        nearest is monotone, so when both ends round to the same float that
-        float is the correctly rounded exact value; otherwise, which includes
-        every exact tie, the exact g is built and rounded.  The result is
+        c/g) is rounded once to `bits`; dividing by the normalization rounds
+        again.  g is not built unless it has to be.  At prec = `bits` +
+        `_GUARD_BITS`, `_product_interval` encloses (N-j+1)...N and j! with
+        j = min(m, N-m), and outward-rounded interval division encloses g,
+        then c/g for the probability.  Rounding to nearest is monotone, so
+        when both ends of that interval round to the same float, that float
+        is the correctly rounded exact value.  Otherwise, which includes
+        every exact tie, the exact g is built and the quotient rounded from
+        integers by one division (`_round_quotient`).  The result is
         therefore that of the exact route by construction.
         """
+        if bits < 1:
+            raise ValueError("the precision needs bits >= 1")
         if self.kind == "connected":
             value = _round_quotient(exact_count_via_t(n, k), 1, bits)
         else:

@@ -175,6 +175,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         raise ValueError("compare needs --depths as comma-separated integers") from None
     if min(depths) < 0:
         raise ValueError("compare needs every --depths entry >= 0")
+    if len(set(depths)) < len(depths):
+        raise ValueError("compare needs distinct --depths entries")
     series = assembly.expansion(args.which, args.k, max(depths))
     norm = assembly.normalization(args.which)
     bits = args.precision_bits

@@ -6,7 +6,8 @@ from math import comb, factorial, prod
 import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from mpmath.libmp import from_man_exp
+from mpmath.libmp import from_int, from_man_exp
+from mpmath.libmp.libmpi import mpi_div
 
 from graphasym import (
     SymConst,
@@ -30,6 +31,16 @@ import oracles
 F = Fraction
 RAT = SymConst.rational
 XI = SymConst.xi
+
+
+def test_decompose_excess_minus_one():
+    # W_{-1} = T - T**2/2 = -(1-T)**2/2 + 1/2, so trees are -t_n(-2)/2
+    dec = decompose(-1)
+    assert dec.qterm == 0
+    assert dict(dec.beta) == {-2: F(-1, 2)}
+    assert [dec.evaluate(n) for n in range(1, 41)] == [n ** max(n - 2, 0) for n in range(1, 41)]
+    with pytest.raises(ValueError, match=r"^excess below -1 is empty$"):
+        decompose(-2)
 
 
 def test_decompose_excess_zero():
@@ -282,7 +293,13 @@ def _binomials(draw):
         st.integers(0, min(big_n, 3000)),
         st.integers(max(big_n - 3000, big_n // 2), big_n),
     ))
-    return big_n, m, draw(st.integers(0, 400))
+    return big_n, m, draw(st.integers(2, 400))
+
+
+def _fraction(x):
+    sign, man, exp, _ = x
+    assert sign == 0
+    return F(man << exp) if exp >= 0 else F(man, 1 << -exp)
 
 
 @given(_binomials())
@@ -290,25 +307,31 @@ def _binomials(draw):
 @example((0, 0, 117))
 @example((10**9, 10**9, 117))
 @example((10**9, 64, 2))
-@example((3000, 2990, 1))
+@example((3000, 2990, 2))
 def test_binomial_enclosure_holds_within_its_bound(case):
     big_n, m, prec = case
-    g = comb(big_n, m)
-    (lo_num, lo_den), (hi_num, hi_den) = assembly._binomial_enclosure(big_n, m, prec)
-    assert lo_num <= g * lo_den and g * hi_den <= hi_num
-    if prec < 2:
-        assert (lo_num, lo_den) == (hi_num, hi_den) == (g, 1)
-        return
-    # each product has m' = min(m, N-m) factors, so fewer than m' + 1 tree nodes
-    # floor it: hi/lo <= (1 + (m'+1) 2**-(prec-2))**2
-    unit, floors = 1 << (prec - 2), min(m, big_n - m) + 1
-    assert hi_num * lo_den * unit**2 <= lo_num * hi_den * (unit + floors) ** 2
-    short = min(m, big_n - m)
-    if short <= assembly._PRODUCT_LEAF and max(
-        prod(range(big_n - short + 1, big_n + 1)), factorial(short)
-    ).bit_length() <= prec:
-        # one leaf each and nothing to floor: the enclosure is exact
-        assert lo_num == g * lo_den and hi_num == g * hi_den
+    j = min(m, big_n - m)
+    exact_falling = prod(range(big_n - j + 1, big_n + 1))
+    falling = assembly._product_interval(big_n - j + 1, big_n + 1, prec)
+    fact = assembly._product_interval(1, j + 1, prec)
+    # each end is rounded once per leaf and node of a tree, and once more by
+    # the quotient; a rounding moves an end outwards by under one ulp, a
+    # relative u = 2**-(prec-1), so after t of them
+    # hi/lo <= ((1+u)/(1-u))**t <= (1-tu)**-2
+    unit, t = 1 << (prec - 1), 2 * max(1, 2 * j // assembly._PRODUCT_LEAF) - 1
+    for (lo, hi), exact, t in (
+        (falling, exact_falling, t),
+        (fact, factorial(j), t),
+        (mpi_div(falling, fact, prec), comb(big_n, m), 2 * t + 1),
+    ):
+        lo, hi = _fraction(lo), _fraction(hi)
+        assert lo <= exact <= hi
+        if t < unit:
+            assert hi * (unit - t) ** 2 <= lo * unit**2
+    if j <= assembly._PRODUCT_LEAF and exact_falling.bit_length() <= prec:
+        # one leaf each that fits in prec bits (j! <= the falling product): nothing is rounded
+        assert falling == (from_int(exact_falling),) * 2
+        assert fact == (from_int(factorial(j)),) * 2
 
 
 def _counting_comb(monkeypatch):
@@ -349,6 +372,16 @@ def test_normalized_exact_values_build_no_binomial(monkeypatch):
             for bits in (53, 256):
                 assert normalization(kind).exact(k, 4096, bits) > 0
     assert calls == []
+
+
+def test_a_precision_below_one_bit_is_a_value_error():
+    # mpmath's from_man_exp never returns at a negative precision
+    for kind in ("connected", "total", "probability"):
+        for bits in (-5, 0):
+            with pytest.raises(ValueError, match=r"^the precision needs bits >= 1$"):
+                normalization(kind).exact(1, 40, bits)
+            with pytest.raises(ValueError, match=r"^the precision needs bits >= 1$"):
+                normalization(kind).evaluate(1, 40, bits)
 
 
 def test_probability_with_no_graphs_is_a_value_error():

@@ -75,6 +75,8 @@ def test_decompose_command(capsys):
     assert "t,3,5/24" in lines
     assert "q,,0" in lines
     assert lines[-1] == "const,,0"  # erratum excess_zero_constant: there is no constant term
+    code, out, _ = run(capsys, "decompose", "--k", "-1")
+    assert (code, out.splitlines()) == (0, ["part,index,coefficient", "t,-2,-1/2", "q,,0", "const,,0"])
 
 
 def test_asym_command_connected(capsys):
@@ -179,10 +181,13 @@ def test_compare_rounds_the_probability_once(capsys):
     # the exact column is c/g rounded once at --precision-bits, then divided by
     # the normalization; rounding the reduced numerator and then the quotient
     # printed 0.181501445922845 in the cell below at 53 bits
+    # at n <= 40 the enclosure is often exact, and 1 or 2 bits leave few floats
     prob = normalization("probability")
-    for n, k in ((32, 2), (512, 1), (1024, 0), (4096, 2)):
+    cases = [(32, 2), (512, 1), (1024, 0), (4096, 2)]
+    cases += [(n, k) for n in range(2, 41) for k in (-1, 0, 2) if n + k <= n * (n - 1) // 2]
+    for n, k in cases:
         p = oracles.exact_probability(n, k)
-        for bits in (53, 64, 256):
+        for bits in (1, 2, 53, 64, 256):
             with mpmath.workprec(bits):
                 want = mpmath.mpf(oracles.round_to_bits(p, bits)) / prob.evaluate(k, n, bits)
             assert prob.exact(k, n, bits) == want, (n, k, bits)
@@ -302,7 +307,7 @@ def test_parser_covers_all_commands():
         ["count", "--n-max", "0"],
         ["asym", "--k", "-2"],
         ["asym", "--k", "1", "--depth", "-1"],
-        ["decompose", "--k", "-1"],
+        ["decompose", "--k", "-2"],
         ["compare", "--depths", "x"],
         ["compare", "--depths", "1,"],
         ["compare", "--depths", ""],
@@ -335,6 +340,8 @@ def test_parser_covers_all_commands():
         # an ill-conditioned fit comes from the degree and precision asked for
         ["fit", "--k", "0", "--degree", "30", "--n-min", "100", "--n-max", "130",
          "--precision-bits", "64"],
+        # a repeated depth would print its columns twice
+        ["compare", "--depths", "1,3,1", "--n-min", "16", "--n-max", "32"],
     ],
 )
 def test_bad_input_is_one_line_not_a_traceback(capsys, argv):
@@ -350,6 +357,11 @@ def test_unreadable_depths_name_the_flag(capsys, depths):
     code, out, err = run(capsys, "compare", "--depths", depths)
     assert (code, out) == (1, "")
     assert err == "error: compare needs --depths as comma-separated integers\n"
+
+
+def test_repeated_depths_are_rejected(capsys):
+    code, out, err = run(capsys, "compare", "--depths", "1,1", "--n-min", "16", "--n-max", "32")
+    assert (code, out, err) == (1, "", "error: compare needs distinct --depths entries\n")
 
 
 def test_a_fit_below_excess_minus_one_says_the_excess_is_empty(capsys):
