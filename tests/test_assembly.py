@@ -318,11 +318,11 @@ def test_binomial_enclosure_holds_within_its_bound(case):
     # the quotient; a rounding moves an end outwards by under one ulp, a
     # relative u = 2**-(prec-1), so after t of them
     # hi/lo <= ((1+u)/(1-u))**t <= (1-tu)**-2
-    unit, t = 1 << (prec - 1), 2 * max(1, 2 * j // assembly._PRODUCT_LEAF) - 1
+    unit, tree = 1 << (prec - 1), 2 * max(1, 2 * j // assembly._PRODUCT_LEAF) - 1
     for (lo, hi), exact, t in (
-        (falling, exact_falling, t),
-        (fact, factorial(j), t),
-        (mpi_div(falling, fact, prec), comb(big_n, m), 2 * t + 1),
+        (falling, exact_falling, tree),
+        (fact, factorial(j), tree),
+        (mpi_div(falling, fact, prec), comb(big_n, m), 2 * tree + 1),
     ):
         lo, hi = _fraction(lo), _fraction(hi)
         assert lo <= exact <= hi

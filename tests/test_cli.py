@@ -181,7 +181,7 @@ def test_compare_rounds_the_probability_once(capsys):
     # the exact column is c/g rounded once at --precision-bits, then divided by
     # the normalization; rounding the reduced numerator and then the quotient
     # printed 0.181501445922845 in the cell below at 53 bits
-    # at n <= 40 the enclosure is often exact, and 1 or 2 bits leave few floats
+    # at n <= 40 the enclosure is often exact; 1 and 2 bits are the smallest precisions
     prob = normalization("probability")
     cases = [(32, 2), (512, 1), (1024, 0), (4096, 2)]
     cases += [(n, k) for n in range(2, 41) for k in (-1, 0, 2) if n + k <= n * (n - 1) // 2]
