@@ -112,6 +112,17 @@ def test_total_expansions_are_byte_identical():
     assert digest == TOTAL_EXPANSIONS
 
 
+# sha256 over the str of asym_g(k, d) for k = -1..30 and d = 0, 1, 7, 24 in
+# turn; recorded from the route that merged the three Stirling formulas by hand
+WIDE_TOTAL_EXPANSIONS = "1cbe34cdf9e3e92c00a7b095ae9d343dd50b5cf91fcb33207a0bcabd9893c8d5"
+
+
+def test_total_expansions_over_wide_excess_and_depth_are_byte_identical():
+    lines = [str(asym_g(k, d)) for k in range(-1, 31) for d in (0, 1, 7, 24)]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == WIDE_TOTAL_EXPANSIONS
+
+
 # sha256 over the str and then the sorted-key JSON of each of asym_c(k, 12)
 # for k = -1..30, asym_p(k, 10) and asym_g(k, 16) in turn for k = -1..8,
 # q_asym(12) and d_asym(6): the coefficient ring's printing and JSON at
