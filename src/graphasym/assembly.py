@@ -7,11 +7,11 @@ split through the symbolic half-grid machinery.  Each split is folded once
 per excess k into the tree-polynomial normal form c(n, n+k) = n**(n-1)
 (P(n) + R(n) Q(n) + E(1/n)); its integer evaluator gives the exact counts
 (one Q(n) and a few integer polynomial evaluations each) and its expansion
-gives the connected row.  The all-graphs row takes the logarithm of the
-binomial C(N, m) as ln N! - ln (N-m)! - ln m!, each factorial by
-Stirling's formula with the one correction series `stirling_tail`; the
-large-scale terms (n log n, log n, n, n log 2, log pi) must cancel against
-the normalizing prefactor, and those cancellations are checked at run time
+gives the connected row.  The all-graphs row takes ln C(N, m) as
+ln N! - ln (N-m)! - ln m!, each factorial by one Stirling routine that
+splits it into a ledger of large-scale terms (powers of n times 1, ln n,
+ln 2 or ln pi) and a power series in 1/n; every ledger term but ln 2 must
+cancel against the normalizing prefactor, and that is checked at run time
 (raising `VerificationFailure`), not assumed.  The exact values are rounded
 from integers alone: g = C(N, m), or c/g, is first enclosed in an interval
 whose every operation rounds outwards (mpmath's `libmpi`); rounding to
@@ -135,93 +135,74 @@ def asym_c(k: int, depth: int) -> AsymSeries:
 # all graphs: expansion of binom(n(n-1)/2, n+k)
 
 
+# the tags of a Stirling ledger, in the order `asym_g` checks them
+_TAGS = ("ln n", "", "ln 2", "ln pi")
+_ZERO = Fraction(0)
+
+
+def _ln_factorial(poly: tuple[int, ...], p: int, q: int, depth: int) -> tuple[dict, Series]:
+    """ln x! for x = X(u) n**p / q, X = `poly` (p + 1 coefficients, X(0) = 1) in u = 1/n.
+
+    Stirling's formula ln x! = (x + 1/2) ln x - x + ln(2 pi)/2 + tau(1/x),
+    with ln x = ln X + p ln n - ln q and q a power of 2.  The terms on n**p
+    down to n**0 go to a ledger {(power of n, tag in `_TAGS`): rational};
+    the rest is a power series in u with no constant term, through u**depth.
+    """
+    e = q.bit_length() - 1  # ln q = e ln 2
+    zeros = (_ZERO,) * depth
+    # x + 1/2 = H n**p / q with H = X + q u**p / 2, so the u**i coefficient of
+    # H (p ln n - e ln 2 + ln X) - X, over q, lands on n**(p-i): i <= p go to
+    # the ledger, with ln(2 pi)/2, and the rest is left over
+    half = poly[:p] + (poly[p] + Fraction(q, 2),)
+    x = Series(poly + zeros)
+    product = (Series(half + zeros) * x.log()).coeffs()  # H ln X, no constant term
+    ledger = {(0, "ln pi"): Fraction(1, 2)}
+    for i, (c, h) in enumerate(zip(poly, half)):
+        ledger[p - i, "ln n"] = Fraction(p, q) * h
+        ledger[p - i, "ln 2"] = Fraction(-e, q) * h
+        ledger[p - i, ""] = (product[i] - c) / q
+    ledger[0, "ln 2"] += Fraction(1, 2)
+    # tau(1/x), 1/x = q u**p / X
+    inverse = Series(x.coeffs()[: max(depth - p, 0) + 1]).inverse().coeffs()
+    reciprocal = Series(((_ZERO,) * p + tuple(q * c for c in inverse))[: depth + 1])
+    rest = Series((_ZERO,) + product[p + 1:]).scale(Fraction(1, q))
+    return ledger, rest + stirling_tail(reciprocal)
+
+
 @lru_cache(maxsize=None)
 def asym_g(k: int, depth: int) -> AsymSeries:
     """Expansion of g(n, n+k) / [sqrt(2/pi) e**(n-2) (n/2)**n n**((2k-1)/2)].
 
-    ln binom(N, m) = ln N! - ln (N-m)! - ln m! with N = n(n-1)/2 and
-    m = n+k, each factorial by Stirling's formula, in exact series over
-    u = 1/n.  With N = a/(2u**2), N - m = b/(2u**2) and m = c/u, where
-    a = 1-u, b = 1-3u-2ku**2 and c = 1+ku, the result is accumulated as
-    coefficients of n ln n, ln n, n, n ln 2, ln 2, ln pi plus a power
-    series in u.  After subtracting the prefactor all large-scale
-    coefficients must vanish and the ln 2 weight must be the integer
-    -(k+1).  Both facts are checked (`VerificationFailure` if not).  What
-    remains exponentiates to the expansion, which has only integer powers
-    of 1/n.
+    ln binom(N, m) = ln N! - ln (N-m)! - ln m!, with N = (1-u) n**2/2,
+    N - m = (1-3u-2ku**2) n**2/2 and m = (1+ku) n in u = 1/n, each by
+    `_ln_factorial`.  Less the prefactor's ledger, every ledger term must
+    cancel except ln 2, whose weight must be -(k+1) (`VerificationFailure`
+    if not).  The series left exponentiates to the expansion, which has
+    only integer powers of 1/n.
     """
     if k < -1:
         raise ValueError("needs n + k >= n - 1 >= 0 edges")
     if depth < 0:
         raise ValueError("depth must be nonnegative")
-
-    def u_series(order: int, *coeffs: int) -> Series:
-        return Series((list(coeffs) + [0] * (order + 1))[: order + 1])
-
-    # every term below lands on order `depth`; a ln a - b ln b loses two orders
-    # to the division by u**2 and c ln c one to the division by u
-    a = u_series(depth + 2, 1, -1)
-    b = u_series(depth + 2, 1, -3, -2 * k)
-    c = u_series(depth + 1, 1, k)
-    log_a, log_b, log_c = a.log(), b.log(), c.log()
-
-    # N ln N - (N-m) ln(N-m) = m (2 ln n - ln 2) + (a ln a - b ln b) / (2u**2);
-    # the -N + (N-m) + m of the three Stirling formulas is zero
-    nlogn = Fraction(2)
-    logn = Fraction(2 * k)
-    nln2 = Fraction(-1)
-    ln2c = Fraction(-k)
-    spread = a * log_a - b * log_b  # no constant term
-    ncoef = spread[1] / 2
-    upart = Series(spread.coeffs()[2:]).scale(Fraction(1, 2))
-
-    # ln(2 pi N) / 2 - ln(2 pi (N-m)) / 2 = (ln a - ln b) / 2
-    upart = upart + (log_a - log_b).scale(Fraction(1, 2))
-
-    # - m ln m = - m ln n - (c ln c) / u
-    nlogn -= 1
-    logn -= k
-    upart = upart - Series((c * log_c).coeffs()[1:])
-
-    # - ln(2 pi m) / 2 = -(ln 2 + ln pi + ln n + ln c) / 2
-    ln2c -= Fraction(1, 2)
-    lnpic = Fraction(-1, 2)
-    logn -= Fraction(1, 2)
-    upart = upart - log_c.scale(Fraction(1, 2))
-
-    # the three Stirling tails, at 1/N = 2u**2/a, 1/(N-m) = 2u**2/b and 1/m = u/c
-    two_u2 = u_series(depth, 0, 0, 2)
-    upart = (
-        upart
-        + stirling_tail(two_u2 * a.inverse())
-        - stirling_tail(two_u2 * b.inverse())
-        - stirling_tail(u_series(depth, 0, 1) * c.inverse())
-    )
-
-    # subtract ln of the prefactor sqrt(2/pi) e**(n-2) (n/2)**n n**((2k-1)/2)
-    ln2c -= Fraction(1, 2)
-    lnpic += Fraction(1, 2)
-    ncoef -= 1
-    nlogn -= 1
-    nln2 += 1
-    logn -= Fraction(2 * k - 1, 2)
-    upart = upart + u_series(depth, 2)
-
-    for name, val in (
-        ("n ln n", nlogn),
-        ("ln n", logn),
-        ("n", ncoef),
-        ("n ln 2", nln2),
-        ("ln pi", lnpic),
-    ):
+    ln_big, rest_big = _ln_factorial((1, -1, 0), 2, 2, depth)
+    ln_diff, rest_diff = _ln_factorial((1, -3, -2 * k), 2, 2, depth)
+    ln_m, rest_m = _ln_factorial((1, k), 1, 1, depth)
+    # ln sqrt(2/pi) e**(n-2) (n/2)**n n**((2k-1)/2)
+    prefactor = {(1, "ln n"): 1, (1, ""): 1, (1, "ln 2"): -1, (0, "ln n"): Fraction(2 * k - 1, 2),
+                 (0, ""): -2, (0, "ln 2"): Fraction(1, 2), (0, "ln pi"): Fraction(-1, 2)}
+    total = dict(ln_big)
+    for ledger in (ln_diff, ln_m, prefactor):
+        for key, val in ledger.items():
+            total[key] = total.get(key, 0) - val
+    weight = total.pop((0, "ln 2"))
+    for power, tag in sorted(total, key=lambda key: (-key[0], _TAGS.index(key[1]))):
+        val = total[power, tag]
         if val != 0:
+            name = f"n**{power} {tag}".rstrip()
             raise VerificationFailure(f"excess-{k} total: the {name} term fails to cancel: {val}")
-    if ln2c != -(k + 1):
-        raise VerificationFailure(f"excess-{k} total: ln 2 weight {ln2c} is not -(k+1)")
-    if upart[0] != 0:
-        raise VerificationFailure(f"excess-{k} total: constant fails to cancel: {upart[0]}")
-
-    ratio = upart.exp().scale(Fraction(2) ** int(ln2c))
+    if weight != -(k + 1):
+        raise VerificationFailure(f"excess-{k} total: ln 2 weight {weight} is not -(k+1)")
+    ratio = (rest_big - rest_diff - rest_m).exp().scale(Fraction(2) ** weight)
     return AsymSeries.from_u_polynomial(ratio.coeffs(), 0, -(2 * depth + 1))
 
 

@@ -1,4 +1,5 @@
 """Count decompositions, the three asymptotic families, and cross-checks."""
+import re
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, prod
@@ -24,7 +25,8 @@ from graphasym import (
 )
 from graphasym import _poly, assembly
 from graphasym.assembly import expansion, normalization
-from graphasym.errors import CrosscheckFailure
+from graphasym.cli import main
+from graphasym.errors import CrosscheckFailure, VerificationFailure
 
 import oracles
 
@@ -175,6 +177,49 @@ def test_total_expansion_rows():
 def test_total_expansion_leading_term_general_k():
     for k in range(-1, 9):
         assert asym_g(k, 0).coefficient_at(0) == RAT(F(1, 2 ** (k + 1)))
+
+
+def _perturb_m(poly, p, q, depth):
+    # m = (1+(k+1)u) n
+    return ((1, poly[1] + 1) if p == 1 else poly), p, q, depth
+
+
+def _perturb_difference(poly, p, q, depth):
+    # N - m = (1-2u-2ku**2) n**2/2
+    return ((1, -2, poly[2]) if poly[:2] == (1, -3) else poly), p, q, depth
+
+
+@pytest.mark.parametrize("perturb, term", [
+    (_perturb_difference, "the n**1 ln n term fails to cancel: -1"),
+    (_perturb_m, "the n**0 ln n term fails to cancel: -1"),
+])
+def test_a_wrong_factorial_fails_its_cancellation_check(monkeypatch, capsys, perturb, term):
+    ln_factorial = assembly._ln_factorial
+    monkeypatch.setattr(assembly, "_ln_factorial", lambda *args: ln_factorial(*perturb(*args)))
+    for k in (-1, 0, 1, 5):
+        for depth in (0, 4):
+            with pytest.raises(VerificationFailure, match=rf"^excess-{k} total: {re.escape(term)}$"):
+                asym_g.__wrapped__(k, depth)
+    asym_g.cache_clear()
+    try:
+        assert main(["asym", "--k", "1", "--which", "total"]) == 2
+    finally:
+        asym_g.cache_clear()
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"verification error: excess-1 total: {term}\n"
+
+
+def test_a_wrong_ln_2_weight_fails_its_check(monkeypatch):
+    ln_factorial = assembly._ln_factorial
+
+    def off_by_ln_2(poly, p, q, depth):
+        ledger, rest = ln_factorial(poly, p, q, depth)
+        return {**ledger, (0, "ln 2"): ledger[0, "ln 2"] + (p == 1)}, rest
+
+    monkeypatch.setattr(assembly, "_ln_factorial", off_by_ln_2)
+    with pytest.raises(VerificationFailure, match=r"^excess-1 total: ln 2 weight -3 is not -\(k\+1\)$"):
+        asym_g.__wrapped__(1, 3)
 
 
 def test_total_expansion_numeric():
@@ -360,6 +405,21 @@ def test_an_undecided_enclosure_falls_back_to_the_exact_binomial(monkeypatch):
             value = mpmath.mpf(oracles.round_to_bits(oracles.exact_value(kind, n, k), bits))
             want = value / normalization(kind).evaluate(k, n, bits)
         assert got == unforced[kind, k, n, bits] == want, (kind, k, n, bits)
+
+
+def test_the_probability_enclosure_rounds_c_outwards(monkeypatch):
+    # two guard bits leave the enclosure so narrow a margin that an end of c
+    # rounded inwards decides some values wrongly; at 64 guard bits only a
+    # value within about 2**-64 of a rounding boundary would show it
+    monkeypatch.setattr(assembly, "_GUARD_BITS", 2)
+    for n in range(2, 65):
+        for k in range(-1, 4):
+            if n + k > n * (n - 1) // 2:
+                continue
+            exact = oracles.exact_probability(n, k)
+            for bits in range(1, 13):
+                want = _rounded_by_oracle(exact.numerator, exact.denominator, bits)
+                assert assembly._round_over_binomial(n, k, bits, True) == want, (n, k, bits)
 
 
 def test_normalized_exact_values_build_no_binomial(monkeypatch):

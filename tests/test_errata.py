@@ -32,3 +32,13 @@ def test_a_stated_value_equal_to_the_derived_one_is_not_separated(monkeypatch, k
     # remainder separation can tell the two apart, and here it must not
     f = errata._BY_KEY[key]
     assert _verify_with_texts(monkeypatch, key, f.derived, f.derived) is False
+
+
+def test_the_excess_zero_constant_is_refuted_by_integrality(monkeypatch):
+    # the split already matches the edge recurrence, and its values are
+    # integers, so only a stated constant that is not an integer is refuted
+    key = "excess_zero_constant"
+    assert errata.verify_finding(key) is True
+    assert _verify_with_texts(monkeypatch, key, "+5/2", "0") is True
+    assert _verify_with_texts(monkeypatch, key, "2", "0") is False
+    assert _verify_with_texts(monkeypatch, key, "+3/2", "1/2") is False
