@@ -13,10 +13,11 @@ splits it into a ledger of large-scale terms (powers of n times 1, ln n,
 ln 2 or ln pi) and a power series in 1/n; every ledger term but ln 2 must
 cancel against the normalizing prefactor, and that is checked at run time
 (raising `VerificationFailure`), not assumed.  The exact values are rounded
-from integers alone: g = C(N, m), or c/g, is first enclosed in an interval
-whose every operation rounds outwards (mpmath's `libmpi`); rounding to
-nearest is monotone, so when both ends round alike that is the correctly
-rounded value, and only otherwise is the exact binomial built.
+from integers alone: c, g = C(N, m) or c/g is first enclosed in an interval
+whose every operation rounds outwards (mpmath's `libmpi`), c at large n from
+a head of Q(n) and a bound on its tail; rounding to nearest is monotone, so
+when both ends round alike that is the correctly rounded value, and only
+otherwise are the exact count and binomial built.
 """
 from __future__ import annotations
 
@@ -25,13 +26,16 @@ from functools import cached_property, lru_cache
 from math import comb, prod
 
 import mpmath
-from mpmath.libmp import from_int, from_man_exp, fzero, mpf_pos, round_ceiling, round_floor, round_nearest
-from mpmath.libmp.libmpi import mpi_div, mpi_mul
+from mpmath.libmp import (
+    from_int, from_man_exp, fzero, mpf_pos, mpf_sign, round_ceiling, round_floor, round_nearest,
+)
+from mpmath.libmp.libmpi import mpi_div, mpi_mul, mpi_pow_int
 
 from . import _poly
 from ._record import Record
 from .errors import CrosscheckFailure, VerificationFailure
 from .graphs import connected_counts, recover_ak
+from .ramanujan import q_head, q_scaled
 from .series import Series
 from .symbolic import AsymSeries, stirling_tail
 from .treepoly import TreePolyNormalForm, t_combination
@@ -308,19 +312,21 @@ _GUARD_BITS = 64
 _PRODUCT_LEAF = 128
 
 
-def _round_quotient(num: int, den: int, bits: int) -> tuple:
-    """num / den (num >= 0, den > 0) rounded to nearest at `bits`, as a raw mpf.
+def _round_quotient(num: int, den: int, bits: int, rnd: str = round_nearest) -> tuple:
+    """num / den (den > 0) rounded at `bits` in mode `rnd`, as a raw mpf.
 
-    The quotient is taken to `bits` + 2 or + 3 bits by one `divmod`, a nonzero
-    remainder is ORed into its last bit, and `from_man_exp` rounds that once:
-    with at least two bits below the kept ones the sticky bit cannot turn an
-    inexact value into a tie or move it across one.
+    The quotient's magnitude is taken to `bits` + 2 or + 3 bits by one
+    `divmod`, a nonzero remainder is ORed into its last bit, and
+    `from_man_exp` rounds that once: with at least two bits below the kept
+    ones the sticky bit cannot turn an inexact value into a tie or move it
+    across one, nor onto a float it does not reach.
     """
     if num == 0:
         return fzero
     shift = bits + 2 - (num.bit_length() - den.bit_length())
-    q, r = divmod(num << shift, den) if shift >= 0 else divmod(num, den << -shift)
-    return from_man_exp(q | (r != 0), -shift, bits, round_nearest)
+    q, r = divmod(abs(num) << shift, den) if shift >= 0 else divmod(abs(num), den << -shift)
+    q |= r != 0
+    return from_man_exp(q if num > 0 else -q, -shift, bits, rnd)
 
 
 def _product_interval(start: int, stop: int, prec: int) -> tuple:
@@ -339,6 +345,62 @@ def _product_interval(start: int, stop: int, prec: int) -> tuple:
     return mpi_mul(_product_interval(start, mid, prec), _product_interval(mid, stop, prec), prec)
 
 
+def _affine_q_interval(n: int, a: int, b: int, m: int, head: tuple[int, int, int], prec: int) -> tuple:
+    """An interval at `prec` around (a + b Q(n)) / m, m > 0, from the head (K, P, T) of `q_head`.
+
+    With n**(K-1) Q(n) between L = n**(K-1) + T and L + P (n-K)/K, each end
+    is one integer quotient rounded outwards (`_round_quotient`), so no
+    integer of K log2 n bits is converted to mpf.
+    """
+    length, p, t = head
+    scale = n ** (length - 1)
+    low = scale + t
+    ends = [(a * scale + b * low, m * scale),
+            (a * length * scale + b * (length * low + p * (n - length)), m * length * scale)]
+    if b < 0:
+        ends.reverse()
+    return _round_quotient(*ends[0], prec, round_floor), _round_quotient(*ends[1], prec, round_ceiling)
+
+
+def _count_interval(n: int, k: int, prec: int) -> tuple | None:
+    """An interval at `prec` around c(n, n+k) from Q's head, or None where `q_head` declines.
+
+    c(n, n+k) = n**(n-1) (a + b Q(n)) / m (`TreePolyNormalForm.affine_at`),
+    with Q(n) enclosed by `q_head` and n**(n-1) by `mpi_pow_int`.  The form's
+    integrality check runs on residues (`TreePolyNormalForm.check_at`), and
+    an interval wholly below zero is a negative count, as on the exact route.
+    None also for n < 1 and for a split without Q (k = -1).
+    """
+    if n < 1:
+        return None
+    form = decompose(k).normal_form
+    head = q_head(n, prec) if form.r else None
+    if head is None:
+        return None
+    form.check_at(n, head)
+    power = mpi_pow_int((from_int(n),) * 2, n - 1, prec)
+    value = mpi_mul(_affine_q_interval(n, *form.affine_at(n), head, prec), power, prec)
+    if mpf_sign(value[1]) < 0:
+        raise VerificationFailure(f"negative count at n={n}, k={k}")
+    return value
+
+
+def _decided(interval: tuple, bits: int) -> tuple | None:
+    """The float at `bits` that both ends of `interval` round to, or None."""
+    lo, hi = (mpf_pos(end, bits, round_nearest) for end in interval)
+    return lo if lo == hi else None
+
+
+def _round_count(n: int, k: int, bits: int) -> tuple:
+    """c(n, n+k) rounded to `bits` (see `Normalization.exact`)."""
+    value = _count_interval(n, k, bits + _GUARD_BITS)
+    if value is not None:
+        value = _decided(value, bits)
+    if value is None:
+        value = _round_quotient(exact_count_via_t(n, k), 1, bits)
+    return value
+
+
 def _round_over_binomial(n: int, k: int, bits: int, probability: bool) -> tuple:
     """g(n, n+k), or c/g with `probability`, rounded to `bits` (see `Normalization.exact`)."""
     if n < 0:
@@ -353,13 +415,26 @@ def _round_over_binomial(n: int, k: int, bits: int, probability: bool) -> tuple:
         _product_interval(big_n - j + 1, big_n + 1, prec), _product_interval(1, j + 1, prec), prec
     )
     if probability:
-        c = exact_count_via_t(n, k)
-        value = mpi_div((from_int(c, prec, round_floor), from_int(c, prec, round_ceiling)), value, prec)
-    lo, hi = (mpf_pos(end, bits, round_nearest) for end in value)
-    if lo == hi:
-        return lo
+        c = _count_interval(n, k, prec)
+        if c is None:
+            c = exact_count_via_t(n, k)
+            c = from_int(c, prec, round_floor), from_int(c, prec, round_ceiling)
+        value = mpi_div(c, value, prec)
+    rounded = _decided(value, bits)
+    if rounded is not None:
+        return rounded
     g = exact_total(n, k)
-    return _round_quotient(c, g, bits) if probability else _round_quotient(g, 1, bits)
+    return _round_quotient(exact_count_via_t(n, k), g, bits) if probability else _round_quotient(g, 1, bits)
+
+
+def _round_q(n: int, bits: int) -> tuple:
+    """Q(n) rounded to nearest at `bits`: from `q_head` where it is taken, else from `q_scaled`."""
+    head = q_head(n, bits + _GUARD_BITS)
+    if head is not None:
+        value = _decided(_affine_q_interval(n, 0, 1, 1, head, bits + _GUARD_BITS), bits)
+        if value is not None:
+            return value
+    return _round_quotient(q_scaled(n), n ** n, bits)
 
 
 class Normalization(Record):
@@ -394,20 +469,23 @@ class Normalization(Record):
 
         The exact value (c, g = C(N, m) with N = n(n-1)/2 and m = n+k, or
         c/g) is rounded once to `bits`; dividing by the normalization rounds
-        again.  g is not built unless it has to be.  At prec = `bits` +
-        `_GUARD_BITS`, `_product_interval` encloses (N-j+1)...N and j! with
-        j = min(m, N-m), and outward-rounded interval division encloses g,
-        then c/g for the probability.  Rounding to nearest is monotone, so
-        when both ends of that interval round to the same float, that float
-        is the correctly rounded exact value.  Otherwise, which includes
-        every exact tie, the exact g is built and the quotient rounded from
-        integers by one division (`_round_quotient`).  The result is
-        therefore that of the exact route by construction.
+        again.  Neither g nor, at large n, c is built unless it has to be.
+        At prec = `bits` + `_GUARD_BITS`, `_product_interval` encloses
+        (N-j+1)...N and j! with j = min(m, N-m), and outward-rounded interval
+        division encloses g.  Where `q_head` sums a head of Q(n) rather than
+        all of it, `_count_interval` encloses c from that head and a bound
+        on the tail, with c's integrality and sign checks on the enclosure;
+        elsewhere c is exact.  Rounding to nearest is monotone, so when both
+        ends of the interval for c, g or c/g round to the same float, that
+        float is the correctly rounded exact value.  Otherwise, which
+        includes every exact tie, the exact c and g are built and the
+        quotient rounded from integers by one division (`_round_quotient`).
+        The result is therefore that of the exact route by construction.
         """
         if bits < 1:
             raise ValueError("the precision needs bits >= 1")
         if self.kind == "connected":
-            value = _round_quotient(exact_count_via_t(n, k), 1, bits)
+            value = _round_count(n, k, bits)
         else:
             value = _round_over_binomial(n, k, bits, self.kind == "probability")
         with mpmath.workprec(bits):

@@ -15,8 +15,8 @@ from functools import partial
 import mpmath
 
 from ._record import Record
-from .assembly import asym_c, asym_p, decompose, normalization
-from .ramanujan import q_asym, q_scaled
+from .assembly import _round_q, asym_c, asym_p, decompose, normalization
+from .ramanujan import q_asym
 from .series import Series, egf_coefficient, tree_function
 from .symbolic import SymConst
 from .treepoly import t_value
@@ -133,7 +133,8 @@ def _remainder_converges(finding: Finding, series, slot: int, exact_at) -> bool:
 
 
 def _q_at(n: int) -> mpmath.mpf:
-    return mpmath.mpf(q_scaled(n)) / mpmath.mpf(n) ** n
+    """Q(n) correctly rounded at 512 bits."""
+    return mpmath.mp.make_mpf(_round_q(n, 512))
 
 
 def _exact_at(kind: str):

@@ -19,7 +19,9 @@ with E_m(u) = sum_{r=1}^{m} C(m,r)(-1)**r r prod_{i<r}(1 - iu).  One
 backward sum of the recurrence (Clenshaw's scheme), `t_combination`, folds
 any sum of tree polynomials plus a Q term into this form on integers, one
 t_n(y) and each decomposition of c(n, n+k) alike; the form's one integer
-evaluator and one expansion give every exact value and expansion built on it.
+evaluator and one expansion give every exact value and expansion built on it,
+and a value that is only rounded reads the form as n**(n-1) (a + b Q(n)) / m
+with its integrality checked on residues.
 """
 from __future__ import annotations
 
@@ -31,7 +33,7 @@ from . import _poly
 from ._poly import Poly
 from ._record import Record
 from .errors import VerificationFailure
-from .ramanujan import q_asym, q_scaled, _difference_polynomial
+from .ramanujan import q_asym, q_scaled, q_scaled_mod, _difference_polynomial
 from .symbolic import AsymSeries
 
 
@@ -60,27 +62,32 @@ class TreePolyNormalForm(Record):
         i, j = len(self.p), len(self.p) + len(self.r)
         return d, tuple(nums[:i]), tuple(nums[i:j]), tuple(nums[j:])
 
-    def value_at(self, n: int) -> int:
-        """The form at n as an integer.
+    def affine_at(self, n: int) -> tuple[int, int, int]:
+        """(a, b, m), integers with m > 0, such that the form at n is n**(n-1) (a + b Q(n)) / m.
 
-        With s = max(deg e, 0), d n**(s+1) times the value is the integer
-        n**n (n**s d p(n) + n**s d e(1/n)) + n**s d r(n) n**n Q(n).
+        With s = max(deg e, 0), a = n**s d p(n) + n**s d e(1/n), b = n**s d r(n)
+        and m = n**s d.
         """
-        if n < 1:
-            raise ValueError("normal forms are read at n >= 1")
         d, p, r, e = self.integer_parts
         lift = n ** max(len(e) - 1, 0)
-        num = n ** n * (lift * _poly.evaluate(p, n) + _poly.evaluate(e[::-1], n))
-        if r:
-            num += lift * _poly.evaluate(r, n) * q_scaled(n)
-        val, rem = divmod(num, d * n * lift)
-        if rem:
-            # the value itself can be too long to print
-            raise VerificationFailure(
-                f"tree-polynomial normal form is not an integer at n={n}: "
-                f"remainder {rem} modulo {d * n * lift}"
-            )
-        return val
+        a = lift * _poly.evaluate(p, n) + _poly.evaluate(e[::-1], n)
+        return a, lift * _poly.evaluate(r, n), d * lift
+
+    def value_at(self, n: int) -> int:
+        """The form at n as an integer: n**n a + b n**n Q(n), divided by n m exactly."""
+        if n < 1:
+            raise ValueError("normal forms are read at n >= 1")
+        a, b, m = self.affine_at(n)
+        num = n ** n * a
+        if b:
+            num += b * q_scaled(n)
+        return _quotient(n, num, n * m)
+
+    def check_at(self, n: int, head: tuple[int, int, int]) -> None:
+        """`value_at`'s integrality check on residues modulo n m, with Q(n) from a `q_head` head."""
+        a, b, m = self.affine_at(n)
+        modulus = n * m
+        _quotient(n, (pow(n, n, modulus) * a + b * q_scaled_mod(n, head, modulus)) % modulus, modulus)
 
     @property
     def lead(self) -> int:
@@ -114,6 +121,18 @@ class TreePolyNormalForm(Record):
         if out.known_floor > floor:
             raise VerificationFailure("assembled tree expansion lost depth")
         return out
+
+
+def _quotient(n: int, num: int, modulus: int) -> int:
+    """num / modulus, which must be an integer (`VerificationFailure` if not)."""
+    val, rem = divmod(num, modulus)
+    if rem:
+        # the value itself can be too long to print
+        raise VerificationFailure(
+            f"tree-polynomial normal form is not an integer at n={n}: "
+            f"remainder {rem} modulo {modulus}"
+        )
+    return val
 
 
 def t_combination(terms, qterm: Fraction | int = 0) -> TreePolyNormalForm:
