@@ -82,18 +82,18 @@ def q_head(n: int, prec: int) -> tuple[int, int, int] | None:
     Term m >= 1 of Q(n) - 1 is t_m = prod_{j<=m} (1 - j/n), so Q(n) = 1 +
     T / n**(K-1) + sum_{m>=K} t_m with t_{K-1} = P / n**(K-1).  From m = K
     on, t_m / t_{m-1} = 1 - m/n <= (n-K)/n, so the tail is at most
-    t_{K-1} (n-K)/K, and for every K
+    t_{K-1} (n-K)/K, and for every K <= n
 
         n**(K-1) + T  <=  n**(K-1) Q(n)  <=  n**(K-1) + T + P (n-K) / K.
 
     K = isqrt(1.4 n (prec + b)) + 2, b the bit length of n, gives K (K-1) >
-    1.4 n (prec + b), so t_{K-1} <= exp(-K(K-1)/2n) < 2**-prec / n.  None
-    if K is more than `_HEAD_SHARE` of the n terms, where summing them all
-    costs about as much.
+    1.4 n (prec + b), so t_{K-1} <= exp(-K(K-1)/2n) < 2**-prec / n; K = n
+    if that is more.  None if K is more than `_HEAD_SHARE` of the n terms,
+    where summing them all costs about as much.
     """
     if n < 1:
         raise ValueError("Q(n) needs n >= 1")
-    length = isqrt(7 * n * (prec + n.bit_length()) // 5) + 2
+    length = min(isqrt(7 * n * (prec + n.bit_length()) // 5) + 2, n)
     if length > _HEAD_SHARE * n:
         return None
     return (length, *_q_split(n, 1, length))

@@ -7,7 +7,7 @@ from math import comb, factorial, prod
 import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from mpmath.libmp import from_int, from_man_exp
+from mpmath.libmp import from_int, from_man_exp, to_rational
 from mpmath.libmp.libmpi import mpi_div
 
 from graphasym import (
@@ -23,10 +23,11 @@ from graphasym import (
     fss_crosscheck,
     t_normal_form,
 )
-from graphasym import _poly, assembly
+from graphasym import _poly, assembly, ramanujan, treepoly
 from graphasym.assembly import expansion, normalization
 from graphasym.cli import main
 from graphasym.errors import CrosscheckFailure, VerificationFailure
+from graphasym.ramanujan import q_scaled
 
 import oracles
 
@@ -432,6 +433,101 @@ def test_normalized_exact_values_build_no_binomial(monkeypatch):
             for bits in (53, 256):
                 assert normalization(kind).exact(k, 4096, bits) > 0
     assert calls == []
+
+
+# primes, powers of two and others up to about 3000
+ENCLOSURE_NS = (2, 3, 5, 16, 97, 128, 777, 1024, 1031, 2048, 2999)
+
+
+def test_affine_q_intervals_hold_at_any_head_length():
+    # `q_head` picks K so long that the tail bound lies below an ulp; a short
+    # head makes the bound, and the order of the ends for b < 0, show
+    for n in (2, 97, 1024, 1031):
+        q = F(q_scaled(n), n**n)
+        for length in sorted({2, 5, n // 3, n // 2, n} - {0, 1}):
+            if length > n:
+                continue
+            head = (length, *ramanujan._q_split(n, 1, length))
+            for a, b, m in ((0, 1, 1), (5, -3, 7), (-2, 14, 24)):
+                lo, hi = (F(*to_rational(end)) for end in assembly._affine_q_interval(n, a, b, m, head, 64))
+                assert lo <= (a + b * q) / m <= hi, (n, length, a, b, m)
+                if length == n:  # no tail: only the two roundings
+                    assert hi - lo <= abs(hi) / 2**62
+
+
+def test_count_enclosures_hold_and_round_like_the_exact_values(every_head):
+    # every n takes Q's head here, the small ones with K = n (a point for Q)
+    for n in ENCLOSURE_NS:
+        assert all(assembly._count_interval(n, -1, prec) is None for prec in (8, 320))  # no Q
+        for bits in (1, 53, 512):
+            assert assembly._round_q(n, bits) == assembly._round_quotient(q_scaled(n), n**n, bits)
+        for k in range(0, 6):
+            c = exact_count_via_t(n, k)
+            for prec in (8, 53, 320):
+                lo, hi = (F(*to_rational(end)) for end in assembly._count_interval(n, k, prec))
+                assert lo <= c <= hi, (n, k, prec)
+            for bits in (1, 53, 256):
+                assert assembly._round_count(n, k, bits) == assembly._round_quotient(c, 1, bits)
+                if n + k <= n * (n - 1) // 2:
+                    want = assembly._round_quotient(c, exact_total(n, k), bits)
+                    assert assembly._round_over_binomial(n, k, bits, True) == want, (n, k, bits)
+
+
+def _counting_q(monkeypatch):
+    calls = []
+    for module in (treepoly, assembly):
+        monkeypatch.setattr(module, "q_scaled", lambda n: calls.append(n) or q_scaled(n))
+    return calls
+
+
+def test_rounded_counts_at_large_n_sum_no_whole_q(monkeypatch):
+    # Q(8192) summed whole is a 106,000-bit integer; its head is a quarter of it
+    for k in (0, 1, 2):
+        decompose(k)  # checked against the count table through q_scaled
+    calls = _counting_q(monkeypatch)
+    for kind in ("connected", "probability"):
+        for n in (4096, 8192):
+            for k in (0, 1, 2):
+                for bits in (53, 256):
+                    assert normalization(kind).exact(k, n, bits) > 0
+    for n in (4096, 8192):
+        assert assembly._round_q(n, 512)
+    assert calls == []
+
+
+def test_an_undecided_count_enclosure_falls_back_to_the_exact_count(monkeypatch):
+    # as for the binomial: a guard below zero never lets the ends agree
+    grid = [(kind, k, n, bits)
+            for kind in ("connected", "probability")
+            for n in (2048, 4096) for k in (0, 1, 2) for bits in (53, 64, 256)]
+    unforced = {case: normalization(case[0]).exact(*case[1:]) for case in grid}
+    for k in (0, 1, 2):
+        decompose(k)
+    calls = _counting_q(monkeypatch)
+    monkeypatch.setattr(assembly, "_GUARD_BITS", -8)
+    for kind, k, n, bits in grid:
+        before = len(calls)
+        got = normalization(kind).exact(k, n, bits)
+        assert len(calls) > before, (kind, k, n, bits)
+        with mpmath.workprec(bits):
+            value = mpmath.mpf(oracles.round_to_bits(oracles.exact_value(kind, n, k), bits))
+            want = value / normalization(kind).evaluate(k, n, bits)
+        assert got == unforced[kind, k, n, bits] == want, (kind, k, n, bits)
+
+
+def test_a_negative_count_is_a_verification_failure_on_either_route(monkeypatch):
+    # the split's value negated is still an integer, so only the sign check sees it
+    affine_at = TreePolyNormalForm.affine_at
+
+    def negated(self, n):
+        a, b, m = affine_at(self, n)
+        return -a, -b, m
+
+    monkeypatch.setattr(TreePolyNormalForm, "affine_at", negated)
+    for n in (40, 4096):  # the exact count, then Q's head
+        for kind in ("connected", "probability"):
+            with pytest.raises(VerificationFailure, match=rf"^negative count at n={n}, k=1$"):
+                normalization(kind).exact(1, n)
 
 
 def test_a_precision_below_one_bit_is_a_value_error():

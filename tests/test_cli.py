@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import graphasym
-from graphasym import errata, fitting, q_exact, treepoly
+from graphasym import assembly, errata, fitting, q_exact, treepoly
 from graphasym.assembly import normalization
 from graphasym.cli import build_parser, main
 
@@ -387,6 +387,38 @@ def test_a_failed_tree_value_check_at_large_n_is_a_short_verification_error(caps
     lines = err.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("verification error")
+    assert len(lines[0]) < 300
+
+
+def _off_by_one_head(monkeypatch):
+    q_head = assembly.q_head
+
+    def shifted(n, prec):
+        head = q_head(n, prec)
+        return head if head is None else (head[0], head[1], head[2] + (n > 1000))
+
+    monkeypatch.setattr(assembly, "q_head", shifted)
+
+
+def _off_by_one_residue(monkeypatch):
+    q_scaled_mod = treepoly.q_scaled_mod
+    monkeypatch.setattr(
+        treepoly, "q_scaled_mod", lambda n, head, m: (q_scaled_mod(n, head, m) + (n > 1000)) % m
+    )
+
+
+@pytest.mark.parametrize("perturb", [_off_by_one_head, _off_by_one_residue])
+def test_a_failed_count_check_on_q_head_is_a_short_verification_error(capsys, monkeypatch, perturb):
+    # past n = 1000 compare rounds c from a head of Q(n), and the integrality
+    # check runs on residues there; it must see an error in the head's sum
+    # or in the residue of the rest
+    perturb(monkeypatch)
+    code, out, err = run(capsys, "compare", "--which", "probability", "--k", "1", "--n-max", "8192")
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("verification error: tree-polynomial normal form is not an integer at n=1024")
     assert len(lines[0]) < 300
 
 

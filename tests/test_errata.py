@@ -1,8 +1,14 @@
 """Errata findings: each numeric check reads its constants from the finding's text."""
-import pytest
+from fractions import Fraction
 
-from graphasym import errata
+import pytest
+from mpmath.libmp import from_man_exp
+
+from graphasym import assembly, errata
 from graphasym.errata import Finding
+from graphasym.ramanujan import q_scaled
+
+import oracles
 
 NUMERIC = sorted(errata._REMAINDERS)
 
@@ -42,3 +48,15 @@ def test_the_excess_zero_constant_is_refuted_by_integrality(monkeypatch):
     assert _verify_with_texts(monkeypatch, key, "+5/2", "0") is True
     assert _verify_with_texts(monkeypatch, key, "2", "0") is False
     assert _verify_with_texts(monkeypatch, key, "+3/2", "1/2") is False
+
+
+def test_q_is_correctly_rounded_at_512_bits(monkeypatch):
+    # n**n divided as an mpf rounds three times: at n = 777 that was one ulp
+    # off; n = 1024 and 4096, where errata reads Q, are powers of two and hid it
+    for n in (777, 1024, 3001, 4096):
+        want = from_man_exp(*oracles.round_to_bits(Fraction(q_scaled(n), n**n), 512))
+        assert errata._q_at(n)._mpf_ == want, n
+    calls = []
+    monkeypatch.setattr(assembly, "q_scaled", lambda n: calls.append(n))
+    assert errata._q_at(4096) > 1  # from Q's head, not the whole sum
+    assert calls == []

@@ -5,7 +5,7 @@ import mpmath
 from hypothesis import given, settings, strategies as st
 
 from graphasym import SymConst, d_coefficients, q_asym, q_exact, stirling_series
-from graphasym.ramanujan import d_asym, delta_log_series, q_scaled
+from graphasym.ramanujan import d_asym, delta_log_series, q_head, q_scaled, q_scaled_mod
 
 import oracles
 
@@ -30,6 +30,43 @@ def test_q_scaled_matches_the_residue_loop_at_compare_sizes():
     # so the sizes `compare` reaches are pinned here against a plain O(n) loop
     for n in (8192, 65536):
         assert q_scaled(n) % oracles.PRIME == oracles.q_scaled_mod(n), n
+
+
+# primes, powers of two and others up to about 3000
+HEAD_NS = (1, 2, 3, 4, 5, 31, 64, 97, 100, 512, 777, 1024, 1031, 2048, 2999, 3000)
+
+
+def test_q_head_encloses_q_within_its_precision(every_head):
+    for n in HEAD_NS:
+        for prec in (2, 53, 320, 576):
+            length, p, t = q_head(n, prec)
+            scale = n ** (length - 1)
+            low = F(scale + t, scale)
+            high = F(length * (scale + t) + p * (n - length), length * scale)
+            assert low <= F(q_scaled(n), n**n) <= high, (n, prec)
+            assert high - low < F(1, 2**prec), (n, prec)
+
+
+def test_q_head_is_taken_only_where_it_is_well_short_of_n():
+    # fit's windows (n <= 600 at 256 bits) keep the whole sum; compare's
+    # large n sum under half of the terms
+    assert all(q_head(n, 320) is None for n in range(100, 601))
+    for n in (4096, 8192, 65536):
+        assert q_head(n, 320)[0] < n / 2
+
+
+def test_q_scaled_mod_carries_the_head_on_to_the_whole_sum(every_head):
+    # 24 n**2 is the modulus of excess 1, which the head's product reaches;
+    # the prime is one it never reaches, so the loop runs to n - 1
+    for n in HEAD_NS:
+        head = q_head(n, 53)
+        for modulus in (1, 2, 24 * n * n, 3**40, oracles.PRIME):
+            assert q_scaled_mod(n, head, modulus) == q_scaled(n) % modulus, (n, modulus)
+
+
+def test_q_scaled_mod_matches_the_residue_loop_at_compare_sizes():
+    for n in (8192, 65536):
+        assert q_scaled_mod(n, q_head(n, 320), oracles.PRIME) == oracles.q_scaled_mod(n), n
 
 
 def test_q_small_values():
