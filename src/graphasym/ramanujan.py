@@ -75,7 +75,6 @@ def q_scaled(n: int) -> int:
     return n ** n + n * _q_split(n, 1, n)[1]
 
 
-@lru_cache(maxsize=None)
 def q_head(n: int, prec: int) -> tuple[int, int, int] | None:
     """(K, P, T) with (P, T) = `_q_split(n, 1, K)`: a head of Q(n) that pins it to 2**-prec.
 
@@ -94,8 +93,12 @@ def q_head(n: int, prec: int) -> tuple[int, int, int] | None:
     if n < 1:
         raise ValueError("Q(n) needs n >= 1")
     length = min(isqrt(7 * n * (prec + n.bit_length()) // 5) + 2, n)
-    if length > _HEAD_SHARE * n:
-        return None
+    return _head(n, length) if length <= _HEAD_SHARE * n else None
+
+
+@lru_cache(maxsize=None)
+def _head(n: int, length: int) -> tuple[int, int, int]:
+    # cached only where a head is taken: the n that keep the whole sum add no entries
     return (length, *_q_split(n, 1, length))
 
 

@@ -8,6 +8,3 @@ from graphasym import ramanujan
 def every_head(monkeypatch):
     """`q_head` takes a head of Q(n) at every n, not only where that pays."""
     monkeypatch.setattr(ramanujan, "_HEAD_SHARE", float("inf"))
-    ramanujan.q_head.cache_clear()
-    yield
-    ramanujan.q_head.cache_clear()
