@@ -455,8 +455,9 @@ def test_affine_q_intervals_hold_at_any_head_length():
                     assert hi - lo <= abs(hi) / 2**62
 
 
-def test_count_enclosures_hold_and_round_like_the_exact_values(every_head):
+def test_count_enclosures_hold_and_round_like_the_exact_values(monkeypatch):
     # every n takes Q's head here, the small ones with K = n (a point for Q)
+    monkeypatch.setattr(ramanujan, "_HEAD_SHARE", float("inf"))
     for n in ENCLOSURE_NS:
         assert all(assembly._count_interval(n, -1, prec) is None for prec in (8, 320))  # no Q
         for bits in (1, 53, 512):

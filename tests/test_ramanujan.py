@@ -4,7 +4,7 @@ from fractions import Fraction
 import mpmath
 from hypothesis import given, settings, strategies as st
 
-from graphasym import SymConst, d_coefficients, q_asym, q_exact, stirling_series
+from graphasym import SymConst, d_coefficients, q_asym, q_exact, ramanujan, stirling_series
 from graphasym.ramanujan import d_asym, delta_log_series, q_head, q_scaled, q_scaled_mod
 
 import oracles
@@ -36,7 +36,8 @@ def test_q_scaled_matches_the_residue_loop_at_compare_sizes():
 HEAD_NS = (1, 2, 3, 4, 5, 31, 64, 97, 100, 512, 777, 1024, 1031, 2048, 2999, 3000)
 
 
-def test_q_head_encloses_q_within_its_precision(every_head):
+def test_q_head_encloses_q_within_its_precision(monkeypatch):
+    monkeypatch.setattr(ramanujan, "_HEAD_SHARE", float("inf"))  # a head at every n
     for n in HEAD_NS:
         for prec in (2, 53, 320, 576):
             length, p, t = q_head(n, prec)
@@ -55,9 +56,10 @@ def test_q_head_is_taken_only_where_it_is_well_short_of_n():
         assert q_head(n, 320)[0] < n / 2
 
 
-def test_q_scaled_mod_carries_the_head_on_to_the_whole_sum(every_head):
+def test_q_scaled_mod_carries_the_head_on_to_the_whole_sum(monkeypatch):
     # 24 n**2 is the modulus of excess 1, which the head's product reaches;
     # the prime is one it never reaches, so the loop runs to n - 1
+    monkeypatch.setattr(ramanujan, "_HEAD_SHARE", float("inf"))
     for n in HEAD_NS:
         head = q_head(n, 53)
         for modulus in (1, 2, 24 * n * n, 3**40, oracles.PRIME):
