@@ -42,7 +42,6 @@ from .series import Series, egf_coefficient, tree_function
 from .symbolic import AsymSeries, SymConst, bernoulli, stirling_series
 from .treepoly import (
     TreePolyNormalForm,
-    t_asym,
     t_normal_form,
     t_value,
 )

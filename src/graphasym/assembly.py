@@ -12,12 +12,13 @@ ln N! - ln (N-m)! - ln m!, each factorial by one Stirling routine that
 splits it into a ledger of large-scale terms (powers of n times 1, ln n,
 ln 2 or ln pi) and a power series in 1/n; every ledger term but ln 2 must
 cancel against the normalizing prefactor, and that is checked at run time
-(raising `VerificationFailure`), not assumed.  The exact values are rounded
-from integers alone: c, g = C(N, m) or c/g is first enclosed in an interval
-whose every operation rounds outwards (mpmath's `libmpi`), c at large n from
-a head of Q(n) and a bound on its tail; rounding to nearest is monotone, so
-when both ends round alike that is the correctly rounded value, and only
-otherwise are the exact count and binomial built.
+(raising `VerificationFailure`), not assumed.  The exact values c, g =
+C(N, m), c/g and Q(n) are rounded from integers alone by one route: each is
+first enclosed in an interval whose every operation rounds outwards
+(mpmath's `libmpi`), c and Q only at large n, from a head of Q(n) and a
+bound on its tail; rounding to nearest is monotone, so when both ends round
+alike that is the correctly rounded value, and only otherwise, or where
+there is no enclosure, is the exact quotient of integers built and rounded.
 """
 from __future__ import annotations
 
@@ -306,7 +307,7 @@ def fss_crosscheck(k: int, bits: int = 256, tolerance: float = 1e-12) -> Crossch
 # normalizations
 
 
-# the enclosure of C(N, m) is built at `bits` + this many bits
+# `_rounded` encloses a value rounded to `bits` at `bits` + this many bits
 _GUARD_BITS = 64
 # each leaf of an enclosing product tree is one exact `prod` of this many ints
 _PRODUCT_LEAF = 128
@@ -385,56 +386,35 @@ def _count_interval(n: int, k: int, prec: int) -> tuple | None:
     return value
 
 
-def _decided(interval: tuple, bits: int) -> tuple | None:
-    """The float at `bits` that both ends of `interval` round to, or None."""
-    lo, hi = (mpf_pos(end, bits, round_nearest) for end in interval)
-    return lo if lo == hi else None
+def _binomial_interval(n: int, k: int, prec: int) -> tuple:
+    """An interval at `prec` around C(n, k), 0 <= k <= n: (n-j+1)...n over j!, j = min(k, n-k)."""
+    j = min(k, n - k)
+    return mpi_div(_product_interval(n - j + 1, n + 1, prec), _product_interval(1, j + 1, prec), prec)
 
 
-def _round_count(n: int, k: int, bits: int) -> tuple:
-    """c(n, n+k) rounded to `bits` (see `Normalization.exact`)."""
-    value = _count_interval(n, k, bits + _GUARD_BITS)
-    if value is not None:
-        value = _decided(value, bits)
-    if value is None:
-        value = _round_quotient(exact_count_via_t(n, k), 1, bits)
-    return value
+def _rounded(bits: int, enclose, exact) -> tuple:
+    """A value rounded to nearest at `bits`, as a raw mpf (see `Normalization.exact`).
 
-
-def _round_over_binomial(n: int, k: int, bits: int, probability: bool) -> tuple:
-    """g(n, n+k), or c/g with `probability`, rounded to `bits` (see `Normalization.exact`)."""
-    if n < 0:
-        raise ValueError("graphs need n >= 0")
-    big_n, m = n * (n - 1) // 2, n + k
-    if not 0 <= m <= big_n:
-        if probability:
-            raise ValueError(f"no graphs with n={n}, m={m}")
-        return fzero
-    prec, j = bits + _GUARD_BITS, min(m, big_n - m)
-    value = mpi_div(
-        _product_interval(big_n - j + 1, big_n + 1, prec), _product_interval(1, j + 1, prec), prec
-    )
-    if probability:
-        c = _count_interval(n, k, prec)
-        if c is None:
-            c = exact_count_via_t(n, k)
-            c = from_int(c, prec, round_floor), from_int(c, prec, round_ceiling)
-        value = mpi_div(c, value, prec)
-    rounded = _decided(value, bits)
-    if rounded is not None:
-        return rounded
-    g = exact_total(n, k)
-    return _round_quotient(exact_count_via_t(n, k), g, bits) if probability else _round_quotient(g, 1, bits)
+    `enclose(prec)` returns an interval around the value at `prec` =
+    `bits` + `_GUARD_BITS`, or None; if both its ends round to one float,
+    that float is the result, and otherwise the value is the quotient of
+    the integers `exact()` returns, rounded by `_round_quotient`.
+    """
+    interval = enclose(bits + _GUARD_BITS)
+    if interval is not None:
+        lo, hi = (mpf_pos(end, bits, round_nearest) for end in interval)
+        if lo == hi:
+            return lo
+    return _round_quotient(*exact(), bits)
 
 
 def _round_q(n: int, bits: int) -> tuple:
     """Q(n) rounded to nearest at `bits`: from `q_head` where it is taken, else from `q_scaled`."""
-    head = q_head(n, bits + _GUARD_BITS)
-    if head is not None:
-        value = _decided(_affine_q_interval(n, 0, 1, 1, head, bits + _GUARD_BITS), bits)
-        if value is not None:
-            return value
-    return _round_quotient(q_scaled(n), n ** n, bits)
+    return _rounded(
+        bits,
+        lambda prec: (head := q_head(n, prec)) and _affine_q_interval(n, 0, 1, 1, head, prec),
+        lambda: (q_scaled(n), n ** n),
+    )
 
 
 class Normalization(Record):
@@ -442,6 +422,8 @@ class Normalization(Record):
     description: str
 
     def evaluate(self, k: int, n: int, bits: int = 256) -> mpmath.mpf:
+        if n < 1:
+            raise ValueError("the normalizations need n >= 1")
         if bits < 1:
             raise ValueError("the precision needs bits >= 1")
         with mpmath.workprec(bits):
@@ -468,28 +450,43 @@ class Normalization(Record):
         """The exact value of this kind at (n, n+k) over its normalization, at `bits`.
 
         The exact value (c, g = C(N, m) with N = n(n-1)/2 and m = n+k, or
-        c/g) is rounded once to `bits`; dividing by the normalization rounds
-        again.  Neither g nor, at large n, c is built unless it has to be.
-        At prec = `bits` + `_GUARD_BITS`, `_product_interval` encloses
-        (N-j+1)...N and j! with j = min(m, N-m), and outward-rounded interval
-        division encloses g.  Where `q_head` sums a head of Q(n) rather than
-        all of it, `_count_interval` encloses c from that head and a bound
-        on the tail, with c's integrality and sign checks on the enclosure;
-        elsewhere c is exact.  Rounding to nearest is monotone, so when both
-        ends of the interval for c, g or c/g round to the same float, that
-        float is the correctly rounded exact value.  Otherwise, which
-        includes every exact tie, the exact c and g are built and the
-        quotient rounded from integers by one division (`_round_quotient`).
-        The result is therefore that of the exact route by construction.
+        c/g) is rounded once to `bits` by `_rounded`; dividing by the
+        normalization rounds again.  At prec = `bits` + `_GUARD_BITS`,
+        `_binomial_interval` encloses g by product trees of (N-j+1)...N and
+        j!, j = min(m, N-m), and outward-rounded interval division.  Where
+        `q_head` sums a head of Q(n) rather than all of it, `_count_interval`
+        encloses c from that head and a bound on the tail, with c's
+        integrality and sign checks on the enclosure, and c/g is enclosed
+        by one more interval division; elsewhere c, and for c/g also g, are
+        exact.  Rounding to nearest is monotone, so when both ends of the
+        interval round to the same float, that float is the correctly
+        rounded exact value.  Otherwise, which includes every exact tie, the
+        exact c and g are built and the quotient rounded from integers by
+        one division (`_round_quotient`).  The result is therefore that of
+        the exact route by construction.
         """
-        if bits < 1:
-            raise ValueError("the precision needs bits >= 1")
+        norm = self.evaluate(k, n, bits)  # checks n, `bits` and the kind first
+        big_n, m = n * (n - 1) // 2, n + k
+        graphs = 0 <= m <= big_n
+        if not graphs and self.kind == "probability":
+            raise ValueError(f"no graphs with n={n}, m={m}")
         if self.kind == "connected":
-            value = _round_count(n, k, bits)
+            value = _rounded(bits, lambda prec: _count_interval(n, k, prec), lambda: (exact_count_via_t(n, k), 1))
+        elif self.kind == "probability":
+            value = _rounded(
+                bits,
+                lambda prec: (c := _count_interval(n, k, prec))
+                and mpi_div(c, _binomial_interval(big_n, m, prec), prec),
+                lambda: (exact_count_via_t(n, k), exact_total(n, k)),
+            )
         else:
-            value = _round_over_binomial(n, k, bits, self.kind == "probability")
+            value = _rounded(
+                bits,
+                lambda prec: _binomial_interval(big_n, m, prec) if graphs else None,
+                lambda: (exact_total(n, k), 1),
+            )
         with mpmath.workprec(bits):
-            return mpmath.mp.make_mpf(value) / self.evaluate(k, n, bits)
+            return mpmath.mp.make_mpf(value) / norm
 
 
 _NORMALIZATIONS = {

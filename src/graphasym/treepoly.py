@@ -173,11 +173,3 @@ def t_combination(terms, qterm: Fraction | int = 0) -> TreePolyNormalForm:
 @lru_cache(maxsize=None)
 def t_normal_form(y: int) -> TreePolyNormalForm:
     return t_combination(((y, 1),))
-
-
-def t_asym(y: int, depth: int) -> AsymSeries:
-    """Expansion of t_n(y) / n**n on the half-integer grid, depth slots below its lead."""
-    if y == 0:
-        return AsymSeries.zero(-depth)
-    nf = t_normal_form(y)
-    return nf.expansion(nf.lead - depth).shift(-2).truncate(depth)

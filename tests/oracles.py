@@ -3,8 +3,9 @@
 Everything here is deliberately written against different identities (or by
 plain exhaustion) than the library code, so agreement is meaningful.  The
 EGF route to t_n(y) (t_series), the checkers that read library series against
-an identity (t_recurrence_check, q_egf_check) and the JSON decoders live here
-too: nothing in the package calls them.
+an identity (t_recurrence_check, q_egf_check), the expansion of t_n(y) read
+off its normal form (t_asym) and the JSON decoders live here too: nothing in
+the package calls them.
 """
 
 from fractions import Fraction
@@ -22,6 +23,7 @@ from graphasym import (
     exact_count_via_t,
     exact_total,
     q_exact,
+    t_normal_form,
     tree_function,
 )
 from graphasym.errors import ConstantTermError, IllConditioned, VerificationFailure
@@ -191,6 +193,14 @@ def t_series(y: int, order: int) -> Series:
     for _ in range(abs(y)):
         out = out * factor
     return out
+
+
+def t_asym(y: int, depth: int) -> AsymSeries:
+    """Expansion of t_n(y) / n**n on the half-integer grid, depth slots below its lead."""
+    if y == 0:
+        return AsymSeries.zero(-depth)
+    nf = t_normal_form(y)
+    return nf.expansion(nf.lead - depth).shift(-2).truncate(depth)
 
 
 def t_recurrence_check(n_max: int, y_min: int, y_max: int) -> bool:

@@ -408,11 +408,25 @@ def test_an_undecided_enclosure_falls_back_to_the_exact_binomial(monkeypatch):
         assert got == unforced[kind, k, n, bits] == want, (kind, k, n, bits)
 
 
+def _unnormalized(monkeypatch):
+    # with every normalization 1, `exact` returns the rounded value itself
+    monkeypatch.setattr(assembly.Normalization, "evaluate", lambda self, k, n, bits=256: mpmath.mpf(1))
+
+
 def test_the_probability_enclosure_rounds_c_outwards(monkeypatch):
     # two guard bits leave the enclosure so narrow a margin that an end of c
     # rounded inwards decides some values wrongly; at 64 guard bits only a
     # value within about 2**-64 of a rounding boundary would show it
     monkeypatch.setattr(assembly, "_GUARD_BITS", 2)
+    _unnormalized(monkeypatch)
+    count_interval, enclosed = assembly._count_interval, []
+
+    def counted(*args):
+        value = count_interval(*args)
+        enclosed.append(value is not None)
+        return value
+
+    monkeypatch.setattr(assembly, "_count_interval", counted)
     for n in range(2, 65):
         for k in range(-1, 4):
             if n + k > n * (n - 1) // 2:
@@ -420,7 +434,10 @@ def test_the_probability_enclosure_rounds_c_outwards(monkeypatch):
             exact = oracles.exact_probability(n, k)
             for bits in range(1, 13):
                 want = _rounded_by_oracle(exact.numerator, exact.denominator, bits)
-                assert assembly._round_over_binomial(n, k, bits, True) == want, (n, k, bits)
+                got = normalization("probability").exact(k, n, bits)
+                assert got == mpmath.mp.make_mpf(want), (n, k, bits)
+    # a third of the cases enclose c; were none to, this would test the exact route alone
+    assert sum(enclosed) > len(enclosed) / 4
 
 
 def test_normalized_exact_values_build_no_binomial(monkeypatch):
@@ -458,6 +475,7 @@ def test_affine_q_intervals_hold_at_any_head_length():
 def test_count_enclosures_hold_and_round_like_the_exact_values(monkeypatch):
     # every n takes Q's head here, the small ones with K = n (a point for Q)
     monkeypatch.setattr(ramanujan, "_HEAD_SHARE", float("inf"))
+    _unnormalized(monkeypatch)
     for n in ENCLOSURE_NS:
         assert all(assembly._count_interval(n, -1, prec) is None for prec in (8, 320))  # no Q
         for bits in (1, 53, 512):
@@ -468,10 +486,27 @@ def test_count_enclosures_hold_and_round_like_the_exact_values(monkeypatch):
                 lo, hi = (F(*to_rational(end)) for end in assembly._count_interval(n, k, prec))
                 assert lo <= c <= hi, (n, k, prec)
             for bits in (1, 53, 256):
-                assert assembly._round_count(n, k, bits) == assembly._round_quotient(c, 1, bits)
+                want = assembly._round_quotient(c, 1, bits)
+                assert normalization("connected").exact(k, n, bits) == mpmath.mp.make_mpf(want)
                 if n + k <= n * (n - 1) // 2:
                     want = assembly._round_quotient(c, exact_total(n, k), bits)
-                    assert assembly._round_over_binomial(n, k, bits, True) == want, (n, k, bits)
+                    got = normalization("probability").exact(k, n, bits)
+                    assert got == mpmath.mp.make_mpf(want), (n, k, bits)
+
+
+def test_where_c_is_exact_the_probability_encloses_no_binomial(monkeypatch):
+    # below `q_head`'s threshold, and for k = -1 (no Q), c/g is the exact pair's quotient
+    _unnormalized(monkeypatch)
+    product_interval, calls = assembly._product_interval, []
+    monkeypatch.setattr(
+        assembly, "_product_interval", lambda *args: calls.append(args) or product_interval(*args)
+    )
+    for n, k in ((512, 0), (512, 1), (512, 2), (512, -1), (4096, -1)):
+        assert assembly._count_interval(n, k, 256 + assembly._GUARD_BITS) is None
+        exact = oracles.exact_probability(n, k)
+        want = _rounded_by_oracle(exact.numerator, exact.denominator, 256)
+        assert normalization("probability").exact(k, n, 256) == mpmath.mp.make_mpf(want), (n, k)
+    assert calls == []
 
 
 def _counting_q(monkeypatch):
@@ -539,6 +574,16 @@ def test_a_precision_below_one_bit_is_a_value_error():
                 normalization(kind).exact(1, 40, bits)
             with pytest.raises(ValueError, match=r"^the precision needs bits >= 1$"):
                 normalization(kind).evaluate(1, 40, bits)
+
+
+def test_fewer_than_one_node_is_a_value_error():
+    # n = 0 used to end in mpmath's bare ZeroDivisionError, or a number
+    for kind in ("connected", "total", "probability"):
+        for n in (0, -3):
+            with pytest.raises(ValueError, match=r"^the normalizations need n >= 1$"):
+                normalization(kind).exact(0, n)
+            with pytest.raises(ValueError, match=r"^the normalizations need n >= 1$"):
+                normalization(kind).evaluate(0, n)
 
 
 def test_probability_with_no_graphs_is_a_value_error():

@@ -17,10 +17,11 @@ from graphasym import (
     q_asym,
     recover_ak,
     stirling_series,
-    t_asym,
     t_value,
 )
 from graphasym.cli import main
+
+from oracles import t_asym
 
 SRC = Path(graphasym.__file__).parent
 ROOT = Path(__file__).resolve().parent.parent
