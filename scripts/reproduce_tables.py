@@ -4,7 +4,8 @@
 Writes the same files as `graphasym tables` into --output-dir, then hashes
 each one so two runs (or two machines) can be compared line-for-line.  All
 tables are exact-arithmetic outputs, so the digests must be bit-identical
-everywhere.
+everywhere.  `graphasym tables` exits 2 when an errata finding does not
+verify, and the script then returns that code without printing digests.
 """
 from __future__ import annotations
 
@@ -40,15 +41,6 @@ def main(argv: list[str] | None = None) -> int:
         lines = path.read_text().count("\n")
         print(f"{path.name:<28} {lines:>6}  {sha256_file(path)}")
 
-    errata = out_dir / "errata.csv"
-    rows = errata.read_text().splitlines()[1:]
-    bad = [row for row in rows if not row.endswith(",True")]
-    if bad:
-        print("\nunverified errata entries:", file=sys.stderr)
-        for row in bad:
-            print(f"  {row}", file=sys.stderr)
-        return 2
-    print(f"\nall {len(rows)} errata entries re-verified against exact data")
     return 0
 
 

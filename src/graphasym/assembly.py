@@ -28,7 +28,7 @@ from math import comb, prod
 
 import mpmath
 from mpmath.libmp import (
-    from_int, from_man_exp, fzero, mpf_pos, mpf_sign, round_ceiling, round_floor, round_nearest,
+    fone, from_int, from_man_exp, fzero, mpf_pos, mpf_sign, round_ceiling, round_floor, round_nearest,
 )
 from mpmath.libmp.libmpi import mpi_div, mpi_mul, mpi_pow_int
 
@@ -309,7 +309,7 @@ def fss_crosscheck(k: int, bits: int = 256, tolerance: float = 1e-12) -> Crossch
 
 # `_rounded` encloses a value rounded to `bits` at `bits` + this many bits
 _GUARD_BITS = 64
-# each leaf of an enclosing product tree is one exact `prod` of this many ints
+# each leaf of an enclosing product is one exact `prod` of this many ints
 _PRODUCT_LEAF = 128
 
 
@@ -333,17 +333,17 @@ def _round_quotient(num: int, den: int, bits: int, rnd: str = round_nearest) -> 
 def _product_interval(start: int, stop: int, prec: int) -> tuple:
     """An interval at `prec` bits that encloses prod(range(start, stop)).
 
-    A product tree: the range is halved until a leaf has at most
-    `_PRODUCT_LEAF` ints, so j ints make at most max(1, 2j / `_PRODUCT_LEAF`)
-    leaves.  Each leaf is an exact `prod` rounded outwards and each node an
-    outward-rounded interval product, so every leaf and node moves each end
-    outwards by under one ulp.
+    One loop over L = ceil(j / `_PRODUCT_LEAF`) leaves of j ints: each leaf
+    is an exact `prod` rounded outwards and multiplied into the interval so
+    far by an outward-rounded interval product, the first one exactly by 1.
+    So each end is rounded at most 2L - 1 times, each time outwards by
+    under one ulp.
     """
-    if stop - start <= _PRODUCT_LEAF:
-        x = prod(range(start, stop))
-        return from_int(x, prec, round_floor), from_int(x, prec, round_ceiling)
-    mid = (start + stop) // 2
-    return mpi_mul(_product_interval(start, mid, prec), _product_interval(mid, stop, prec), prec)
+    value = (fone, fone)
+    for lo in range(start, stop, _PRODUCT_LEAF):
+        x = prod(range(lo, min(lo + _PRODUCT_LEAF, stop)))
+        value = mpi_mul(value, (from_int(x, prec, round_floor), from_int(x, prec, round_ceiling)), prec)
+    return value
 
 
 def _affine_q_interval(n: int, a: int, b: int, m: int, head: tuple[int, int, int], prec: int) -> tuple:
@@ -370,10 +370,8 @@ def _count_interval(n: int, k: int, prec: int) -> tuple | None:
     with Q(n) enclosed by `q_head` and n**(n-1) by `mpi_pow_int`.  The form's
     integrality check runs on residues (`TreePolyNormalForm.check_at`), and
     an interval wholly below zero is a negative count, as on the exact route.
-    None also for n < 1 and for a split without Q (k = -1).
+    None also for a split without Q (k = -1).
     """
-    if n < 1:
-        return None
     form = decompose(k).normal_form
     head = q_head(n, prec) if form.r else None
     if head is None:
@@ -452,7 +450,7 @@ class Normalization(Record):
         The exact value (c, g = C(N, m) with N = n(n-1)/2 and m = n+k, or
         c/g) is rounded once to `bits` by `_rounded`; dividing by the
         normalization rounds again.  At prec = `bits` + `_GUARD_BITS`,
-        `_binomial_interval` encloses g by product trees of (N-j+1)...N and
+        `_binomial_interval` encloses g by leaf products of (N-j+1)...N and
         j!, j = min(m, N-m), and outward-rounded interval division.  Where
         `q_head` sums a head of Q(n) rather than all of it, `_count_interval`
         encloses c from that head and a bound on the tail, with c's

@@ -17,7 +17,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 import mpmath
-from mpmath.libmp import fzero, mpf_div, mpf_ge, mpf_mul, mpf_mul_int, mpf_neg, mpf_sqrt, mpf_sub, mpf_sum
+from mpmath.libmp import (
+    fzero, mpf_div, mpf_ge, mpf_mul, mpf_mul_int, mpf_neg, mpf_sqrt, mpf_sub, mpf_sum, to_rational,
+)
 
 from ._record import Record
 from .assembly import normalization
@@ -29,11 +31,7 @@ def _to_fraction(x: mpmath.mpf) -> Fraction:
     x = mpmath.mpf(x)
     if not mpmath.isfinite(x):
         raise ValueError(f"cannot convert non-finite value {x!r} to a fraction")
-    sign, man, exp, _ = x._mpf_
-    f = Fraction(int(man))
-    if sign:
-        f = -f
-    return f * Fraction(2) ** int(exp)
+    return Fraction(*to_rational(x._mpf_))
 
 
 def _qr_solve(rows: list[list[mpmath.mpf]], rhs: list[mpmath.mpf]) -> tuple[list[mpmath.mpf], mpmath.mpf, mpmath.mpf]:

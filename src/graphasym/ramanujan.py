@@ -107,7 +107,9 @@ def q_scaled_mod(n: int, head: tuple[int, int, int], modulus: int) -> int:
 
     The leaf loop of `_q_split` goes on from j = K to n - 1 modulo `modulus`;
     once the running product is 0 there, it stays 0 and each step left only
-    multiplies t by n.
+    multiplies t by n.  At a prime n that never happens when n divides the
+    modulus (as `TreePolyNormalForm.check_at`'s n m does): no factor n - j,
+    0 < j < n, is divisible by n, so the walk takes all n - K steps.
     """
     start, p, t = head
     p, t = p % modulus, t % modulus

@@ -108,65 +108,53 @@ class Series:
         d = da * db
         return Series(Fraction(n, d) for n in convolve(a, b, size))
 
-    # ---- analytic operations --------------------------------------------
-    #
-    # log, exp and inverse are computed coefficient by coefficient from the
-    # equation each satisfies: (log a)' = a'/a, E' = a' E and a * inv = 1.
-    # Each is O(order**2) integer operations: the input sits on integer
-    # numerators over its least common denominator, the output produced so
-    # far over the running lcm of its denominators, and one Fraction is built
-    # per output coefficient.
+    # ---- analytic operations: each one triangular solve (`_solve`) -------
 
     def log(self) -> "Series":
         """log of a series with constant term 1."""
         if self._c[0] != 1:
             raise ConstantTermError("log requires constant term 1")
         a, da = over_one_denominator(self._c)
-        # m b_m = m a_m - sum_{i=1}^{m-1} i b_i a_{m-i}; ib[i] = i b_i d
-        out = [Fraction(0)]
-        ib: list[int] = [0]
-        d = 1
-        for m in range(1, self.order + 1):
-            acc = sum(map(mul, ib[1:m], a[m - 1:0:-1]))
-            c = Fraction(m * d * a[m] - acc, m * d * da)
-            d, ib = _running_lcm(d, ib, c)
-            ib.append(m * c.numerator * (d // c.denominator))
-            out.append(c)
-        return Series(out)
+        # c = a'/a from a c = a': c_m = (m+1) a_{m+1} - sum_{i=1}^{m} a_i c_{m-i}, scaled
+        # by da = a[0]; log a integrates c
+        c = _solve([(m + 1) * a[m + 1] for m in range(self.order)], a, [da] * self.order)
+        return Series([Fraction(0)] + [x / m for m, x in enumerate(c, 1)])
 
     def exp(self) -> "Series":
         """exp of a series with constant term 0."""
         if self._c[0] != 0:
             raise ConstantTermError("exp requires constant term 0")
         a, da = over_one_denominator(self._c)
-        ia = [i * x for i, x in enumerate(a)]
-        # m e_m = sum_{i=1}^{m} i a_i e_{m-i}; e[j] = e_j d
-        out = [Fraction(1)]
-        e = [1]
-        d = 1
-        for m in range(1, self.order + 1):
-            c = Fraction(sum(map(mul, ia[1:m + 1], e[::-1])), m * d * da)
-            d, e = _running_lcm(d, e, c)
-            e.append(c.numerator * (d // c.denominator))
-            out.append(c)
-        return Series(out)
+        # from E' = a' E: E_0 = 1 and m E_m = sum_{i=1}^{m} i a_i E_{m-i}, scaled by da
+        div = [1] + [m * da for m in range(1, self.order + 1)]
+        return Series(_solve([1] + [0] * self.order, [-i * x for i, x in enumerate(a)], div))
 
     def inverse(self) -> "Series":
         """Multiplicative inverse; requires a nonzero constant term."""
         if self._c[0] == 0:
             raise ConstantTermError("inverse requires a nonzero constant term")
         a, da = over_one_denominator(self._c)
-        # inv_m = -(1/a_0) sum_{i=1}^{m} a_i inv_{m-i}; v[j] = inv_j d, a_0 = a[0] / da
-        c = Fraction(da, a[0])
-        out = [c]
-        v = [c.numerator]
-        d = c.denominator
-        for m in range(1, self.order + 1):
-            c = Fraction(-sum(map(mul, a[1:m + 1], v[::-1])), d * a[0])
-            d, v = _running_lcm(d, v, c)
-            v.append(c.numerator * (d // c.denominator))
-            out.append(c)
-        return Series(out)
+        # from a inv = 1: a_0 inv_m = [m = 0] - sum_{i=1}^{m} a_i inv_{m-i}, scaled by da
+        return Series(_solve([da] + [0] * self.order, a, [a[0]] * (self.order + 1)))
+
+
+def _solve(rhs: Sequence[int], w: Sequence[int], div: Sequence[int]) -> list[Fraction]:
+    """out_m = (rhs_m - sum_{i=1}^{m} w_i out_{m-i}) / div_m for m < len(rhs).
+
+    The classical O(len(rhs)**2) triangular recurrence for power series
+    (Knuth, TAOCP vol. 2, 4.7) on integers: the outputs so far are held as
+    numerators v over the running lcm d of their denominators, each step is
+    one dot product of w with v, and one Fraction is built per output.
+    """
+    out: list[Fraction] = []
+    v: list[int] = []
+    d = 1
+    for m, (r, q) in enumerate(zip(rhs, div)):
+        c = Fraction(r * d - sum(map(mul, w[1:m + 1], v[::-1])), d * q)
+        d, v = _running_lcm(d, v, c)
+        v.append(c.numerator * (d // c.denominator))
+        out.append(c)
+    return out
 
 
 def _running_lcm(d: int, nums: list[int], c: Fraction) -> tuple[int, list[int]]:

@@ -354,15 +354,20 @@ def _fraction(x):
 @example((10**9, 10**9, 117))
 @example((10**9, 64, 2))
 @example((3000, 2990, 2))
+# j at the leaf boundaries: one full leaf, one leaf and one int, two leaves and one int
+@example((10**9, 128, 117))
+@example((3000, 2871, 53))
+@example((10**9, 257, 320))
 def test_binomial_enclosure_holds_within_its_bound(case):
     big_n, m, prec = case
     j = min(m, big_n - m)
     exact_falling = prod(range(big_n - j + 1, big_n + 1))
     falling = assembly._product_interval(big_n - j + 1, big_n + 1, prec)
     fact = assembly._product_interval(1, j + 1, prec)
-    # each end is rounded once per leaf and node of a tree, and once more by
-    # the quotient; a rounding moves an end outwards by under one ulp, a
-    # relative u = 2**-(prec-1), so after t of them
+    # each end is rounded at most 2 max(1, 2j / leaf) - 1 times by a product
+    # (its loop makes 2 ceil(j / leaf) - 1), and once more by the quotient; a
+    # rounding moves an end outwards by under one ulp, a relative
+    # u = 2**-(prec-1), so after t of them
     # hi/lo <= ((1+u)/(1-u))**t <= (1-tu)**-2
     unit, tree = 1 << (prec - 1), 2 * max(1, 2 * j // assembly._PRODUCT_LEAF) - 1
     for (lo, hi), exact, t in (

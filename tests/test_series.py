@@ -2,7 +2,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from graphasym import Series, _poly, egf_coefficient, tree_function
 from graphasym.errors import ConstantTermError
@@ -100,6 +100,11 @@ def test_scale_and_arithmetic_with_scalars():
 
 @given(_with_zero_runs, _with_zero_runs)
 @settings(max_examples=150, deadline=None)
+# orders 0 and 1: log of a constant stays order 0, and no step of a solve runs
+@example([F(3)], [F(2)])
+@example([F(0)], [F(0)])
+@example([F(2), F(-1, 3)], [F(5, 7), F(1)])
+@example([F(1), F(0)], [F(-4)])
 def test_integer_kernels_equal_the_fraction_object_loops(p, q):
     # mismatched orders: the product truncates to the shorter operand
     a, b = Series(p), Series(q)
