@@ -3,10 +3,10 @@
 A Series holds coefficients c[0..order] of a power series known through
 z**order; everything past the order is unknown, not zero.  All arithmetic
 is exact over Fraction, so any coefficient the algebra can reach is
-computed without rounding.  The product, log, exp and inverse run on
-integer numerators over one denominator (`_poly.over_one_denominator`,
-`_poly.convolve`) and build one Fraction per output coefficient, not one
-per product and sum.
+computed without rounding.  The product (`_poly.convolve`) and log, exp
+and inverse (one triangular solve, `_solve`) run on integer numerators
+over one denominator and build one Fraction per output coefficient (log
+one more, for its integral), not one per product and sum.
 
 >>> z = Series.variable(5)
 >>> (z.exp() * (-z).exp()).coeffs()

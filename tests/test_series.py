@@ -100,7 +100,7 @@ def test_scale_and_arithmetic_with_scalars():
 
 @given(_with_zero_runs, _with_zero_runs)
 @settings(max_examples=150, deadline=None)
-# orders 0 and 1: log of a constant stays order 0, and no step of a solve runs
+# orders 0 and 1: the log of a constant stays order 0 (its solve has no step)
 @example([F(3)], [F(2)])
 @example([F(0)], [F(0)])
 @example([F(2), F(-1, 3)], [F(5, 7), F(1)])
