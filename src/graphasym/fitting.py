@@ -7,10 +7,30 @@ conditioning, x is mapped affinely onto [-1, 1] before solving and the
 coefficients are mapped back by exact polynomial composition at working
 precision.
 
-The reflections run on mpmath's raw libmp tuples rather than mpf objects,
-through the libmp calls mpf arithmetic itself makes, with mpmath's own
-rounding at mp.prec.  The result is bit-identical to the mpf-object solve
-kept in tests/oracles.py, which a property test checks.
+The abscissae, the design matrix and the whole solve run on mpmath's raw
+libmp tuples (sign, mantissa, exponent, bitcount) rather than mpf objects;
+mpf objects are made only for the results.  Most of the solve is the
+products v_i w_i of each dot and the updates w_i - f v_i of each
+reflection, and those run in two integer kernels, `_products` and
+`_reflected`: multiply the mantissas exactly, or align the exponents and
+subtract exactly, then round half-even to mp.prec once and strip trailing
+zeros.  mpmath's `mpf_mul` and `mpf_add` are correctly rounded, and `mp`'s
+rounding is always round-half-even (it has no setter), so each step gives
+the tuple that mpf arithmetic gives, bit for bit.  One exception is kept
+as mpmath has it: where the exponents of a difference's terms lie more
+than 100 apart and the smaller term's top bit more than prec + 4 bits
+below the larger's, `mpf_add` stands a sticky unit in for the smaller
+term, and so does `_reflected`.  For terms of at most prec bits that
+rounds as the exact difference would; for a wider input, which a first
+column may hold, it need not, and the kernel still matches mpmath.  The
+whole solve is bit-identical to the mpf-object solve kept in
+tests/oracles.py, which a property test checks.
+
+The dot sums stay on `mpf_sum`.  It drops a term that lies more than
+2 prec bits below the running sum, or the sum below a term, by a test on
+the tuples' exponents and bitcounts rather than on their values, so its
+inputs must be the canonical tuples `mpf_mul` gives (odd mantissa, exact
+bitcount); the kernels strip trailing zeros to keep them so.
 """
 from __future__ import annotations
 
@@ -18,7 +38,8 @@ from fractions import Fraction
 
 import mpmath
 from mpmath.libmp import (
-    fzero, mpf_div, mpf_ge, mpf_mul, mpf_mul_int, mpf_neg, mpf_sqrt, mpf_sub, mpf_sum, to_rational,
+    fone, from_int, fzero, mpf_add, mpf_div, mpf_ge, mpf_mul, mpf_mul_int, mpf_neg,
+    mpf_rdiv_int, mpf_sqrt, mpf_sub, mpf_sum, to_rational,
 )
 
 from ._record import Record
@@ -34,53 +55,173 @@ def _to_fraction(x: mpmath.mpf) -> Fraction:
     return Fraction(*to_rational(x._mpf_))
 
 
-def _qr_solve(rows: list[list[mpmath.mpf]], rhs: list[mpmath.mpf]) -> tuple[list[mpmath.mpf], mpmath.mpf, mpmath.mpf]:
+# The kernels round an exact odd mantissa m of bc > prec bits to prec bits,
+# half-even, with n = bc - prec.  m >> (n - 1) ends in the half bit, and the
+# bits below it include m's lowest bit, which is 1, so they are all zero
+# only when n == 1.  So for n > 1, adding the half bit and dropping it,
+# ((m >> (n - 1)) + 1) >> 1, rounds to nearest; for n == 1 m is a tie,
+# rounded up only when m >> 1 is odd (m & 2).  A carry leaves 2**prec,
+# whose stripped mantissa is 1 with bitcount 1 (`prec - z or 1`).  Input
+# tuples are canonical (odd mantissa), so an exact product is odd, and so is
+# a difference of two terms at different exponents; the one at equal
+# exponents is stripped of its trailing zeros before it is rounded.
+
+
+def _products(v: list[tuple], w: list[tuple], prec: int) -> list[tuple]:
+    """[v_i w_i], each rounded half-even to prec: `mpf_mul`'s tuples.
+
+    Runs once per column, with the per-element work inline: a call per
+    element would cost more than the rounding it wraps.
+    """
+    out = []
+    for (vs, vm, ve, _), (ws, wm, we, _) in zip(v, w):
+        man = vm * wm
+        if not man:
+            out.append(fzero)
+            continue
+        exp = ve + we
+        bc = man.bit_length()
+        if bc > prec:
+            n = bc - prec
+            man = ((man >> (n - 1)) + 1) >> 1 if n > 1 or man & 2 else man >> 1
+            exp += n
+            bc = prec
+            if not man & 1:
+                z = (man & -man).bit_length() - 1
+                man >>= z
+                exp += z
+                bc = prec - z or 1
+        out.append((vs ^ ws, man, exp, bc))
+    return out
+
+
+def _reflected(w: list[tuple], f: tuple, v: list[tuple], prec: int) -> list[tuple]:
+    """[w_i - f v_i]: `mpf_sub(w_i, mpf_mul(f, v_i))`, two half-even roundings.
+
+    Runs once per column, with the per-element work inline.  Each
+    difference is exact before its one rounding, except where `mpf_add`
+    stands a sticky unit prec + 4 bits below the larger term in for the
+    smaller (see the module docstring).
+    """
+    fs, fm, fe, _ = f
+    out = []
+    for (ws, wm, we, wbc), (vs, vm, ve, _) in zip(w, v):
+        # d = f v_i, rounded as in _products; x * 2**exp = w_i - d exactly
+        dm = fm * vm
+        if dm:
+            de = fe + ve
+            dbc = dm.bit_length()
+            if dbc > prec:
+                n = dbc - prec
+                dm = ((dm >> (n - 1)) + 1) >> 1 if n > 1 or dm & 2 else dm >> 1
+                de += n
+                dbc = prec
+                if not dm & 1:
+                    z = (dm & -dm).bit_length() - 1
+                    dm >>= z
+                    de += z
+                    dbc = prec - z or 1
+            if not wm:
+                out.append((fs ^ vs ^ 1, dm, de, dbc))
+                continue
+            d = -dm if fs ^ vs else dm
+            x = -wm if ws else wm
+            off = we - de
+            if off > 100 and wbc + off - dbc > prec + 4:
+                x = (x << (prec + 4)) - (1 if d > 0 else -1)
+                exp = we - prec - 4
+            elif off < -100 and dbc - off - wbc > prec + 4:
+                x = (1 if x > 0 else -1) - (d << (prec + 4))
+                exp = de - prec - 4
+            elif off >= 0:
+                x = (x << off) - d
+                exp = de
+            else:
+                x -= d << -off
+                exp = we
+        elif wm:
+            x = -wm if ws else wm
+            exp = we
+        else:
+            out.append(fzero)
+            continue
+        sign = 0
+        if x < 0:
+            sign = 1
+            x = -x
+        elif not x:
+            out.append(fzero)
+            continue
+        if not x & 1:  # equal exponents: both terms odd
+            z = (x & -x).bit_length() - 1
+            x >>= z
+            exp += z
+        bc = x.bit_length()
+        if bc > prec:
+            n = bc - prec
+            x = ((x >> (n - 1)) + 1) >> 1 if n > 1 or x & 2 else x >> 1
+            exp += n
+            bc = prec
+            if not x & 1:
+                z = (x & -x).bit_length() - 1
+                x >>= z
+                exp += z
+                bc = prec - z or 1
+        out.append((sign, x, exp, bc))
+    return out
+
+
+def _qr_solve(rows: list[list], rhs: list[mpmath.mpf]) -> tuple[list[mpmath.mpf], mpmath.mpf, mpmath.mpf]:
     """Householder least squares; returns (solution, rms residual, cond).
 
-    The reflections run column-major on libmp tuples (see the module
-    docstring).  Below the diagonal the pivot column is never read again,
-    so it is not written; v.v and v.(pivot column) reuse the rounded
-    squares of the column norm.
+    `rows` holds finite mpf objects or their raw libmp tuples (as `_fit`
+    builds them), `rhs` finite mpf objects; neither is changed.  The kernels
+    would read inf or nan, whose mantissa is 0, as zero.  The reflections run
+    column-major on libmp tuples, each product and update through the
+    kernels, and each rounds as mpf arithmetic at mp.prec would (see the
+    module docstring).  Below the diagonal the pivot column is never read
+    again, so it is not written; v.v and v.(pivot column) reuse the
+    rounded squares of the column norm.  Back substitution, cond and the
+    residual run on tuples too, with the libmp calls mpf arithmetic makes.
     """
     prec, rnd = mpmath.mp._prec_rounding
     m = len(rows)
     p = len(rows[0])
-    a = [[row[j]._mpf_ for row in rows] for j in range(p)]
+    a = [[e if e.__class__ is tuple else e._mpf_ for e in column] for column in zip(*rows)]
     b = [y._mpf_ for y in rhs]
     for col in range(p):
         pivot = a[col]
-        squares = [mpf_mul(e, e, prec, rnd) for e in pivot[col:]]
+        v = pivot[col:]
+        squares = _products(v, v, prec)
         norm = mpf_sqrt(mpf_sum(squares, prec, rnd), prec, rnd)
         if norm == fzero:
             raise IllConditioned(f"column {col} is numerically zero")
         alpha = mpf_neg(norm, prec, rnd) if mpf_ge(pivot[col], fzero) else norm
-        v = pivot[col:]
         v[0] = mpf_sub(pivot[col], alpha, prec, rnd)
         squares[0] = mpf_mul(v[0], v[0], prec, rnd)
+        # v.v > 0, so it is never a zero divisor: alpha has the sign
+        # opposite to the pivot's, so |v_0| = |pivot| + norm > 0, and
+        # mpf_sum of nonnegative squares never drops its largest term
         vtv = mpf_sum(squares, prec, rnd)
-        if vtv == fzero:
-            continue
         # v . pivot column shares all but its first product with v . v
         squares[0] = mpf_mul(v[0], pivot[col], prec, rnd)
         f = mpf_div(mpf_mul_int(mpf_sum(squares, prec, rnd), 2, prec, rnd), vtv, prec, rnd)
         pivot[col] = mpf_sub(pivot[col], mpf_mul(f, v[0], prec, rnd), prec, rnd)
         for target in a[col + 1:] + [b]:
             w = target[col:]
-            dot = mpf_sum([mpf_mul(vi, wi, prec, rnd) for vi, wi in zip(v, w)], prec, rnd)
+            dot = mpf_sum(_products(v, w, prec), prec, rnd)
             f = mpf_div(mpf_mul_int(dot, 2, prec, rnd), vtv, prec, rnd)
-            target[col:] = [mpf_sub(wi, mpf_mul(f, vi, prec, rnd), prec, rnd) for vi, wi in zip(v, w)]
+            target[col:] = _reflected(w, f, v, prec)
     make = mpmath.mp.make_mpf
-    r = [[make(e) for e in column[:p]] for column in a]
-    bt = [make(e) for e in b]
-    diag = [abs(r[i][i]) for i in range(p)]
+    diag = [abs(make(a[i][i])) for i in range(p)]
     cond = max(diag) / min(diag)
-    x = [mpmath.mpf(0)] * p
+    x = [fzero] * p
     for i in range(p - 1, -1, -1):
-        acc = bt[i] - mpmath.fsum(r[j][i] * x[j] for j in range(i + 1, p))
-        x[i] = acc / r[i][i]
-    rss = mpmath.fsum(bt[i] ** 2 for i in range(p, m))
-    rms = mpmath.sqrt(rss / m)
-    return x, rms, cond
+        dot = mpf_sum([mpf_mul(a[j][i], x[j], prec, rnd) for j in range(i + 1, p)], prec, rnd)
+        x[i] = mpf_div(mpf_sub(b[i], dot, prec, rnd), a[i][i], prec, rnd)
+    rss = mpf_sum(_products(b[p:], b[p:], prec), prec, rnd)
+    rms = mpf_sqrt(mpf_div(rss, from_int(m), prec, rnd), prec, rnd)
+    return [make(e) for e in x], make(rms), cond
 
 
 class FitResult(Record):
@@ -119,7 +260,10 @@ def lsq_fit(
     if len(ns) < degree + 1:
         raise InsufficientPoints(f"{len(ns)} points cannot fix {degree + 1} coefficients")
     with mpmath.workprec(bits):
-        xs = tuple(1 / mpmath.sqrt(n) for n in ns)
+        prec, rnd = mpmath.mp._prec_rounding
+        make = mpmath.mp.make_mpf
+        # 1 / mpmath.sqrt(n), through the libmp calls it makes
+        xs = tuple(make(mpf_rdiv_int(1, mpf_sqrt(from_int(n), prec, rnd), prec, rnd)) for n in ns)
         ys = tuple(normalization("connected").exact(k, n, bits) for n in ns)
     return _fit(k, degree, n_min, xs, ys, bits)
 
@@ -127,15 +271,19 @@ def lsq_fit(
 def _fit(k: int, degree: int, n_min: int, xs: tuple, ys: tuple, bits: int) -> FitResult:
     """`lsq_fit`'s solve of ys at xs = n**(-1/2), n = n_min, n_min + 1, ..."""
     with mpmath.workprec(bits):
-        x_lo, x_hi = min(xs), max(xs)
-        halfspan = (x_hi - x_lo) / 2
-        center = (x_hi + x_lo) / 2
-        ss = [(x - center) / halfspan for x in xs]
+        prec, rnd = mpmath.mp._prec_rounding
+        # the design matrix on libmp tuples: s = (x - center) / halfspan and
+        # its powers, through the libmp calls the mpf expressions make
+        x_lo, x_hi = min(xs)._mpf_, max(xs)._mpf_
+        two = from_int(2)
+        halfspan = mpf_div(mpf_sub(x_hi, x_lo, prec, rnd), two, prec, rnd)
+        center = mpf_div(mpf_add(x_hi, x_lo, prec, rnd), two, prec, rnd)
         rows = []
-        for s in ss:
-            row = [mpmath.mpf(1)]
+        for x in xs:
+            s = mpf_div(mpf_sub(x._mpf_, center, prec, rnd), halfspan, prec, rnd)
+            row = [fone]
             for _ in range(degree):
-                row.append(row[-1] * s)
+                row.append(mpf_mul(row[-1], s, prec, rnd))
             rows.append(row)
         sol, rms, cond = _qr_solve(rows, ys)
         if cond > mpmath.power(2, bits // 2):
@@ -143,8 +291,8 @@ def _fit(k: int, degree: int, n_min: int, xs: tuple, ys: tuple, bits: int) -> Fi
                 f"condition estimate {mpmath.nstr(cond, 5)} exceeds 2**{bits // 2}"
             )
         # map back: b(s) with s = (x - center)/halfspan, by Horner over x-polys
-        inv = 1 / halfspan
-        lin = [-center * inv, inv]  # s as a polynomial in x
+        inv = 1 / mpmath.mp.make_mpf(halfspan)
+        lin = [-mpmath.mp.make_mpf(center) * inv, inv]  # s as a polynomial in x
         acc = [mpmath.mpf(0)]
         for c in reversed(sol):
             nxt = [mpmath.mpf(0)] * (len(acc) + 1)

@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
+from mpmath.libmp import from_man_exp, fzero, mpf_mul, mpf_neg, mpf_pos, mpf_sub
 
 from graphasym import SymConst, fitting, lsq_fit, reconstruct_symbolic
 from graphasym.errors import IllConditioned, InsufficientPoints
@@ -181,3 +182,93 @@ def test_qr_solve_matches_the_mpf_object_solve_bit_for_bit(problem):
     assert got == want
     # the inputs are left as they were
     assert ([[e._mpf_ for e in row] for row in rows], [e._mpf_ for e in rhs]) == before
+
+
+def _kernel_cases(prec):
+    """(v, w, edge) products and (w, f, v, edge) updates at the rounding edges of prec bits.
+
+    edge is the tuple an edge case must round to, so that a case which stops
+    reaching its edge fails rather than passing quietly; None elsewhere.
+    """
+    def raw(man, exp=0):
+        return from_man_exp(man, exp)  # the canonical tuple of man * 2**exp, unrounded
+
+    # odd k with 3k of prec + 1 bits: a tie, kept mantissa 3k >> 1 even or odd
+    ties = {}
+    k = (1 << prec) // 3 | 1
+    while len(ties) < 2:
+        if (3 * k).bit_length() == prec + 1:
+            ties.setdefault(3 * k >> 1 & 1, k)
+        k += 2
+    down = raw(3 * ties[0] >> 1, -6)  # 3 ties[0] 2**-7 rounded to even, down
+    up = raw(-((3 * ties[1] >> 1) + 1), 6)  # -3 ties[1] 2**5 rounded to even, up
+    # (2**j - 1)(2**j + 1) = 2**(2j) - 1, all ones past prec + 1 bits: a carry
+    j = (prec + 3) // 2
+    carry = (1, 1, 2 * j - prec, 1)
+    products = [
+        (raw(3), raw(ties[0], -7), down),
+        (raw(-3), raw(ties[1], 5), up),
+        (raw(2**j - 1), raw(-(2**j + 1), -prec), carry),
+        (raw(0), raw(5), fzero),
+        (raw(-7), raw(0), fzero),
+    ]
+    one, minus_one, big = raw(1), raw(-1), (1 << prec) - 1
+    updates = [
+        # w - d = 2 big - 1 and 2 big + 1: ties, kept big - 1 (even) and big (odd, a carry)
+        (raw(big, 1), one, one, raw(big - 1, 1)),
+        (raw(big, 1), one, minus_one, raw(1, prec + 1)),
+        (raw(-big, 1), minus_one, minus_one, raw(-1, prec + 1)),
+        (raw(big, 1), minus_one, raw(ties[1], -prec), None),
+        # zero operands and exact cancellation
+        (raw(0), raw(3), raw(5), raw(-15)),
+        (raw(5), raw(0), raw(3), raw(5)),
+        (raw(-5), raw(3), raw(0), raw(-5)),
+        (raw(0), raw(0), raw(0), fzero),
+        (raw(15), raw(-3), raw(-5), fzero),
+        # w = 0 leaves -d, here a carry
+        (raw(0), raw(2**j - 1), raw(-(2**j + 1), -prec), mpf_neg(carry)),
+        # w far below d = f v: w - d rounds to -d, which is a tie down or up
+        (raw(1, -8 * prec), raw(3), raw(ties[0], -7), mpf_neg(down)),
+        (raw(1, -8 * prec), raw(-3), raw(ties[1], 5), mpf_neg(up)),
+        # a w wider than prec (a first-column input may be) at d's exponent:
+        # 2**(prec + 1) + 2 is the tie 2**prec + 1 once its zero is stripped
+        (raw(2**(prec + 1) + 1), one, minus_one, raw(1, prec + 1)),
+    ]
+    # the top bits of w and d = f v lie gap bits apart; past prec + 4, mpf_add
+    # stands a sticky unit in for the smaller term once the exponents differ
+    # by more than 100, and subtracts exactly below that
+    for gap in (prec + 5, prec + 101, 3 * prec):
+        for sw in (1, -1):
+            for sd in (1, -1):
+                updates.append((raw(sw * big), raw(sd), raw(21, prec - gap - 5), raw(sw * big)))
+                updates.append((raw(sw * 7, prec - gap - 3), raw(sd), raw(big), raw(-sd * big)))
+    return products, updates
+
+
+@pytest.mark.parametrize("prec", [53, 256, 384])
+def test_kernels_round_each_element_as_mpf_mul_and_mpf_sub(prec):
+    products, updates = _kernel_cases(prec)
+    got = fitting._products([v for v, _, _ in products], [w for _, w, _ in products], prec)
+    for (v, w, edge), g in zip(products, got, strict=True):
+        assert g == mpf_mul(v, w, prec, "n"), (v, w)
+        assert edge is None or g == edge, (v, w)
+    for w, f, v, edge in updates:
+        got = fitting._reflected([w], f, [v], prec)
+        assert got == [mpf_sub(w, mpf_mul(f, v, prec, "n"), prec, "n")], (w, f, v)
+        assert edge is None or got == [edge], (w, f, v)
+
+
+@pytest.mark.parametrize("prec", [256, 384])
+@pytest.mark.parametrize("low, d_sign", [(0b0111111111, -1), (0b1000000000, -1), (0b1000000000, 1)])
+def test_reflected_keeps_mpf_adds_sticky_unit_for_an_input_wider_than_prec(prec, low, d_sign):
+    # w has prec + 10 bits ending in `low`, and d = f v = +-(2**150 - 1) 2**-145
+    # lies prec + 5 bits below it at an exponent over 100 lower, so mpf_add
+    # moves w by one sticky unit toward -d before rounding.  Below the kept
+    # bits w ends in a tie, or just under one which w - d exactly (the low
+    # bits plus about 32) passes but the sticky unit does not
+    w = from_man_exp(((1 << prec) - 4) << 10 | low, 0)
+    v = from_man_exp(d_sign * (2**150 - 1), -145)
+    want = mpf_sub(w, v, prec, "n")
+    if low == 0b0111111111:
+        assert want != mpf_pos(mpf_sub(w, v), prec, "n")
+    assert fitting._reflected([w], from_man_exp(1, 0), [v], prec) == [want]
