@@ -9,21 +9,21 @@ precision.
 
 The abscissae, the design matrix and the whole solve run on mpmath's raw
 libmp tuples (sign, mantissa, exponent, bitcount) rather than mpf objects;
-mpf objects are made only for the results.  Most of the solve is the
-products v_i w_i of each dot and the updates w_i - f v_i of each
-reflection, and those run in two integer kernels, `_products` and
-`_reflected`: multiply the mantissas exactly, or align the exponents and
-subtract exactly, then round half-even to mp.prec once and strip trailing
-zeros.  mpmath's `mpf_mul` and `mpf_add` are correctly rounded, and `mp`'s
-rounding is always round-half-even (it has no setter), so each step gives
-the tuple that mpf arithmetic gives, bit for bit.  One exception is kept
-as mpmath has it: where the exponents of a difference's terms lie more
-than 100 apart and the smaller term's top bit more than prec + 4 bits
-below the larger's, `mpf_add` stands a sticky unit in for the smaller
-term, and so does `_reflected`.  For terms of at most prec bits that
-rounds as the exact difference would; for a wider input, which a first
-column may hold, it need not, and the kernel still matches mpmath.  The
-whole solve is bit-identical to the mpf-object solve kept in
+mpf objects are made only for the p coefficients and a few scalars.  Most
+of the solve is the products v_i w_i of each dot and the updates
+w_i - f v_i of each reflection, and those run in two integer kernels,
+`_products` and `_reflected`: multiply the mantissas exactly, or align the exponents
+and subtract exactly, then round half-even to mp.prec once and strip
+trailing zeros.  mpmath's `mpf_mul` and `mpf_add` are correctly rounded,
+and `mp`'s rounding is always round-half-even (it has no setter), so each
+step gives the tuple that mpf arithmetic gives, bit for bit.  One
+exception is kept as mpmath has it: where the exponents of a difference's
+terms lie more than 100 apart and the smaller term's top bit more than
+prec + 4 bits below the larger's, `mpf_add` stands a sticky unit in for
+the smaller term, and so does `_reflected`.  For terms of at most prec
+bits that rounds as the exact difference would; for a wider input, which a
+first column may hold, it need not, and the kernel still matches mpmath.
+The whole solve is bit-identical to the mpf-object solve kept in
 tests/oracles.py, which a property test checks.
 
 The dot sums stay on `mpf_sum`.  It drops a term that lies more than
@@ -56,11 +56,12 @@ def _to_fraction(x: mpmath.mpf) -> Fraction:
 
 
 # The kernels round an exact odd mantissa m of bc > prec bits to prec bits,
-# half-even, with n = bc - prec.  m >> (n - 1) ends in the half bit, and the
-# bits below it include m's lowest bit, which is 1, so they are all zero
-# only when n == 1.  So for n > 1, adding the half bit and dropping it,
-# ((m >> (n - 1)) + 1) >> 1, rounds to nearest; for n == 1 m is a tie,
-# rounded up only when m >> 1 is odd (m & 2).  A carry leaves 2**prec,
+# half-even, with n = bc - prec.  m >> (n - 1) ends in the half bit.  For
+# n > 1 the bits below the half bit include m's lowest bit, which is 1, so
+# m is no tie, and adding the half bit and dropping it,
+# ((m >> (n - 1)) + 1) >> 1, rounds to nearest.  For n == 1 the half bit is
+# m's lowest, so m is a tie, rounded up only when m >> 1 is odd (m & 2),
+# which needs no mask of the dropped bits.  A carry leaves 2**prec,
 # whose stripped mantissa is 1 with bitcount 1 (`prec - z or 1`).  Input
 # tuples are canonical (odd mantissa), so an exact product is odd, and so is
 # a difference of two terms at different exponents; the one at equal
