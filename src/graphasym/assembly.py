@@ -28,7 +28,9 @@ from math import comb, prod
 
 import mpmath
 from mpmath.libmp import (
-    fone, from_int, from_man_exp, fzero, mpf_pos, mpf_sign, round_ceiling, round_floor, round_nearest,
+    fone, from_int, from_man_exp, fzero, mpf_add, mpf_div, mpf_exp, mpf_mul, mpf_mul_int, mpf_pi, mpf_pos,
+    mpf_pow, mpf_pow_int, mpf_rdiv_int, mpf_shift, mpf_sign, mpf_sqrt, mpf_sub, round_ceiling, round_floor,
+    round_nearest,
 )
 from mpmath.libmp.libmpi import mpi_div, mpi_mul, mpi_pow_int
 
@@ -420,29 +422,38 @@ class Normalization(Record):
     description: str
 
     def evaluate(self, k: int, n: int, bits: int = 256) -> mpmath.mpf:
+        return mpmath.mp.make_mpf(self._normalizer(k, n, bits))
+
+    def _normalizer(self, k: int, n: int, bits: int) -> tuple:
+        """The normalization at (n, n+k) as a libmp tuple, rounded as its mpf formula at `bits` is.
+
+        Each step is the libmp call that mpf arithmetic at precision `bits`
+        makes, so the tuple is that of the formula in `description` written
+        with mpf objects under `workprec(bits)`: mpf(n) is n rounded to
+        `bits`, and so is an exponent such as n + mpf(3k-1)/2 before
+        `mpf_pow` takes it (which moves it at bits <= 2); an int exponent is
+        exact (`mpf_pow_int`), and pi is `mpf_pi` at `bits`.
+        """
         if n < 1:
             raise ValueError("the normalizations need n >= 1")
         if bits < 1:
             raise ValueError("the precision needs bits >= 1")
-        with mpmath.workprec(bits):
-            nn = mpmath.mpf(n)
-            if self.kind == "connected":
-                return mpmath.power(nn, n + mpmath.mpf(3 * k - 1) / 2)
-            if self.kind == "total":
-                return (
-                    mpmath.sqrt(2 / mpmath.pi)
-                    * mpmath.exp(nn - 2)
-                    * mpmath.power(nn / 2, n)
-                    * mpmath.power(nn, mpmath.mpf(2 * k - 1) / 2)
-                )
-            if self.kind == "probability":
-                return (
-                    mpmath.power(2, n)
-                    * mpmath.exp(2 - nn)
-                    * mpmath.power(nn, mpmath.mpf(k) / 2)
-                    * mpmath.sqrt(2 * mpmath.pi)
-                )
-            raise ValueError(f"unknown normalization kind {self.kind!r}")
+        rnd = round_nearest
+        nn, two = from_int(n, bits, rnd), from_int(2)
+        if self.kind == "connected":
+            exponent = mpf_add(from_man_exp(3 * k - 1, -1, bits, rnd), from_int(n), bits, rnd)
+            return mpf_pow(nn, exponent, bits, rnd)
+        if self.kind == "total":
+            value = mpf_sqrt(mpf_rdiv_int(2, mpf_pi(bits, rnd), bits, rnd), bits, rnd)
+            value = mpf_mul(value, mpf_exp(mpf_sub(nn, two, bits, rnd), bits, rnd), bits, rnd)
+            value = mpf_mul(value, mpf_pow_int(mpf_shift(nn, -1), n, bits, rnd), bits, rnd)
+            return mpf_mul(value, mpf_pow(nn, from_man_exp(2 * k - 1, -1, bits, rnd), bits, rnd), bits, rnd)
+        if self.kind == "probability":
+            value = mpf_pow_int(two, n, bits, rnd)
+            value = mpf_mul(value, mpf_exp(mpf_sub(two, nn, bits, rnd), bits, rnd), bits, rnd)
+            value = mpf_mul(value, mpf_pow(nn, from_man_exp(k, -1, bits, rnd), bits, rnd), bits, rnd)
+            return mpf_mul(value, mpf_sqrt(mpf_mul_int(mpf_pi(bits, rnd), 2, bits, rnd), bits, rnd), bits, rnd)
+        raise ValueError(f"unknown normalization kind {self.kind!r}")
 
     def exact(self, k: int, n: int, bits: int = 256) -> mpmath.mpf:
         """The exact value of this kind at (n, n+k) over its normalization, at `bits`.
@@ -463,7 +474,7 @@ class Normalization(Record):
         one division (`_round_quotient`).  The result is therefore that of
         the exact route by construction.
         """
-        norm = self.evaluate(k, n, bits)  # checks n, `bits` and the kind first
+        norm = self._normalizer(k, n, bits)  # checks n, `bits` and the kind first
         big_n, m = n * (n - 1) // 2, n + k
         graphs = 0 <= m <= big_n
         if not graphs and self.kind == "probability":
@@ -483,8 +494,7 @@ class Normalization(Record):
                 lambda prec: _binomial_interval(big_n, m, prec) if graphs else None,
                 lambda: (exact_total(n, k), 1),
             )
-        with mpmath.workprec(bits):
-            return mpmath.mp.make_mpf(value) / norm
+        return mpmath.mp.make_mpf(mpf_div(value, norm, bits, round_nearest))
 
 
 _NORMALIZATIONS = {

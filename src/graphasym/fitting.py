@@ -273,20 +273,18 @@ def _fit(k: int, degree: int, n_min: int, xs: tuple, ys: tuple, bits: int) -> Fi
     """`lsq_fit`'s solve of ys at xs = n**(-1/2), n = n_min, n_min + 1, ..."""
     with mpmath.workprec(bits):
         prec, rnd = mpmath.mp._prec_rounding
-        # the design matrix on libmp tuples: s = (x - center) / halfspan and
-        # its powers, through the libmp calls the mpf expressions make
+        # the design matrix on libmp tuples: s = (x - center) / halfspan
+        # through the libmp calls the mpf expression makes, and its powers
+        # column by column through `_products`, which gives `mpf_mul`'s tuples
         x_lo, x_hi = min(xs)._mpf_, max(xs)._mpf_
         two = from_int(2)
         halfspan = mpf_div(mpf_sub(x_hi, x_lo, prec, rnd), two, prec, rnd)
         center = mpf_div(mpf_add(x_hi, x_lo, prec, rnd), two, prec, rnd)
-        rows = []
-        for x in xs:
-            s = mpf_div(mpf_sub(x._mpf_, center, prec, rnd), halfspan, prec, rnd)
-            row = [fone]
-            for _ in range(degree):
-                row.append(mpf_mul(row[-1], s, prec, rnd))
-            rows.append(row)
-        sol, rms, cond = _qr_solve(rows, ys)
+        s = [mpf_div(mpf_sub(x._mpf_, center, prec, rnd), halfspan, prec, rnd) for x in xs]
+        columns = [[fone] * len(xs)]
+        for _ in range(degree):
+            columns.append(_products(columns[-1], s, prec))
+        sol, rms, cond = _qr_solve(list(zip(*columns)), ys)
         if cond > mpmath.power(2, bits // 2):
             raise IllConditioned(
                 f"condition estimate {mpmath.nstr(cond, 5)} exceeds 2**{bits // 2}"

@@ -293,6 +293,33 @@ def exact_value(kind: str, n: int, k: int) -> Fraction:
     raise ValueError(f"unknown kind {kind!r}")
 
 
+def normalization_by_mpf(kind: str, k: int, n: int, bits: int) -> mpmath.mpf:
+    """The normalization of `kind` at (n, n+k) written with mpf objects under `workprec(bits)`.
+
+    The object-level form of `Normalization.evaluate`, which makes the same
+    libmp calls on raw tuples and must match this bit for bit.
+    """
+    with mpmath.workprec(bits):
+        nn = mpmath.mpf(n)
+        if kind == "connected":
+            return mpmath.power(nn, n + mpmath.mpf(3 * k - 1) / 2)
+        if kind == "total":
+            return (
+                mpmath.sqrt(2 / mpmath.pi)
+                * mpmath.exp(nn - 2)
+                * mpmath.power(nn / 2, n)
+                * mpmath.power(nn, mpmath.mpf(2 * k - 1) / 2)
+            )
+        if kind == "probability":
+            return (
+                mpmath.power(2, n)
+                * mpmath.exp(2 - nn)
+                * mpmath.power(nn, mpmath.mpf(k) / 2)
+                * mpmath.sqrt(2 * mpmath.pi)
+            )
+    raise ValueError(f"unknown kind {kind!r}")
+
+
 def round_to_bits(x: Fraction, bits: int) -> tuple[int, int]:
     """(man, exp) with man * 2**exp the `bits`-bit float nearest x, ties to even.
 

@@ -7,7 +7,7 @@ from math import comb, factorial, prod
 import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from mpmath.libmp import from_int, from_man_exp, to_rational
+from mpmath.libmp import fone, from_int, from_man_exp, to_rational
 from mpmath.libmp.libmpi import mpi_div
 
 from graphasym import (
@@ -415,7 +415,7 @@ def test_an_undecided_enclosure_falls_back_to_the_exact_binomial(monkeypatch):
 
 def _unnormalized(monkeypatch):
     # with every normalization 1, `exact` returns the rounded value itself
-    monkeypatch.setattr(assembly.Normalization, "evaluate", lambda self, k, n, bits=256: mpmath.mpf(1))
+    monkeypatch.setattr(assembly.Normalization, "_normalizer", lambda self, k, n, bits: fone)
 
 
 def test_the_probability_enclosure_rounds_c_outwards(monkeypatch):
@@ -589,6 +589,33 @@ def test_fewer_than_one_node_is_a_value_error():
                 normalization(kind).exact(0, n)
             with pytest.raises(ValueError, match=r"^the normalizations need n >= 1$"):
                 normalization(kind).evaluate(0, n)
+
+
+NORMALIZATION_NS = (*range(1, 41), 100, 601, 777, 1024, 4096, 65537)
+
+
+def test_normalizations_match_their_mpf_formulas_bit_for_bit():
+    # bits <= 2 round the exponent n + (3k-1)/2 itself, and odd exponents
+    # take mpf_pow's square-root route
+    for kind in ("connected", "total", "probability"):
+        for bits in (1, 2, 3, 53, 256, 512):
+            for k in range(-1, 7):
+                for n in NORMALIZATION_NS:
+                    got = normalization(kind).evaluate(k, n, bits)
+                    want = oracles.normalization_by_mpf(kind, k, n, bits)
+                    assert got._mpf_ == want._mpf_, (kind, bits, k, n)
+
+
+def test_normalization_errors_come_in_their_order():
+    # n first, then the precision, then the kind
+    unknown = assembly.Normalization("unknown", "")
+    for method in (unknown.evaluate, unknown.exact):
+        with pytest.raises(ValueError, match=r"^the normalizations need n >= 1$"):
+            method(1, 0, 0)
+        with pytest.raises(ValueError, match=r"^the precision needs bits >= 1$"):
+            method(1, 40, 0)
+        with pytest.raises(ValueError, match=r"^unknown normalization kind 'unknown'$"):
+            method(1, 40, 53)
 
 
 def test_probability_with_no_graphs_is_a_value_error():

@@ -1,5 +1,6 @@
 """Ramanujan's Q-function: exact values, the R counterpart, and expansions."""
 from fractions import Fraction
+from math import prod
 
 import mpmath
 from hypothesis import given, settings, strategies as st
@@ -19,9 +20,28 @@ def test_q_exact_matches_direct_sum(n):
 
 
 def test_q_scaled_matches_the_term_by_term_loop():
-    # n <= 33 is one leaf of the product tree; n = 300 splits four levels deep
+    # n <= 129 is one leaf of the product tree; n = 300 splits two levels
+    # deep, 1000 three and 4096 five
     for n in list(range(1, 301)) + [1000, 4096]:
         assert q_scaled(n) == oracles.q_scaled_by_loop(n), n
+
+
+def _q_split_by_definition(n, a, c):
+    # P = prod_{a<=j<c} (n-j), T = sum_{a<=m<c} prod_{a<=j<=m} (n-j) n**(c-1-m)
+    terms = [prod(n - j for j in range(a, m + 1)) * n ** (c - 1 - m) for m in range(a, c)]
+    return prod(n - j for j in range(a, c)), sum(terms)
+
+
+def test_q_split_matches_its_defining_sum():
+    # every length mod 4 (the leaf's four-term steps and the 0-3 left over),
+    # lengths at the leaf size and either side of it, and ranges that split
+    leaf = ramanujan._Q_LEAF
+    lengths = [*range(0, 13), leaf - 1, leaf, leaf + 1, 2 * leaf + 3, 3 * leaf + 2]
+    for n in (7, 40, 600, 65537):
+        for a in (0, 1, 5):
+            for length in lengths:
+                c = a + length
+                assert ramanujan._q_split(n, a, c) == _q_split_by_definition(n, a, c), (n, a, c)
 
 
 def test_q_scaled_matches_the_residue_loop_at_compare_sizes():
@@ -64,6 +84,17 @@ def test_q_scaled_mod_carries_the_head_on_to_the_whole_sum(monkeypatch):
         head = q_head(n, 53)
         for modulus in (1, 2, 24 * n * n, 3**40, oracles.PRIME):
             assert q_scaled_mod(n, head, modulus) == q_scaled(n) % modulus, (n, modulus)
+
+
+def test_q_scaled_mod_walks_heads_of_every_length_mod_4():
+    # the walk after the head takes four steps a block and the 0-3 left over
+    # one at a time; any 6 consecutive factors make p 0 modulo 720 = 6!, and
+    # for most of these heads that happens at a step inside a block
+    for n in (37, 38, 39, 40, 41, 97):
+        for length in range(1, 13):
+            head = (length, *ramanujan._q_split(n, 1, length))
+            for modulus in (1, 2, 720, 24 * n * n, oracles.PRIME):
+                assert q_scaled_mod(n, head, modulus) == q_scaled(n) % modulus, (n, length, modulus)
 
 
 def test_q_scaled_mod_matches_the_residue_loop_at_compare_sizes():
