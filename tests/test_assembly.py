@@ -595,8 +595,8 @@ NORMALIZATION_NS = (*range(1, 41), 100, 601, 777, 1024, 4096, 65537)
 
 
 def test_normalizations_match_their_mpf_formulas_bit_for_bit():
-    # bits <= 2 round the exponent n + (3k-1)/2 itself, and odd exponents
-    # take mpf_pow's square-root route
+    # bits <= 2 round the exponent n + (3k-1)/2 itself, and half-integer
+    # exponents take mpf_pow's square-root route
     for kind in ("connected", "total", "probability"):
         for bits in (1, 2, 3, 53, 256, 512):
             for k in range(-1, 7):
