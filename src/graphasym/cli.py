@@ -11,12 +11,17 @@ internal verification fails.  `errata` and `tables` exit 2 after writing
 their output when an errata finding does not verify.  `compare`'s exact
 column is c/g (or the count c or g) rounded once at --precision-bits, then
 divided by the normalization.
+
+`main` freezes the heap the imports left (`gc.freeze`), which lives until exit,
+so no collection walks it again, the one at exit included; the command's own
+garbage is still collected.  `import graphasym` leaves the GC alone, and an
+in-process caller of `main` keeps its heap frozen.
 """
 from __future__ import annotations
 
 import argparse
 import csv
-import json
+import gc
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -41,6 +46,7 @@ def _emit(args: argparse.Namespace, rows, document: Callable[[], object]) -> int
     `document` is called only for JSON, so a value is turned into text once.
     """
     if args.output == "json":
+        import json  # here only: CSV commands never import it
         print(json.dumps(document(), indent=2, sort_keys=True))
     else:
         _writer(sys.stdout).writerows(rows)
@@ -139,6 +145,8 @@ def _cmd_asym(args: argparse.Namespace) -> int:
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
+    if args.max_denominator < 1:
+        raise ValueError("fit needs --max-denominator >= 1")
     result = fitting.lsq_fit(
         args.k, args.degree, args.n_min, args.n_max, bits=args.precision_bits
     )
@@ -377,6 +385,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     # exact values are the output, however many digits they have
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
+    gc.freeze()  # the import heap lives until exit: no collection walks it again
     parser = build_parser()
     try:
         ns = parser.parse_args(argv)

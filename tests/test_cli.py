@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import graphasym
-from graphasym import assembly, errata, fitting, q_exact, treepoly
+from graphasym import assembly, errata, fitting, q_exact, ramanujan, treepoly
 from graphasym.assembly import normalization
 from graphasym.cli import build_parser, main
 
@@ -154,15 +154,54 @@ def test_a_finding_that_does_not_verify_exits_2_after_its_output(capsys, monkeyp
     )
 
 
-def test_python_dash_m_runs_the_cli():
+def _python(*args):
+    """Run a fresh interpreter on this checkout's package; return its stdout lines."""
     src = str(Path(graphasym.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
-        [sys.executable, "-m", "graphasym", "q", "--n-max", "3"],
-        capture_output=True, text=True, env=env, timeout=60,
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["n,q", "1,1", "2,3/2", "3,17/9"]
+    return proc.stdout.splitlines()
+
+
+_Q3 = ["n,q", "1,1", "2,3/2", "3,17/9"]
+
+
+def test_python_dash_m_runs_the_cli():
+    assert _python("-m", "graphasym", "q", "--n-max", "3") == _Q3
+
+
+def test_main_freezes_the_import_heap_and_still_collects_new_garbage():
+    # the package import leaves the GC alone; main moves the import heap into
+    # the permanent generation, keeps the GC on, and a cycle made afterwards
+    # is still reclaimed
+    probe = (
+        "import gc, weakref\n"
+        "import graphasym.cli\n"
+        "print(gc.get_freeze_count())\n"
+        "code = graphasym.cli.main(['q', '--n-max', '3'])\n"
+        "print(code, gc.get_freeze_count() > 0, gc.isenabled())\n"
+        "class Node:\n"
+        "    pass\n"
+        "node = Node()\n"
+        "node.self = node\n"
+        "alive = weakref.ref(node)\n"
+        "del node\n"
+        "gc.collect()\n"
+        "print(alive() is None)\n"
+    )
+    assert _python("-c", probe) == ["0", *_Q3, "0 True True", "True"]
+
+
+def test_a_csv_command_does_not_import_json():
+    probe = (
+        "import sys\n"
+        "import graphasym.cli\n"
+        "graphasym.cli.main(['q', '--n-max', '3'])\n"
+        "print('json' in sys.modules)\n"
+    )
+    assert _python("-c", probe) == [*_Q3, "False"]
 
 
 def test_compare_command(capsys):
@@ -367,6 +406,14 @@ def test_repeated_depths_are_rejected(capsys):
 def test_a_fit_below_excess_minus_one_says_the_excess_is_empty(capsys):
     code, out, err = run(capsys, "fit", "--k", "-2")
     assert (code, out, err) == (1, "", "error: excess below -1 is empty\n")
+
+
+@pytest.mark.parametrize("max_denominator", ["0", "-3"])
+def test_a_max_denominator_below_one_is_rejected_before_any_count(capsys, max_denominator):
+    before = ramanujan.q_scaled.cache_info()
+    code, out, err = run(capsys, "fit", "--max-denominator", max_denominator)
+    assert (code, out, err) == (1, "", "error: fit needs --max-denominator >= 1\n")
+    assert ramanujan.q_scaled.cache_info() == before
 
 
 def test_exact_values_print_past_the_default_digit_limit(capsys):
