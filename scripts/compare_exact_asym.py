@@ -19,18 +19,37 @@ import mpmath
 from graphasym import assembly
 
 
+def _int_list(text: str) -> tuple[int, ...]:
+    """An argparse type: comma-separated integers."""
+    try:
+        return tuple(int(s) for s in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a comma-separated list of integers: {text!r}") from None
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--which", default="connected",
                         choices=("connected", "total", "probability"))
     parser.add_argument("--k", type=int, default=0)
-    parser.add_argument("--depths", default="1,2,3,4,5")
+    parser.add_argument("--depths", type=_int_list, default="1,2,3,4,5")
     parser.add_argument("--n-min", type=int, default=32)
     parser.add_argument("--n-max", type=int, default=4096)
     parser.add_argument("--bits", type=int, default=384)
     args = parser.parse_args(argv)
+    # n doubles from n_min, so n_min < 1 would never pass n_max
+    if args.n_min < 1:
+        parser.error("--n-min must be >= 1")
+    if args.n_max < args.n_min:
+        parser.error("--n-max must be >= --n-min")
+    if args.k < -1:
+        parser.error("--k must be >= -1")
+    if min(args.depths) < 0:
+        parser.error("every --depths entry must be >= 0")
+    if args.bits < 53:
+        parser.error("--bits must be >= 53")
 
-    depths = tuple(int(d) for d in args.depths.split(","))
+    depths = args.depths
     # two slots of headroom so the first dropped non-zero term is visible
     # even for the deepest cut
     series = assembly.expansion(args.which, args.k, max(depths) + 2)

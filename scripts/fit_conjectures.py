@@ -18,19 +18,39 @@ import mpmath
 from graphasym import assembly, fitting
 
 
+def _int_list(text: str) -> tuple[int, ...]:
+    """An argparse type: comma-separated integers."""
+    try:
+        return tuple(int(s) for s in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a comma-separated list of integers: {text!r}") from None
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--k-values", default="2,3,4")
+    parser.add_argument("--k-values", type=_int_list, default="2,3,4")
     parser.add_argument("--degree", type=int, default=9)
     parser.add_argument("--n-min", type=int, default=150)
     parser.add_argument("--n-max", type=int, default=900)
     parser.add_argument("--bits", type=int, default=320)
     parser.add_argument("--max-denominator", type=int, default=30000)
     args = parser.parse_args(argv)
+    if min(args.k_values) < -1:
+        parser.error("every --k-values entry must be >= -1")
+    if args.degree < 0:
+        parser.error("--degree must be >= 0")
+    if args.n_min < 1:
+        parser.error("--n-min must be >= 1")
+    if args.n_max < args.n_min:
+        parser.error("--n-max must be >= --n-min")
+    if args.bits < 53:
+        parser.error("--bits must be >= 53")
+    if args.max_denominator < 1:
+        parser.error("--max-denominator must be >= 1")
 
     mismatches = 0
     print(f"{'k':>3} {'j':>3} {'power':>6}  {'estimate':<22} {'identified':<14} {'derived':<14} status")
-    for k in (int(s) for s in args.k_values.split(",")):
+    for k in args.k_values:
         derived_row = assembly.expansion("connected", k, args.degree)
         full = fitting.lsq_fit(k, args.degree, args.n_min, args.n_max, bits=args.bits)
         symbols = fitting.two_window_symbols(full, args.max_denominator)

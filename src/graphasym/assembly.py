@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import comb, prod
+from math import comb, factorial, prod
 
 import mpmath
 from mpmath.libmp import (
@@ -70,6 +70,18 @@ VERIFY_N_MAX = 12
 
 
 @lru_cache(maxsize=None)
+def _log_e(order: int) -> tuple[Fraction, ...]:
+    """log E(u) through u**order, E(u) = sum_r (6r)! / (2**(5r) 3**(2r) (3r)! (2r)!) u**r.
+
+    Its u**k coefficient is A_k(1) (Janson, Knuth, Luczak and Pittel, "The
+    birth of the giant component", 1993).
+    """
+    return Series(
+        Fraction(factorial(6 * r), 288**r * factorial(3 * r) * factorial(2 * r)) for r in range(order + 1)
+    ).log().coeffs()
+
+
+@lru_cache(maxsize=None)
 def decompose(k: int) -> Decomposition:
     """Exact split of the excess-k connected count over t_n(y) and Q(n).
 
@@ -78,6 +90,9 @@ def decompose(k: int) -> Decomposition:
     term is a tree polynomial of index 3k - j.  For k = 0 the closed form
     is c(n,n) = Q(n) n**(n-1)/2 - n**(n-1) + n**(n-2)/2, and for k = -1,
     W_{-1} = T - T**2/2 = -(1-T)**2/2 + 1/2 gives c(n,n-1) = -t_n(-2)/2.
+    Each split is checked against the count table for n <= VERIFY_N_MAX, and
+    gamma_0 = A_k(1) against `_log_e` (`VerificationFailure` if either fails);
+    errors in A_k that those n do not see and that cancel in A_k(1) pass.
     """
     if k < -1:
         raise ValueError("excess below -1 is empty")
@@ -93,6 +108,9 @@ def decompose(k: int) -> Decomposition:
             Fraction((-1) ** j * sum(comb(i, j) * a[i] for i in range(j, len(a))), d)
             for j in range(len(a))
         ]
+        want = _log_e(1 << k.bit_length())[k]  # one series per doubling of k
+        if gamma[0] != want:
+            raise VerificationFailure(f"A_{k}(1) = {gamma[0]}, but [u**{k}] log E(u) = {want}")
         beta = tuple(sorted((3 * k - j, g) for j, g in enumerate(gamma) if g != 0))
         dec = Decomposition(k, beta, Fraction(0))
     table = connected_counts(VERIFY_N_MAX, k)
@@ -254,7 +272,12 @@ class CrosscheckReport(Record):
     passed: bool
 
 
-def fss_crosscheck(k: int, bits: int = 256, tolerance: float = 1e-12) -> CrosscheckReport:
+# `fss_crosscheck` works at this precision and passes within this relative error
+_CROSSCHECK_BITS = 256
+_CROSSCHECK_TOLERANCE = 1e-12
+
+
+def fss_crosscheck(k: int) -> CrosscheckReport:
     """Compare the assembled leading coefficients against the closed form
 
         a_0 = A_k(1) sqrt(pi) / (2**((3k-1)/2) Gamma(3k/2)),
@@ -268,9 +291,9 @@ def fss_crosscheck(k: int, bits: int = 256, tolerance: float = 1e-12) -> Crossch
     a = recover_ak(k)
     at_one = _poly.evaluate(a, 1)
     prime_at_one = _poly.evaluate(_poly.derivative(a), 1)
-    with mpmath.workprec(bits):
-        a0 = series.coeffs[0].evaluate(bits)
-        a1 = series.coeffs[1].evaluate(bits)
+    with mpmath.workprec(_CROSSCHECK_BITS):
+        a0 = series.coeffs[0].evaluate(_CROSSCHECK_BITS)
+        a1 = series.coeffs[1].evaluate(_CROSSCHECK_BITS)
         a_one = mpmath.mpf(at_one.numerator) / at_one.denominator
         ap_one = mpmath.mpf(prime_at_one.numerator) / prime_at_one.denominator
         rhs_a0 = (
@@ -295,8 +318,8 @@ def fss_crosscheck(k: int, bits: int = 256, tolerance: float = 1e-12) -> Crossch
             ratio_series=mpmath.nstr(lhs_ratio, 25),
             ratio_formula=mpmath.nstr(rhs_ratio, 25),
             rel_ratio=rel_ratio,
-            tolerance=tolerance,
-            passed=rel_a0 <= tolerance and rel_ratio <= tolerance,
+            tolerance=_CROSSCHECK_TOLERANCE,
+            passed=rel_a0 <= _CROSSCHECK_TOLERANCE and rel_ratio <= _CROSSCHECK_TOLERANCE,
         )
     if not report.passed:
         raise CrosscheckFailure(

@@ -392,7 +392,3 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     return dispatch(ns)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -16,15 +16,9 @@ w_i - f v_i of each reflection, and those run in two integer kernels,
 and subtract exactly, then round half-even to mp.prec once and strip
 trailing zeros.  mpmath's `mpf_mul` and `mpf_add` are correctly rounded,
 and `mp`'s rounding is always round-half-even (it has no setter), so each
-step gives the tuple that mpf arithmetic gives, bit for bit.  One
-exception is kept as mpmath has it: where the exponents of a difference's
-terms lie more than 100 apart and the smaller term's top bit more than
-prec + 4 bits below the larger's, `mpf_add` stands a sticky unit in for
-the smaller term, and so does `_reflected`.  For terms of at most prec
-bits that rounds as the exact difference would; for a wider input, which a
-first column may hold, it need not, and the kernel still matches mpmath.
-The whole solve is bit-identical to the mpf-object solve kept in
-tests/oracles.py, which a property test checks.
+step gives the tuple that mpf arithmetic gives, bit for bit.  The whole
+solve is bit-identical to the mpf-object solve kept in tests/oracles.py,
+which a property test checks.
 
 The dot sums stay on `mpf_sum`.  It drops a term that lies more than
 2 prec bits below the running sum, or the sum below a term, by a test on
@@ -100,13 +94,13 @@ def _reflected(w: list[tuple], f: tuple, v: list[tuple], prec: int) -> list[tupl
     """[w_i - f v_i]: `mpf_sub(w_i, mpf_mul(f, v_i))`, two half-even roundings.
 
     Runs once per column, with the per-element work inline.  Each
-    difference is exact before its one rounding, except where `mpf_add`
-    stands a sticky unit prec + 4 bits below the larger term in for the
-    smaller (see the module docstring).
+    difference is exact before its one rounding; `mpf_add` stands a sticky
+    unit in for a term far below the other, which rounds alike for terms of
+    at most prec bits, the only ones `_qr_solve` reads.
     """
     fs, fm, fe, _ = f
     out = []
-    for (ws, wm, we, wbc), (vs, vm, ve, _) in zip(w, v):
+    for (ws, wm, we, _), (vs, vm, ve, _) in zip(w, v):
         # d = f v_i, rounded as in _products; x * 2**exp = w_i - d exactly
         dm = fm * vm
         if dm:
@@ -128,13 +122,7 @@ def _reflected(w: list[tuple], f: tuple, v: list[tuple], prec: int) -> list[tupl
             d = -dm if fs ^ vs else dm
             x = -wm if ws else wm
             off = we - de
-            if off > 100 and wbc + off - dbc > prec + 4:
-                x = (x << (prec + 4)) - (1 if d > 0 else -1)
-                exp = we - prec - 4
-            elif off < -100 and dbc - off - wbc > prec + 4:
-                x = (1 if x > 0 else -1) - (d << (prec + 4))
-                exp = de - prec - 4
-            elif off >= 0:
+            if off >= 0:
                 x = (x << off) - d
                 exp = de
             else:
@@ -172,12 +160,12 @@ def _reflected(w: list[tuple], f: tuple, v: list[tuple], prec: int) -> list[tupl
     return out
 
 
-def _qr_solve(rows: list[list], rhs: list[mpmath.mpf]) -> tuple[list[mpmath.mpf], mpmath.mpf, mpmath.mpf]:
+def _qr_solve(rows: list[tuple], rhs: list[tuple]) -> tuple[list[mpmath.mpf], mpmath.mpf, mpmath.mpf]:
     """Householder least squares; returns (solution, rms residual, cond).
 
-    `rows` holds finite mpf objects or their raw libmp tuples (as `_fit`
-    builds them), `rhs` finite mpf objects; neither is changed.  The kernels
-    would read inf or nan, whose mantissa is 0, as zero.  The reflections run
+    `rows` and `rhs` hold the raw libmp tuples `_fit` builds: finite, of at
+    most mp.prec bits each, and left unchanged.  The kernels would read inf
+    or nan, whose mantissa is 0, as zero.  The reflections run
     column-major on libmp tuples, each product and update through the
     kernels, and each rounds as mpf arithmetic at mp.prec would (see the
     module docstring).  Below the diagonal the pivot column is never read
@@ -188,8 +176,8 @@ def _qr_solve(rows: list[list], rhs: list[mpmath.mpf]) -> tuple[list[mpmath.mpf]
     prec, rnd = mpmath.mp._prec_rounding
     m = len(rows)
     p = len(rows[0])
-    a = [[e if e.__class__ is tuple else e._mpf_ for e in column] for column in zip(*rows)]
-    b = [y._mpf_ for y in rhs]
+    a = [list(column) for column in zip(*rows)]
+    b = list(rhs)
     for col in range(p):
         pivot = a[col]
         v = pivot[col:]
@@ -255,6 +243,10 @@ def lsq_fit(
         raise ValueError("the degree must be nonnegative")
     if bits < 53:
         raise ValueError("fits need at least 53 bits of precision")
+    # column 0 is all ones and every s in [-1, 1], so |R_00| = sqrt(m) and, by
+    # the monic Chebyshev bound, |R_dd| <= sqrt(m) 2**(1-d): cond >= 2**(d-1)
+    if degree - 1 > bits // 2:
+        raise IllConditioned(f"degree {degree}: condition estimate >= 2**{degree - 1} exceeds 2**{bits // 2}")
     ns = list(range(n_min, n_max + 1))
     if len(ns) < 2:
         raise InsufficientPoints(f"the window n = {n_min}..{n_max} needs at least two points")
@@ -284,7 +276,7 @@ def _fit(k: int, degree: int, n_min: int, xs: tuple, ys: tuple, bits: int) -> Fi
         columns = [[fone] * len(xs)]
         for _ in range(degree):
             columns.append(_products(columns[-1], s, prec))
-        sol, rms, cond = _qr_solve(list(zip(*columns)), ys)
+        sol, rms, cond = _qr_solve(list(zip(*columns)), [y._mpf_ for y in ys])
         if cond > mpmath.power(2, bits // 2):
             raise IllConditioned(
                 f"condition estimate {mpmath.nstr(cond, 5)} exceeds 2**{bits // 2}"

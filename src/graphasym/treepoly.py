@@ -89,23 +89,9 @@ class TreePolyNormalForm(Record):
         modulus = n * m
         _quotient(n, (pow(n, n, modulus) * a + b * q_scaled_mod(n, head, modulus)) % modulus, modulus)
 
-    @property
-    def lead(self) -> int:
-        """Half-exponent of the highest term of any part of the value / n**(n-1)."""
-        heads = []
-        if self.p:
-            heads.append(2 * _poly.degree(self.p))
-        if self.r:
-            heads.append(2 * _poly.degree(self.r) + 1)
-        if self.e:
-            heads.append(-2 * next(i for i, c in enumerate(self.e) if c))
-        return max(heads, default=-2)
-
     def expansion(self, floor: int) -> AsymSeries:
         """The value / n**(n-1) on the half-integer grid, known down to half-exponent floor."""
         out = AsymSeries.zero(floor)
-        if floor > self.lead:
-            return out
         # p and e are exact, so pad them at least down to their constant
         if self.p:
             out = out + AsymSeries.from_u_polynomial(

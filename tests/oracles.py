@@ -200,7 +200,10 @@ def t_asym(y: int, depth: int) -> AsymSeries:
     if y == 0:
         return AsymSeries.zero(-depth)
     nf = t_normal_form(y)
-    return nf.expansion(nf.lead - depth).shift(-2).truncate(depth)
+    # t_n(y) / n**(n-1) leads with n**((y+1)/2) for y >= 1, and for y < 0 with
+    # the lowest power of 1/n that E_{|y|} holds
+    lead = y + 1 if y > 0 else -2 * next(i for i, c in enumerate(nf.e) if c)
+    return nf.expansion(lead - depth).shift(-2).truncate(depth)
 
 
 def t_recurrence_check(n_max: int, y_min: int, y_max: int) -> bool:

@@ -448,8 +448,8 @@ def test_criterion_08_probability_expansion_table(emit):
 def test_criterion_09_fss_crosscheck(emit):
     worst = 0.0
     for k in range(2, 8):
-        report = fss_crosscheck(k, bits=256, tolerance=1e-12)
-        assert report.passed
+        report = fss_crosscheck(k)
+        assert report.passed and report.tolerance == 1e-12
         worst = max(worst, float(report.rel_a0), float(report.rel_ratio))
     emit(9, True, f"two-term formula matches series for k=2..7, worst rel err {worst:.2e} (tol 1e-12)")
 

@@ -21,6 +21,7 @@ from graphasym import (
     exact_count_via_t,
     exact_total,
     fss_crosscheck,
+    recover_ak,
     t_normal_form,
 )
 from graphasym import _poly, assembly, ramanujan, treepoly
@@ -76,12 +77,39 @@ def test_decompositions_reproduce_counts_beyond_construction_check():
 def test_decompositions_pin_every_coefficient_of_a_k_up_to_k_9():
     # c(n, n+k) first sees a_j of A_k at n = j, and deg A_k = 3k + 2 <= 29, so
     # n <= 30 pins every coefficient; the n <= 12 run-time check in decompose()
-    # and Wright's leftover equation both miss some a_13.. for k >= 8
+    # and Wright's leftover equation both miss some a_13.. for k >= 8, and its
+    # A_k(1) check misses errors that cancel in the sum
     table = connected_counts(30, 9)
     for k in range(1, 10):
         dec = decompose(k)
         for n in range(1, 31):
             assert dec.evaluate(n) == table.get(n, n + k), (n, k)
+
+
+def test_the_leading_split_coefficients_are_the_log_e_coefficients():
+    # gamma_0 = A_k(1) is the coefficient of t_n(3k), the top index of the split
+    want = [F(5, 24), F(5, 16), F(1105, 1152), F(565, 128)]
+    assert list(assembly._log_e(4)[1:]) == want
+    assert [decompose(k).beta[-1] for k in range(1, 5)] == [(3 * k, w) for k, w in enumerate(want, 1)]
+    # and Wright's recurrence agrees with the series well past the excesses decompose sees here
+    assert [_poly.evaluate(recover_ak(k), 1) for k in range(1, 51)] == list(assembly._log_e(64)[1:51])
+
+
+@pytest.mark.parametrize("k, index", [(8, 13), (30, -1)])
+def test_a_numerator_wrong_past_the_count_table_fails_decompose(monkeypatch, capsys, k, index):
+    # a_13 of A_8 first shows in c(13, 21), and A_30's top coefficient at n = 92,
+    # both past the n <= 12 table check; A_k(1) moves with either
+    a = list(recover_ak(k))
+    a[index] += 1
+    monkeypatch.setattr(assembly, "recover_ak", lambda j: tuple(a) if j == k else recover_ak(j))
+    decompose.cache_clear()
+    asym_c.cache_clear()
+    try:
+        assert main(["asym", "--k", str(k)]) == 2
+        assert capsys.readouterr().err.startswith(f"verification error: A_{k}(1) = ")
+    finally:
+        decompose.cache_clear()
+        asym_c.cache_clear()
 
 
 def test_decompositions_match_the_recurrence_oracle_past_the_runtime_check():
@@ -636,9 +664,11 @@ def test_fss_crosscheck_report():
     assert report.tolerance == 1e-12
 
 
-def test_fss_crosscheck_failure_path():
+def test_fss_crosscheck_failure_path(monkeypatch):
+    monkeypatch.setattr(assembly, "_CROSSCHECK_BITS", 64)
+    monkeypatch.setattr(assembly, "_CROSSCHECK_TOLERANCE", 1e-60)
     with pytest.raises(CrosscheckFailure):
-        fss_crosscheck(2, bits=64, tolerance=1e-60)
+        fss_crosscheck(2)
 
 
 def test_expansion_dispatch():

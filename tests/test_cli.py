@@ -416,6 +416,14 @@ def test_a_max_denominator_below_one_is_rejected_before_any_count(capsys, max_de
     assert ramanujan.q_scaled.cache_info() == before
 
 
+def test_a_fit_degree_over_the_condition_bound_is_rejected_before_any_count(capsys):
+    before = ramanujan.q_scaled.cache_info()
+    code, out, err = run(capsys, "fit", "--degree", "900")
+    assert (code, out) == (1, "")
+    assert err == "error: degree 900: condition estimate >= 2**899 exceeds 2**128\n"
+    assert ramanujan.q_scaled.cache_info() == before
+
+
 def test_exact_values_print_past_the_default_digit_limit(capsys):
     # q_exact(1500) has a numerator of about 4700 digits
     code, out, err = run(capsys, "q", "--n-max", "1500")

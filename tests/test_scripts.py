@@ -1,8 +1,16 @@
 """Smoke tests: every experiment script runs to exit 0 on small arguments,
-and reproduce_tables fails with the exit code of a failing `tables`."""
+rejects bad arguments with a usage error, and reproduce_tables fails with
+the exit code of a failing `tables`."""
 import importlib.util
+import os
+import resource
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+
+import graphasym
 from graphasym import errata
 
 from test_golden import DIGESTS
@@ -26,6 +34,45 @@ def test_fit_conjectures_runs(capsys):
 def test_compare_exact_asym_runs(capsys):
     assert _main("compare_exact_asym")(["--k", "1", "--n-max", "256"]) == 0
     assert "expected slopes" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["--depths", "x"], ["--depths", "1,-2"], ["--n-min", "64", "--n-max", "32"], ["--bits", "52"], ["--k", "-2"],
+])
+def test_compare_exact_asym_rejects_bad_arguments(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        _main("compare_exact_asym")(argv)
+    assert exc.value.code == 2
+    assert "error: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n_min", ["0", "-3"])
+def test_compare_exact_asym_rejects_n_min_below_one(n_min):
+    # doubling from such an n_min never passes n_max, and without the check
+    # the script grows a list without end: it runs in a child process with
+    # 256 MiB of address space and a timeout
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+
+    src = str(Path(graphasym.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "compare_exact_asym.py"), "--n-min", n_min, "--n-max", "64"],
+        capture_output=True, text=True, env=env, timeout=60, preexec_fn=cap_memory,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.splitlines()[-1].endswith("error: --n-min must be >= 1")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--k-values", "x"], ["--k-values", "1,-2"], ["--degree", "-1"], ["--n-min", "0"],
+    ["--n-min", "200", "--n-max", "100"], ["--bits", "52"], ["--max-denominator", "0"],
+])
+def test_fit_conjectures_rejects_bad_arguments(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        _main("fit_conjectures")(argv)
+    assert exc.value.code == 2
+    assert "error: " in capsys.readouterr().err
 
 
 def test_reproduce_tables_prints_the_golden_digests(tmp_path, capsys):
