@@ -46,6 +46,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--k must be >= -1")
     if min(args.depths) < 0:
         parser.error("every --depths entry must be >= 0")
+    if len(set(args.depths)) < len(args.depths):
+        parser.error("--depths entries must be distinct")
     if args.bits < 53:
         parser.error("--bits must be >= 53")
 

@@ -16,6 +16,7 @@ import sys
 import mpmath
 
 from graphasym import assembly, fitting
+from graphasym.errors import IllConditioned, InsufficientPoints
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -52,7 +53,11 @@ def main(argv: list[str] | None = None) -> int:
     print(f"{'k':>3} {'j':>3} {'power':>6}  {'estimate':<22} {'identified':<14} {'derived':<14} status")
     for k in args.k_values:
         derived_row = assembly.expansion("connected", k, args.degree)
-        full = fitting.lsq_fit(k, args.degree, args.n_min, args.n_max, bits=args.bits)
+        try:
+            full = fitting.lsq_fit(k, args.degree, args.n_min, args.n_max, bits=args.bits)
+        except (InsufficientPoints, IllConditioned) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
         symbols = fitting.two_window_symbols(full, args.max_denominator)
         for j, sym in enumerate(symbols):
             derived = derived_row.coefficient_at(-j)

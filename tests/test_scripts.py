@@ -37,7 +37,8 @@ def test_compare_exact_asym_runs(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["--depths", "x"], ["--depths", "1,-2"], ["--n-min", "64", "--n-max", "32"], ["--bits", "52"], ["--k", "-2"],
+    ["--depths", "x"], ["--depths", "1,-2"], ["--depths", "1,1"], ["--n-min", "64", "--n-max", "32"],
+    ["--bits", "52"], ["--k", "-2"],
 ])
 def test_compare_exact_asym_rejects_bad_arguments(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -73,6 +74,15 @@ def test_fit_conjectures_rejects_bad_arguments(capsys, argv):
         _main("fit_conjectures")(argv)
     assert exc.value.code == 2
     assert "error: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--degree", "40", "--bits", "64"], "error: degree 40: condition estimate >= 2**39 exceeds 2**32\n"),
+    (["--n-min", "100", "--n-max", "105"], "error: 6 points cannot fix 10 coefficients\n"),
+])
+def test_fit_conjectures_reports_a_fit_it_cannot_make_in_one_line(capsys, argv, message):
+    assert _main("fit_conjectures")(["--k-values", "1"] + argv) == 1
+    assert capsys.readouterr().err == message
 
 
 def test_reproduce_tables_prints_the_golden_digests(tmp_path, capsys):
