@@ -1,8 +1,12 @@
 """Byte-level pins: every canonical table that `graphasym tables` writes, and
-the expansions and exact values the tables do not reach."""
+the expansions and exact values the tables do not reach.  Also checks that the
+package rests no identity on an `assert` statement."""
+import ast
 import hashlib
 import json
+from pathlib import Path
 
+import graphasym
 from graphasym import (
     asym_c,
     asym_g,
@@ -17,6 +21,8 @@ from graphasym import (
 from graphasym.cli import main
 
 from oracles import t_asym
+
+SRC = Path(graphasym.__file__).parent
 
 # sha256 of each file; all tables are exact, so the digests are
 # machine-independent (the same ones scripts/reproduce_tables.py prints)
@@ -191,3 +197,14 @@ VALUE_RUNS = (
 
 def test_value_outputs_are_byte_identical(capsys):
     assert _cli_digest(capsys, VALUE_RUNS) == VALUE_OUTPUTS
+
+
+def test_the_package_has_no_assert_statement():
+    # `python -O` strips assert statements, so no identity may rest on one
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
