@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import comb, factorial, prod
+from math import comb, factorial, perm
 
 import mpmath
 from mpmath.libmp import (
@@ -334,7 +334,7 @@ def fss_crosscheck(k: int) -> CrosscheckReport:
 
 # `_rounded` encloses a value rounded to `bits` at `bits` + this many bits
 _GUARD_BITS = 64
-# each leaf of an enclosing product is one exact `prod` of this many ints
+# each leaf of an enclosing product is one exact `math.perm` of this many ints
 _PRODUCT_LEAF = 128
 
 
@@ -359,14 +359,15 @@ def _product_interval(start: int, stop: int, prec: int) -> tuple:
     """An interval at `prec` bits that encloses prod(range(start, stop)).
 
     One loop over L = ceil(j / `_PRODUCT_LEAF`) leaves of j ints: each leaf
-    is an exact `prod` rounded outwards and multiplied into the interval so
-    far by an outward-rounded interval product, the first one exactly by 1.
-    So each end is rounded at most 2L - 1 times, each time outwards by
-    under one ulp.
+    is the exact lo...(hi-1) = perm(hi - 1, hi - lo), a product tree in C,
+    rounded outwards and multiplied into the interval so far by an
+    outward-rounded interval product, the first one exactly by 1.  So each
+    end is rounded at most 2L - 1 times, each time outwards by under one ulp.
     """
     value = (fone, fone)
     for lo in range(start, stop, _PRODUCT_LEAF):
-        x = prod(range(lo, min(lo + _PRODUCT_LEAF, stop)))
+        hi = min(lo + _PRODUCT_LEAF, stop)
+        x = perm(hi - 1, hi - lo)
         value = mpi_mul(value, (from_int(x, prec, round_floor), from_int(x, prec, round_ceiling)), prec)
     return value
 

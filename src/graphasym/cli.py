@@ -8,7 +8,8 @@ on usage errors and invalid input, including an empty n range, a fit window
 with too few points, a fit too ill-conditioned for its degree and precision,
 and an output path that cannot be written (one line on stderr), 2 when an
 internal verification fails.  `errata` and `tables` exit 2 after writing
-their output when an errata finding does not verify.  `compare`'s exact
+their output when an errata finding does not verify; they alone load the
+`errata` module, so no other command pays for its import.  `compare`'s exact
 column is c/g (or the count c or g) rounded once at --precision-bits, then
 divided by the normalization.
 
@@ -29,7 +30,7 @@ from typing import Callable, Sequence
 
 import mpmath
 
-from . import _poly, assembly, errata, fitting
+from . import _poly, assembly, fitting
 from .errors import GraphAsymError, IllConditioned, InsufficientPoints
 from .graphs import connected_counts, recover_ak
 from .ramanujan import d_coefficients, q_asym, q_exact
@@ -76,6 +77,7 @@ def _count_rows(table) -> list[tuple]:
 
 
 def _errata_rows(results: dict[str, bool]) -> list[tuple]:
+    from . import errata
     rows = [("key", "quantity", "stated", "derived", "verified")]
     for f in errata.FINDINGS:
         rows.append((f.key, f.quantity, f.stated, f.derived, results[f.key]))
@@ -185,7 +187,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         raise ValueError("compare needs every --depths entry >= 0")
     if len(set(depths)) < len(depths):
         raise ValueError("compare needs distinct --depths entries")
-    series = assembly.expansion(args.which, args.k, max(depths))
+    series = assembly.expansion(args.which, args.k, max(depths)).truncate(max(depths))
     norm = assembly.normalization(args.which)
     bits = args.precision_bits
     header = ["n", "exact_normalized"]
@@ -199,7 +201,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             raise ValueError(f"the exact value at n={n} is 0, so it has no relative error")
         with mpmath.workprec(bits):
             row = [str(n), mpmath.nstr(ev, 15)]
-            approxs = [series.evaluate(n, bits, depth=d) for d in depths]
+            sums = series.partial_sums(n, bits)
+            approxs = [sums[d] for d in depths]
             row += [mpmath.nstr(a, 15) for a in approxs]
             row += [mpmath.nstr(abs(ev - a) / abs(ev), 6) for a in approxs]
         out_rows.append(row)
@@ -208,6 +211,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_errata(args: argparse.Namespace) -> int:
+    from . import errata
     results = errata.verify_all()
     _emit(args, _errata_rows(results), lambda: [
         {
@@ -225,6 +229,7 @@ def _cmd_errata(args: argparse.Namespace) -> int:
 
 def _tables_manifest() -> tuple[list[tuple[str, list]], dict[str, bool]]:
     """The canonical tables as (file name, rows), and the errata results."""
+    from . import errata
     ak_rows = [("k", "degree", "value_at_1", "derivative_at_1", "coefficients")]
     for k in range(1, 8):
         a = recover_ak(k)

@@ -248,15 +248,20 @@ class AsymSeries(Record):
 
     # -- numerics and display --
 
-    def evaluate(self, n: int, bits: int = 256, depth: int | None = None) -> mpmath.mpf:
-        """Numeric value of the truncated expansion at n."""
-        coeffs = self.coeffs if depth is None else self.truncate(depth).coeffs
+    def partial_sums(self, n: int, bits: int = 256) -> list[mpmath.mpf]:
+        """Entry d is bit for bit `evaluate(n, bits, depth=d)`; one pass sums the slots lead first."""
+        sums = []
         with mpmath.workprec(bits):
             total = mpmath.mpf(0)
-            for j, c in enumerate(coeffs):
+            for j, c in enumerate(self.coeffs):
                 if c.rat:
                     total += c.evaluate(bits) * mpmath.power(n, mpmath.mpf(self.lead - j) / 2)
-            return total
+                sums.append(total)
+        return sums
+
+    def evaluate(self, n: int, bits: int = 256, depth: int | None = None) -> mpmath.mpf:
+        """Value at n of the series cut at `depth` (whole by default): the cut's last partial sum."""
+        return (self if depth is None else self.truncate(depth)).partial_sums(n, bits)[-1]
 
     def __str__(self) -> str:
         parts = []

@@ -225,6 +225,20 @@ def t_recurrence_check(n_max: int, y_min: int, y_max: int) -> bool:
     return True
 
 
+def evaluate_by_slots(s: AsymSeries, n: int, bits: int) -> mpmath.mpf:
+    """The value at n of the whole series s, one cut summed on its own, slot by slot at `bits`.
+
+    The per-cut reference for `AsymSeries.partial_sums`, whose entry d must
+    equal this on s.truncate(d) bit for bit.
+    """
+    with mpmath.workprec(bits):
+        total = mpmath.mpf(0)
+        for j, c in enumerate(s.coeffs):
+            if c.rat:
+                total += c.evaluate(bits) * mpmath.power(n, mpmath.mpf(s.lead - j) / 2)
+        return total
+
+
 def sym_const_from_json(d: dict) -> SymConst:
     """Decode `SymConst.to_json_dict`: no term for zero, else one term rat * xi**b with no pi."""
     if not d["terms"]:

@@ -376,6 +376,18 @@ def _fraction(x):
     return F(man << exp) if exp >= 0 else F(man, 1 << -exp)
 
 
+@pytest.mark.parametrize("start", [1, 2, 10**9])
+@pytest.mark.parametrize("length", [0, 1, 127, 128, 129, 256, 257])
+def test_product_interval_is_the_exact_product_at_a_precision_that_holds_it(start, length):
+    # at that precision no end rounds, so a leaf that drops or repeats an int,
+    # at a leaf boundary or inside one, shows as a different integer
+    exact = prod(range(start, start + length))
+    lo, hi = assembly._product_interval(start, start + length, exact.bit_length())
+    assert lo == hi == from_int(exact)
+    if length == 0:
+        assert lo == fone
+
+
 @given(_binomials())
 @settings(max_examples=200, deadline=None)
 @example((0, 0, 117))

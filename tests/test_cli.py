@@ -204,6 +204,27 @@ def test_a_csv_command_does_not_import_json():
     assert _python("-c", probe) == [*_Q3, "False"]
 
 
+def test_only_errata_and_tables_load_the_errata_module(tmp_path):
+    runs = [
+        ["compare", "--k", "1", "--n-max", "64"],
+        ["fit", "--n-min", "20", "--n-max", "40"],
+        ["q", "--n-max", "3"],
+        ["errata"],
+    ]
+    probe = (
+        "import contextlib, io, sys\n"
+        "import graphasym.cli\n"
+        "for argv in sys.argv[1:]:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = graphasym.cli.main(argv.split('|'))\n"
+        "    print(argv.split('|')[0], code, 'graphasym.errata' in sys.modules)\n"
+    )
+    assert _python("-c", probe, *("|".join(argv) for argv in runs)) == [
+        "compare 0 False", "fit 0 False", "q 0 False", "errata 0 True"
+    ]
+    assert _python("-c", probe, f"tables|--output-dir|{tmp_path}") == ["tables 0 True"]
+
+
 def test_compare_command(capsys):
     code, out, _ = run(
         capsys, "compare", "--k", "0", "--depths", "1,3",

@@ -213,6 +213,20 @@ def test_evaluate_matches_manual_sum():
         assert abs(s.evaluate(n, bits=128, depth=1) - short) < mpmath.mpf(2) ** -100
 
 
+@pytest.mark.parametrize("kind", ["connected", "total", "probability"])
+@pytest.mark.parametrize("k", range(-1, 5))
+def test_each_partial_sum_is_its_cut_evaluated_alone_bit_for_bit(kind, k):
+    series = assembly.expansion(kind, k, 8)
+    for bits in (53, 256, 512):
+        for n in (1, 3, 64, 4096, 2**20):
+            sums = series.partial_sums(n, bits)
+            assert len(sums) == series.depth + 1
+            for d, got in enumerate(sums):
+                want = oracles.evaluate_by_slots(series.truncate(d), n, bits)._mpf_
+                assert got._mpf_ == want, (bits, n, d)
+                assert series.evaluate(n, bits, depth=d)._mpf_ == want, (bits, n, d)
+
+
 @given(asym_series())
 @settings(max_examples=40, deadline=None)
 def test_asym_series_json_roundtrip(s):
