@@ -226,7 +226,7 @@ def t_recurrence_check(n_max: int, y_min: int, y_max: int) -> bool:
 
 
 def evaluate_by_slots(s: AsymSeries, n: int, bits: int) -> mpmath.mpf:
-    """The value at n of the whole series s, one cut summed on its own, slot by slot at `bits`.
+    """The value at n of all of s, summed slot by slot at `bits`.
 
     The per-cut reference for `AsymSeries.partial_sums`, whose entry d must
     equal this on s.truncate(d) bit for bit.

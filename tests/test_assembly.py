@@ -383,9 +383,7 @@ def test_product_interval_is_the_exact_product_at_a_precision_that_holds_it(star
     # at a leaf boundary or inside one, shows as a different integer
     exact = prod(range(start, start + length))
     lo, hi = assembly._product_interval(start, start + length, exact.bit_length())
-    assert lo == hi == from_int(exact)
-    if length == 0:
-        assert lo == fone
+    assert lo == hi == from_int(exact)  # (fone, fone) for length 0
 
 
 @given(_binomials())
