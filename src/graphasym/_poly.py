@@ -40,11 +40,11 @@ def over_one_denominator(p: Sequence[Fraction | int]) -> tuple[list[int], int]:
 
 
 def convolve(a: Sequence[int], b: Sequence[int], size: int | None = None) -> list[int]:
-    """Coefficients 0..size-1 of the product of two integer coefficient lists.
+    """Coefficients 0..size-1 of the product of two coefficient lists (int, or mpf in the fit).
 
     Without `size` the whole product (len(a) + len(b) - 1 terms) comes back.
     Each coefficient is one C-level dot product of a slice of `a` with a
-    reversed slice of `b`.
+    reversed slice of `b`, summed from 0 in index order of `a`.
     """
     na, nb = len(a), len(b)
     if not na or not nb:

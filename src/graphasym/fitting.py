@@ -4,21 +4,21 @@ The model is y(n) = sum_j b_j x**j with x = n**(-1/2) and y the exactly
 computed normalized count.  The solve is orthogonal (Householder QR), never
 normal equations, and runs at a configurable binary precision.  For
 conditioning, x is mapped affinely onto [-1, 1] before solving and the
-coefficients are mapped back by exact polynomial composition at working
-precision.
+coefficients are mapped back by Horner's rule on `_poly.convolve`, at
+working precision.
 
 The abscissae, the design matrix and the whole solve run on mpmath's raw
 libmp tuples (sign, mantissa, exponent, bitcount) rather than mpf objects;
 mpf objects are made only for the p coefficients and a few scalars.  Most
 of the solve is the products v_i w_i of each dot and the updates
-w_i - f v_i of each reflection, and those run in two integer kernels,
-`_products` and `_reflected`: multiply the mantissas exactly, or align the exponents
-and subtract exactly, then round half-even to mp.prec once and strip
-trailing zeros.  mpmath's `mpf_mul` and `mpf_add` are correctly rounded,
-and `mp`'s rounding is always round-half-even (it has no setter), so each
-step gives the tuple that mpf arithmetic gives, bit for bit.  The whole
-solve is bit-identical to the mpf-object solve kept in tests/oracles.py,
-which a property test checks.
+w_i - f v_i of each reflection.  `_products` multiplies the mantissas
+exactly, and `_reflected` subtracts `_products`' f v_i exactly, exponents
+aligned; each rounds half-even to mp.prec once and strips trailing zeros.
+mpmath's `mpf_mul` and `mpf_add` are correctly rounded, and `mp`'s rounding
+is always round-half-even (it has no setter), so each step gives the tuple
+that mpf arithmetic gives, bit for bit.  The whole solve is bit-identical
+to the mpf-object solve kept in tests/oracles.py, which a property test
+checks.
 
 The dot sums stay on `mpf_sum`.  It drops a term that lies more than
 2 prec bits below the running sum, or the sum below a term, by a test on
@@ -36,6 +36,7 @@ from mpmath.libmp import (
     mpf_rdiv_int, mpf_sqrt, mpf_sub, mpf_sum, to_rational,
 )
 
+from . import _poly
 from ._record import Record
 from .assembly import normalization
 from .errors import IllConditioned, InsufficientPoints
@@ -93,33 +94,19 @@ def _products(v: list[tuple], w: list[tuple], prec: int) -> list[tuple]:
 def _reflected(w: list[tuple], f: tuple, v: list[tuple], prec: int) -> list[tuple]:
     """[w_i - f v_i]: `mpf_sub(w_i, mpf_mul(f, v_i))`, two half-even roundings.
 
-    Runs once per column, with the per-element work inline.  Each
-    difference is exact before its one rounding; `mpf_add` stands a sticky
+    d_i = f v_i comes rounded from `_products`, and each w_i - d_i, d_i = 0
+    included, is exact before its one rounding; `mpf_add` stands a sticky
     unit in for a term far below the other, which rounds alike for terms of
     at most prec bits, the only ones `_qr_solve` reads.
     """
-    fs, fm, fe, _ = f
     out = []
-    for (ws, wm, we, _), (vs, vm, ve, _) in zip(w, v):
-        # d = f v_i, rounded as in _products; x * 2**exp = w_i - d exactly
-        dm = fm * vm
+    for (ws, wm, we, _), (ds, dm, de, dbc) in zip(w, _products([f] * len(v), v, prec)):
+        # x * 2**exp = w_i - d_i exactly
         if dm:
-            de = fe + ve
-            dbc = dm.bit_length()
-            if dbc > prec:
-                n = dbc - prec
-                dm = ((dm >> (n - 1)) + 1) >> 1 if n > 1 or dm & 2 else dm >> 1
-                de += n
-                dbc = prec
-                if not dm & 1:
-                    z = (dm & -dm).bit_length() - 1
-                    dm >>= z
-                    de += z
-                    dbc = prec - z or 1
             if not wm:
-                out.append((fs ^ vs ^ 1, dm, de, dbc))
+                out.append((ds ^ 1, dm, de, dbc))
                 continue
-            d = -dm if fs ^ vs else dm
+            d = -dm if ds else dm
             x = -wm if ws else wm
             off = we - de
             if off >= 0:
@@ -284,17 +271,10 @@ def _fit(k: int, degree: int, n_min: int, xs: tuple, ys: tuple, bits: int) -> Fi
         # map back: b(s) with s = (x - center)/halfspan, by Horner over x-polys
         inv = 1 / mpmath.mp.make_mpf(halfspan)
         lin = [-mpmath.mp.make_mpf(center) * inv, inv]  # s as a polynomial in x
-        acc = [mpmath.mpf(0)]
-        for c in reversed(sol):
-            nxt = [mpmath.mpf(0)] * (len(acc) + 1)
-            for i, ai in enumerate(acc):
-                nxt[i] += ai * lin[0]
-                nxt[i + 1] += ai * lin[1]
-            while len(nxt) > 1 and nxt[-1] == 0:
-                nxt.pop()
-            nxt[0] += c
-            acc = nxt
-        acc += [mpmath.mpf(0)] * (degree + 1 - len(acc))
+        acc = [sol[-1]]
+        for c in reversed(sol[:-1]):
+            acc = _poly.convolve(acc, lin)
+            acc[0] += c
         return FitResult(
             k=k,
             degree=degree,

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import zip_longest
 
 from . import _poly
 from ._poly import Poly
@@ -143,16 +142,17 @@ def t_combination(terms, qterm: Fraction | int = 0) -> TreePolyNormalForm:
         cur[0] += fresh[y] * scale
         # C_{y-1} += (y-1) C_y and C_{y-2} = (y-1) n C_y
         step = [(y - 1) * c for c in cur]
-        cur, nxt = [a + b for a, b in zip_longest(nxt, step, fillvalue=0)], [0] + step
+        _poly.add_into(nxt, step, 1)
+        cur, nxt = nxt, [0] + step
         scale *= y - 1
     # what is left is C_2 t(2) + C_1 t(1), with t(1) = n**n and t(2) = n**n (1 + Q)
     cur[0] += fresh[2] * scale
     nxt[0] += fresh[1] * scale
     den = d * scale
-    p = [0] + [a + b for a, b in zip_longest(nxt, cur, fillvalue=0)]
+    _poly.add_into(nxt, cur, 1)  # p = n (C_1 + C_2)
     return TreePolyNormalForm(*(
         _poly._strip(tuple(Fraction(c, q) for c in part))
-        for part, q in ((p, den), ([qterm * den] + cur, den), (e, d))
+        for part, q in (([0] + nxt, den), ([qterm * den] + cur, den), (e, d))
     ))
 
 

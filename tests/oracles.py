@@ -407,6 +407,63 @@ def qr_solve_by_mpf(rows: list[list[mpmath.mpf]], rhs: list[mpmath.mpf]) -> tupl
     return x, rms, cond
 
 
+def fit_by_mpf(xs: tuple, ys: tuple, degree: int, bits: int) -> tuple[list[mpmath.mpf], mpmath.mpf, mpmath.mpf]:
+    """`fitting._fit`'s (estimates, rms residual, cond) on mpf objects.
+
+    The design matrix in s = (x - center) / halfspan by mpf operations, the
+    solve by `qr_solve_by_mpf`, and the map back to powers of x by Horner's
+    rule over x-polynomials written out: each step multiplies by s, strips
+    exact trailing zeros and adds the next coefficient, and the result is
+    padded with zeros to degree + 1 terms.
+    """
+    with mpmath.workprec(bits):
+        x_lo, x_hi = min(xs), max(xs)
+        halfspan = (x_hi - x_lo) / 2
+        center = (x_hi + x_lo) / 2
+        rows = []
+        for x in xs:
+            s = (x - center) / halfspan
+            row = [mpmath.mpf(1)]
+            for _ in range(degree):
+                row.append(row[-1] * s)
+            rows.append(row)
+        sol, rms, cond = qr_solve_by_mpf(rows, list(ys))
+        if cond > mpmath.power(2, bits // 2):
+            raise IllConditioned(f"condition estimate {mpmath.nstr(cond, 5)} exceeds 2**{bits // 2}")
+        inv = 1 / halfspan
+        lin = [-center * inv, inv]  # s as a polynomial in x
+        acc = [mpmath.mpf(0)]
+        for c in reversed(sol):
+            nxt = [mpmath.mpf(0)] * (len(acc) + 1)
+            for i, ai in enumerate(acc):
+                nxt[i] += ai * lin[0]
+                nxt[i + 1] += ai * lin[1]
+            while len(nxt) > 1 and nxt[-1] == 0:
+                nxt.pop()
+            nxt[0] += c
+            acc = nxt
+        acc += [mpmath.mpf(0)] * (degree + 1 - len(acc))
+        return acc, rms, cond
+
+
+def ak_slopes_at_one(order: int) -> list[Fraction]:
+    """[u**k] F(u) / E(u) for k = 0..order, a checked conjecture for A_k'(1).
+
+    E(u) = sum_r e_r u**r with e_r = (6r)! / (2**(5r) 3**(2r) (3r)! (2r)!),
+    whose log gives A_k(1) (Janson, Knuth, Luczak and Pittel 1993), and
+    F(u) = sum_r e_r r (6r+13) / (6r-1) u**r.  That A_k'(1) is this
+    coefficient was found by a fit, not taken from a source, and no proof is
+    known here: it is a conjecture that the tests check against Wright's
+    recurrence.  The quotient is long division by E, whose e_0 is 1.
+    """
+    e = [Fraction(factorial(6 * r), 2 ** (5 * r) * 3 ** (2 * r) * factorial(3 * r) * factorial(2 * r))
+         for r in range(order + 1)]
+    out: list[Fraction] = []
+    for k in range(order + 1):
+        out.append(e[k] * Fraction(k * (6 * k + 13), 6 * k - 1) - sum(e[r] * out[k - r] for r in range(1, k + 1)))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # exact-rational kernels on Fraction objects: one Fraction, one gcd and one
 # normalisation per product and per sum.  The library runs the same algebra

@@ -95,6 +95,13 @@ def test_the_leading_split_coefficients_are_the_log_e_coefficients():
     assert [_poly.evaluate(recover_ak(k), 1) for k in range(1, 51)] == list(assembly._log_e(64)[1:51])
 
 
+def test_the_slope_of_each_numerator_at_one_is_the_conjectured_series_coefficient():
+    # A_k'(1) = [u**k] F(u)/E(u), a conjecture found by a fit (see oracles)
+    got = [_poly.evaluate(_poly.derivative(recover_ak(k)), 1) for k in range(1, 51)]
+    assert got[:2] == [F(19, 24), F(65, 48)]
+    assert got == oracles.ak_slopes_at_one(50)[1:]
+
+
 @pytest.mark.parametrize("k, index", [(8, 13), (30, -1)])
 def test_a_numerator_wrong_past_the_count_table_fails_decompose(monkeypatch, capsys, k, index):
     # a_13 of A_8 first shows in c(13, 21), and A_30's top coefficient at n = 92,

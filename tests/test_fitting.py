@@ -11,7 +11,7 @@ from mpmath.libmp import from_man_exp, fzero, mpf_mul, mpf_neg, mpf_sub
 from graphasym import SymConst, fitting, lsq_fit, reconstruct_symbolic
 from graphasym.errors import IllConditioned, InsufficientPoints
 from graphasym.fitting import two_window_symbols
-from oracles import qr_solve_by_mpf
+from oracles import fit_by_mpf, qr_solve_by_mpf
 
 F = Fraction
 RAT = SymConst.rational
@@ -246,6 +246,11 @@ def _kernel_cases(prec):
         # a w wider than prec (a first-column input may be) at d's exponent:
         # 2**(prec + 1) + 2 is the tie 2**prec + 1 once its zero is stripped
         (raw(2**(prec + 1) + 1), one, minus_one, raw(1, prec + 1)),
+        # and one where f v = 0: w - 0 still rounds to prec
+        (raw(2**(prec + 1) + 1), raw(0), raw(3), raw(1, prec + 1)),
+        (raw(-(2**(prec + 1) + 1)), raw(0), raw(3), raw(-1, prec + 1)),
+        (raw(2**(prec + 1) + 1), raw(3), raw(0), raw(1, prec + 1)),
+        (raw(-(2**(prec + 1) + 1)), raw(-3), raw(0), raw(-1, prec + 1)),
     ]
     # the top bits of w and d = f v lie gap bits apart; past prec + 4, mpf_add
     # stands a sticky unit in for the smaller term once the exponents differ
@@ -269,3 +274,20 @@ def test_kernels_round_each_element_as_mpf_mul_and_mpf_sub(prec):
         got = fitting._reflected([w], f, [v], prec)
         assert got == [mpf_sub(w, mpf_mul(f, v, prec, "n"), prec, "n")], (w, f, v)
         assert edge is None or got == [edge], (w, f, v)
+
+
+@pytest.mark.parametrize("k, n_min, n_max, bits, degrees", [
+    # exact data (c(n, n-1) = n**(n-2)): every coefficient past the first is 0 or nearly
+    (-1, 10, 14, 53, range(4)),
+    (-1, 10, 14, 256, range(4)),
+    (0, 20, 40, 53, range(10)),
+    (0, 20, 40, 128, range(10)),
+    (1, 30, 45, 256, range(10)),
+    (1, 60, 70, 128, range(10)),
+])
+def test_fit_matches_the_mpf_object_fit_bit_for_bit(k, n_min, n_max, bits, degrees):
+    for degree in degrees:
+        result = lsq_fit(k, degree, n_min, n_max, bits)
+        estimates, rms, cond = fit_by_mpf(result.xs, result.ys, degree, bits)
+        assert [e._mpf_ for e in result.estimates] == [e._mpf_ for e in estimates], degree
+        assert (result.residual_rms._mpf_, result.condition._mpf_) == (rms._mpf_, cond._mpf_), degree
