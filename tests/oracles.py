@@ -408,7 +408,7 @@ def qr_solve_by_mpf(rows: list[list[mpmath.mpf]], rhs: list[mpmath.mpf]) -> tupl
 
 
 def fit_by_mpf(xs: tuple, ys: tuple, degree: int, bits: int) -> tuple[list[mpmath.mpf], mpmath.mpf, mpmath.mpf]:
-    """`fitting._fit`'s (estimates, rms residual, cond) on mpf objects.
+    """`fitting._fit`'s (estimates, rms residual, cond) on mpf objects, for a fit it accepts.
 
     The design matrix in s = (x - center) / halfspan by mpf operations, the
     solve by `qr_solve_by_mpf`, and the map back to powers of x by Horner's
@@ -428,8 +428,6 @@ def fit_by_mpf(xs: tuple, ys: tuple, degree: int, bits: int) -> tuple[list[mpmat
                 row.append(row[-1] * s)
             rows.append(row)
         sol, rms, cond = qr_solve_by_mpf(rows, list(ys))
-        if cond > mpmath.power(2, bits // 2):
-            raise IllConditioned(f"condition estimate {mpmath.nstr(cond, 5)} exceeds 2**{bits // 2}")
         inv = 1 / halfspan
         lin = [-center * inv, inv]  # s as a polynomial in x
         acc = [mpmath.mpf(0)]

@@ -277,7 +277,7 @@ def test_kernels_round_each_element_as_mpf_mul_and_mpf_sub(prec):
 
 
 @pytest.mark.parametrize("k, n_min, n_max, bits, degrees", [
-    # exact data (c(n, n-1) = n**(n-2)): every coefficient past the first is 0 or nearly
+    # c(n, n-1) = n**(n-2) makes y = 1 exactly, and the top coefficients 0
     (-1, 10, 14, 53, range(4)),
     (-1, 10, 14, 256, range(4)),
     (0, 20, 40, 53, range(10)),
