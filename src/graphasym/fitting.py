@@ -298,9 +298,10 @@ def reconstruct_symbolic(
     A candidate p/q only counts when err * q**2 <= 1/100, i.e. when the value
     sits at least 100x closer to p/q than the generic spacing of denominator-q
     rationals; otherwise any wide tolerance would "identify" an arbitrary
-    float.  Among qualifying candidates within tolerance the smaller
-    denominator wins; on a denominator tie the plain rational is preferred.
-    Returns None when nothing qualifies.
+    float.  The nearest rival of 0 is 1/max_denominator, so 0 counts only
+    when err * max_denominator <= 1/100.  Among qualifying candidates within
+    tolerance the smaller denominator wins; on a denominator tie the plain
+    rational is preferred.  Returns None when nothing qualifies.
     """
     with mpmath.workprec(max(mpmath.mp.prec, 256)):
         x = mpmath.mpf(value)
@@ -310,7 +311,7 @@ def reconstruct_symbolic(
             r = _to_fraction(target).limit_denominator(max_denominator)
             cand = SymConst.xi(r) if is_xi else SymConst.rational(r)
             err = abs(mpmath.mpf(r.numerator) / r.denominator * (xi if is_xi else 1) - x)
-            if err <= tolerance and err * r.denominator**2 <= 0.01:
+            if err <= tolerance and err * (r.denominator**2 if r else max_denominator) <= 0.01:
                 candidates.append((r.denominator, is_xi, err, cand))
         if not candidates:
             return None
@@ -321,26 +322,24 @@ def reconstruct_symbolic(
 def two_window_symbols(full: FitResult, max_denominator: int) -> list[SymConst | None]:
     """Symbolic readback of each estimate of `full`, or None where declined.
 
-    `full` is refit on the upper half of its window, from the midpoint to
-    the end, on its own values.  Truncation bias moves with the window, so
-    the spread between the two estimates tracks it while the residuals
-    cannot see it: the tolerance is ten times that spread, and a symbol
-    counts only when both windows recover it.  When the half window has
-    fewer than degree + 2 points there is no refit: the tolerance comes
-    from the residual rms and the second check is skipped.
+    `full` is refit on its upper window, from mid = (n_min + n_max) // 2 to
+    n_max, on its own values.  Truncation bias moves with the window, so the
+    spread between the two estimates tracks it while the residuals cannot
+    see it: the tolerance is ten times that spread, and a symbol counts only
+    when both windows recover it.  The refit is the only certificate: when
+    the upper window is not strictly smaller (mid = n_min) or has fewer than
+    degree + 2 points, every estimate is declined.
     """
     mid = (full.n_min + full.n_max) // 2
-    half = None
-    if mid + full.degree + 1 <= full.n_max:
-        i = mid - full.n_min
-        half = _fit(full.k, full.degree, mid, full.xs[i:], full.ys[i:], full.bits)
+    if mid == full.n_min or mid + full.degree + 1 > full.n_max:
+        return [None] * len(full.estimates)
+    i = mid - full.n_min
+    half = _fit(full.k, full.degree, mid, full.xs[i:], full.ys[i:], full.bits)
     out: list[SymConst | None] = []
-    for j, est in enumerate(full.estimates):
-        spread = full.residual_rms if half is None else abs(est - half.estimates[j])
-        tol = float(spread) * 10 + 1e-30
+    for est, other in zip(full.estimates, half.estimates):
+        tol = float(abs(est - other)) * 10 + 1e-30
         sym = reconstruct_symbolic(est, max_denominator, tolerance=tol)
-        if sym is not None and half is not None:
-            if reconstruct_symbolic(half.estimates[j], max_denominator, tolerance=tol) != sym:
-                sym = None
+        if sym is not None and reconstruct_symbolic(other, max_denominator, tolerance=tol) != sym:
+            sym = None
         out.append(sym)
     return out
