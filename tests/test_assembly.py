@@ -11,6 +11,7 @@ from mpmath.libmp import fone, from_int, from_man_exp, to_rational
 from mpmath.libmp.libmpi import mpi_div
 
 from graphasym import (
+    Series,
     SymConst,
     TreePolyNormalForm,
     asym_c,
@@ -213,6 +214,45 @@ def test_total_expansion_rows():
 def test_total_expansion_leading_term_general_k():
     for k in range(-1, 9):
         assert asym_g(k, 0).coefficient_at(0) == RAT(F(1, 2 ** (k + 1)))
+
+
+def _ratio_defects(k, depth, total=asym_g):
+    """2 (1 + (k+1)u) G_{k+1}(u) - (1 - 3u - 2ku**2) G_k(u), slots u**0..u**depth.
+
+    G_k is the u-series (u = 1/n) on the even slots of `asym_g(k, depth)`.
+    g(n, m+1) / g(n, m) = (N - m)/(m + 1) with N = n(n-1)/2 and m = n + k,
+    so over the normalizations G_{k+1}/G_k = (1 - 3u - 2ku**2) / (2 (1 +
+    (k+1)u)), and every defect is 0.
+    """
+    lo, hi = ([total(e, depth).coefficient_at(-2 * i).rational_part() for i in range(depth + 1)]
+              for e in (k, k + 1))
+    at = lambda c, i: c[i] if i >= 0 else 0  # noqa: E731
+    return [
+        2 * hi[i] + 2 * (k + 1) * at(hi, i - 1) - (lo[i] - 3 * at(lo, i - 1) - 2 * k * at(lo, i - 2))
+        for i in range(depth + 1)
+    ]
+
+
+def test_successive_totals_satisfy_the_binomial_ratio_identity():
+    for k in range(-1, 12):
+        for depth in (0, 3, 8, 16):
+            assert not any(_ratio_defects(k, depth)), (k, depth)
+    assert not any(_ratio_defects(30, 24))
+
+
+def test_a_wrong_exp_coefficient_passes_the_total_checks_and_fails_the_ratio_identity(monkeypatch):
+    exp = Series.exp
+
+    def off_at_u3(self):
+        c = list(exp(self).coeffs())
+        c[3:4] = [x + F(1, 7) for x in c[3:4]]
+        return Series(c)
+
+    monkeypatch.setattr(Series, "exp", off_at_u3)
+    # the uncached build: every ledger term still cancels, so no check fires;
+    # G_0 and G_1 move at u**3 by 1/14 and 1/28, which cancel in the
+    # identity's u**3 slot and not in its u**4 slot
+    assert any(_ratio_defects(0, 5, asym_g.__wrapped__))
 
 
 def _perturb_m(poly, p, q, depth):

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath.libmp import from_man_exp, fzero, mpf_mul, mpf_neg, mpf_sub
 
-from graphasym import SymConst, fitting, lsq_fit, reconstruct_symbolic
+from graphasym import SymConst, asym_c, fitting, lsq_fit, reconstruct_symbolic
+from graphasym.cli import main
 from graphasym.errors import IllConditioned, InsufficientPoints
 from graphasym.fitting import two_window_symbols
 from oracles import fit_by_mpf, qr_solve_by_mpf
@@ -120,13 +121,74 @@ def test_reconstruct_symbolic_rejects_generic_values():
 
 def test_two_window_symbols_skips_a_half_window_too_short_to_refit():
     # n = 105..110 is 6 points, one short of the 7 a degree-6 refit needs, so
-    # the tolerance comes from the residuals, which decline every symbol here
+    # there is no second window to certify a symbol, and each is declined
     assert two_window_symbols(lsq_fit(1, 6, 100, 110), 10000) == [None] * 7
     # n = 100..120 leaves 11 points for the upper half; both windows agree on
     # asym_c(1)'s first three coefficients and on nothing past them
     assert two_window_symbols(lsq_fit(1, 6, 100, 120), 10000) == [
         RAT(F(5, 24)), XI(F(-7, 24)), RAT(F(25, 36)), None, None, None, None,
     ]
+
+
+@pytest.mark.parametrize("argv", [
+    # the upper half of n = 1..5, 6..10 and 10..14 has fewer than degree + 2
+    # points, and that of n = 1..2 is the whole window (mid = n_min); alone,
+    # the estimates read back as 1/9406 (derived 221/24192), -59*xi/196
+    # (-7*xi/24), 1, 0, 0, 0 (right) and 0 (xi/4)
+    ("--k", "3", "--degree", "2", "--n-min", "1", "--n-max", "5"),
+    ("--k", "1", "--degree", "3", "--n-min", "6", "--n-max", "10"),
+    ("--k", "-1", "--degree", "3", "--n-min", "10", "--n-max", "14"),
+    ("--k", "0", "--degree", "0", "--n-min", "1", "--n-max", "2"),
+])
+def test_fit_declines_every_symbol_without_a_smaller_window_to_refit(capsys, argv):
+    assert main(["fit", *argv]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert rows and all(row.endswith(",?") for row in rows)
+
+
+def _symbols(capsys, *argv):
+    assert main(["fit", *argv]) == 0
+    return [row.rsplit(",", 1)[1] for row in capsys.readouterr().out.splitlines()[1:]]
+
+
+def test_fit_tests_a_zero_against_the_spacing_of_its_nearest_rival(capsys):
+    # the estimate 3.2e-5 at n**(-5/2), the slot of the connected_k0_n52
+    # erratum (derived 4/2835), is nearer 0 than any other p/q with
+    # q <= 10000, but not 100x nearer than 0's nearest rival 1/10000
+    assert _symbols(capsys, "--k", "0", "--degree", "5", "--n-min", "16", "--n-max", "32") == [
+        "xi/4", "-7/6", "?", "?", "?", "?",
+    ]
+    # c(n, n-1) / n**(n-2) = 1 exactly: the estimates past j = 0 are about
+    # 1e-73, well within 1/100 of that spacing
+    assert _symbols(capsys, "--k", "-1", "--degree", "3", "--n-min", "10", "--n-max", "30") == [
+        "1", "0", "0", "0",
+    ]
+
+
+@pytest.mark.parametrize("seed", [29, 30, 31])
+def test_no_certified_symbol_contradicts_the_expansion(seed):
+    # k in -1..3 and degree 0..5 on windows of 2..41 points from the first n
+    # with c(n, n+k) > 0 (n(n-1)/2 >= n+k) up to n_min = 60.  Windows whose
+    # counts are all zero stay out: their exact zeros look like the tree
+    # row's, and refusing them would be a new input check, not a readback.
+    rng = random.Random(seed)
+    certified = 0
+    for _ in range(300):
+        k = rng.randint(-1, 3)
+        degree = rng.randint(0, 5)
+        first = next(n for n in range(1, 10) if n * (n - 1) // 2 >= n + k)
+        n_min = rng.randint(first, 60)
+        n_max = n_min + rng.randint(1, 40)
+        try:
+            full = lsq_fit(k, degree, n_min, n_max, bits=128)
+        except (InsufficientPoints, IllConditioned):
+            continue
+        derived = asym_c(k, degree)
+        for j, sym in enumerate(two_window_symbols(full, 10000)):
+            if sym is not None:
+                certified += 1
+                assert sym == derived.coefficient_at(-j), (k, degree, n_min, n_max, j)
+    assert certified
 
 
 @st.composite
