@@ -29,6 +29,7 @@ bitcount); the kernels strip trailing zeros to keep them so.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt
 
 import mpmath
 from mpmath.libmp import (
@@ -239,6 +240,14 @@ def lsq_fit(
         raise InsufficientPoints(f"the window n = {n_min}..{n_max} needs at least two points")
     if len(ns) < degree + 1:
         raise InsufficientPoints(f"{len(ns)} points cannot fix {degree + 1} coefficients")
+    # c(n, n+k) = 0 where n+k > n(n-1)/2, and n(n-1)/2 - n never falls as n
+    # grows: if the window's last count is 0, so is every one before it
+    if n_max * (n_max - 1) // 2 < n_max + k:
+        first = (3 + isqrt(9 + 8 * k)) // 2
+        first += first * (first - 1) // 2 < first + k
+        raise InsufficientPoints(
+            f"c(n, n+{k}) is 0 for every n <= {n_max}; the first nonzero count is at n = {first}"
+        )
     with mpmath.workprec(bits):
         prec, rnd = mpmath.mp._prec_rounding
         make = mpmath.mp.make_mpf

@@ -23,7 +23,8 @@ big-integer steps.  A value that is only rounded needs less: the terms of Q(n)
 fall like exp(-m**2/2n), so at large n `q_head` sums the first K of them by
 the same product tree and bounds the rest by a geometric series, and
 `q_scaled_mod` carries that head on to n**n Q(n) modulo a small integer, for
-the integer checks of the values built on it.
+the integer checks of the values built on it, folding in the tree's own
+leaves one at a time: the leaf step is written once, in `_q_split`.
 """
 from __future__ import annotations
 
@@ -121,31 +122,24 @@ def _head(n: int, length: int) -> tuple[int, int, int]:
 def q_scaled_mod(n: int, head: tuple[int, int, int], modulus: int) -> int:
     """q_scaled(n) % modulus from a head (K, P, T) of `q_head`.
 
-    The leaf loop of `_q_split` goes on from j = K to n - 1 modulo `modulus`,
-    four steps at a time.  Once the running product is 0 there, it stays 0
-    and each step left only multiplies t by n, so the walk stops at the
-    first block that starts with p = 0; a block in which p turns 0 partway
-    is still exact.  At a prime n that never happens when n divides the
-    modulus (as `TreePolyNormalForm.check_at`'s n m does): no factor n - j,
-    0 < j < n, is divisible by n, so the walk takes all n - K steps.
+    The tail j = K..n-1 is taken in leaves [lo, hi) of at most `_Q_LEAF`
+    terms, each a `_q_split(n, lo, hi)` joined to the running (p, t) modulo
+    `modulus` as the product tree joins two halves.  Once p is 0 there, it
+    stays 0 and the rest only multiplies t by n**(n-lo), so the walk stops at
+    the first leaf that starts with p = 0.  At a prime n that never happens
+    when n divides the modulus (as `TreePolyNormalForm.check_at`'s n m does):
+    no factor n - j, 0 < j < n, is divisible by n, so every leaf is taken.
     """
     start, p, t = head
     p, t = p % modulus, t % modulus
-    n4 = n**4 % modulus
-    stop = n - (n - start) % 4
-    for x in range(n - start, n - stop, -4):
+    for lo in range(start, n, _Q_LEAF):
         if not p:
-            t = t * pow(n, x, modulus) % modulus
+            t = t * pow(n, n - lo, modulus) % modulus
             break
-        x2 = x * (x - 1)
-        x3 = x2 * (x - 2)
-        f = x3 * (x - 3)
-        t = (t * n4 + p * (((x * n + x2) * n + x3) * n + f)) % modulus
-        p = p * f % modulus
-    else:
-        for j in range(stop, n):
-            p = p * (n - j) % modulus
-            t = (t * n + p) % modulus
+        hi = min(lo + _Q_LEAF, n)
+        leaf_p, leaf_t = _q_split(n, lo, hi)
+        t = (t * pow(n, hi - lo, modulus) + p * leaf_t) % modulus
+        p = p * leaf_p % modulus
     return (pow(n, n, modulus) + n * t) % modulus
 
 
@@ -154,7 +148,6 @@ def q_exact(n: int) -> Fraction:
     return Fraction(q_scaled(n), n ** n)
 
 
-@lru_cache(maxsize=None)
 def delta_log_series(order: int) -> Series:
     """Series of psi(d) = log(d**2 / (2(1-(1+d)e**(-d)))) around d = 0.
 

@@ -17,7 +17,6 @@ one more, for its integral), not one per product and sum.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial, lcm
 from operator import mul
 from typing import Iterable, Sequence, Union
@@ -165,7 +164,6 @@ def _running_lcm(d: int, nums: list[int], c: Fraction) -> tuple[int, list[int]]:
     return d * f, [x * f for x in nums]
 
 
-@lru_cache(maxsize=None)
 def tree_function(order: int) -> Series:
     """Exponential generating function of rooted labelled trees.
 

@@ -373,7 +373,6 @@ def stirling_tail(y: Series) -> Series:
     return _odd_power_sum(y, _tail_weights((y.order + 1) // 2))
 
 
-@lru_cache(maxsize=None)
 def stirling_series(depth: int) -> AsymSeries:
     """Expansion of n! * e**n / n**n on the half-integer grid.
 

@@ -445,6 +445,21 @@ def test_a_fit_degree_over_the_condition_bound_is_rejected_before_any_count(caps
     assert ramanujan.q_scaled.cache_info() == before
 
 
+@pytest.mark.parametrize("argv, first", [
+    # no connected graph has n + 3 edges on n <= 4 nodes, or n + 40 on n <= 10
+    (("--k", "3", "--degree", "1", "--n-min", "1", "--n-max", "4"), 5),
+    (("--k", "40", "--degree", "1", "--n-min", "3", "--n-max", "4"), 11),
+])
+def test_a_fit_on_a_window_of_zero_counts_is_rejected_before_any_count(capsys, argv, first):
+    before = ramanujan.q_scaled.cache_info()
+    code, out, err = run(capsys, "fit", *argv)
+    assert (code, out) == (1, "")
+    assert err == (
+        f"error: c(n, n+{argv[1]}) is 0 for every n <= 4; the first nonzero count is at n = {first}\n"
+    )
+    assert ramanujan.q_scaled.cache_info() == before
+
+
 def test_exact_values_print_past_the_default_digit_limit(capsys):
     # q_exact(1500) has a numerator of about 4700 digits
     code, out, err = run(capsys, "q", "--n-max", "1500")

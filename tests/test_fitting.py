@@ -132,13 +132,13 @@ def test_two_window_symbols_skips_a_half_window_too_short_to_refit():
 
 @pytest.mark.parametrize("argv", [
     # the upper half of n = 1..5, 6..10 and 10..14 has fewer than degree + 2
-    # points, and that of n = 1..2 is the whole window (mid = n_min); alone,
+    # points, and that of n = 3..4 is the whole window (mid = n_min); alone,
     # the estimates read back as 1/9406 (derived 221/24192), -59*xi/196
-    # (-7*xi/24), 1, 0, 0, 0 (right) and 0 (xi/4)
+    # (-7*xi/24), 1, 0, 0, 0 (right) and nothing (0.0907, derived xi/4)
     ("--k", "3", "--degree", "2", "--n-min", "1", "--n-max", "5"),
     ("--k", "1", "--degree", "3", "--n-min", "6", "--n-max", "10"),
     ("--k", "-1", "--degree", "3", "--n-min", "10", "--n-max", "14"),
-    ("--k", "0", "--degree", "0", "--n-min", "1", "--n-max", "2"),
+    ("--k", "0", "--degree", "0", "--n-min", "3", "--n-max", "4"),
 ])
 def test_fit_declines_every_symbol_without_a_smaller_window_to_refit(capsys, argv):
     assert main(["fit", *argv]) == 0
@@ -169,8 +169,7 @@ def test_fit_tests_a_zero_against_the_spacing_of_its_nearest_rival(capsys):
 def test_no_certified_symbol_contradicts_the_expansion(seed):
     # k in -1..3 and degree 0..5 on windows of 2..41 points from the first n
     # with c(n, n+k) > 0 (n(n-1)/2 >= n+k) up to n_min = 60.  Windows whose
-    # counts are all zero stay out: their exact zeros look like the tree
-    # row's, and refusing them would be a new input check, not a readback.
+    # counts are all zero stay out: `lsq_fit` refuses them before any count.
     rng = random.Random(seed)
     certified = 0
     for _ in range(300):

@@ -87,14 +87,20 @@ def test_q_scaled_mod_carries_the_head_on_to_the_whole_sum(monkeypatch):
 
 
 def test_q_scaled_mod_walks_heads_of_every_length_mod_4():
-    # the walk after the head takes four steps a block and the 0-3 left over
-    # one at a time; any 6 consecutive factors make p 0 modulo 720 = 6!, and
-    # for most of these heads that happens at a step inside a block
-    for n in (37, 38, 39, 40, 41, 97):
-        for length in range(1, 13):
-            head = (length, *ramanujan._q_split(n, 1, length))
-            for modulus in (1, 2, 720, 24 * n * n, oracles.PRIME):
-                assert q_scaled_mod(n, head, modulus) == q_scaled(n) % modulus, (n, length, modulus)
+    # the walk after the head joins `_q_split`'s leaves of up to _Q_LEAF
+    # terms, whose four-term steps leave 0-3 single ones; any 6 consecutive
+    # factors make p 0 modulo 720 = 6!, for most of these heads at a step
+    # inside a leaf.  Tails n - K of a leaf less one, one leaf, a leaf and
+    # one, and two leaves and three cross the leaf boundaries.  Modulo the
+    # prime 263, p first turns 0 at n = 410 when n - j = 263, tail step
+    # 136-147 of these heads: inside the second leaf.
+    leaf = ramanujan._Q_LEAF
+    tails = ((n, n - tail) for n in (300, 521) for tail in (leaf - 1, leaf, leaf + 1, 2 * leaf + 3))
+    heads = [(n, length) for n in (37, 38, 39, 40, 41, 97, 410) for length in range(1, 13)]
+    for n, length in heads + list(tails):
+        head = (length, *ramanujan._q_split(n, 1, length))
+        for modulus in (1, 2, 263, 720, 24 * n * n, oracles.PRIME):
+            assert q_scaled_mod(n, head, modulus) == q_scaled(n) % modulus, (n, length, modulus)
 
 
 def test_q_scaled_mod_matches_the_residue_loop_at_compare_sizes():
