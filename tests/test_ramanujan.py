@@ -95,9 +95,9 @@ def test_q_scaled_mod_walks_heads_of_every_length_mod_4():
     # prime 263, p first turns 0 at n = 410 when n - j = 263, tail step
     # 136-147 of these heads: inside the second leaf.
     leaf = ramanujan._Q_LEAF
-    tails = ((n, n - tail) for n in (300, 521) for tail in (leaf - 1, leaf, leaf + 1, 2 * leaf + 3))
     heads = [(n, length) for n in (37, 38, 39, 40, 41, 97, 410) for length in range(1, 13)]
-    for n, length in heads + list(tails):
+    heads += [(n, n - tail) for n in (300, 521) for tail in (leaf - 1, leaf, leaf + 1, 2 * leaf + 3)]
+    for n, length in heads:
         head = (length, *ramanujan._q_split(n, 1, length))
         for modulus in (1, 2, 263, 720, 24 * n * n, oracles.PRIME):
             assert q_scaled_mod(n, head, modulus) == q_scaled(n) % modulus, (n, length, modulus)
