@@ -7,12 +7,12 @@ split through the symbolic half-grid machinery.  Each split is folded once
 per excess k into the tree-polynomial normal form c(n, n+k) = n**(n-1)
 (P(n) + R(n) Q(n) + E(1/n)); its integer evaluator gives the exact counts
 (one Q(n) and a few integer polynomial evaluations each) and its expansion
-gives the connected row.  The all-graphs row takes ln C(N, m) as
-ln N! - ln (N-m)! - ln m!, each factorial by one Stirling routine that
+gives the connected row.  The all-graphs row at excess -1 takes ln C(N, m)
+as ln N! - ln (N-m)! - ln m!, each factorial by one Stirling routine that
 splits it into a ledger of large-scale terms (powers of n times 1, ln n,
 ln 2 or ln pi) and a power series in 1/n; every ledger term but ln 2 must
-cancel against the normalizing prefactor, and that is checked at run time
-(raising `VerificationFailure`), not assumed.  The exact values c, g =
+cancel against the normalizing prefactor (`VerificationFailure` if not),
+and g(n, m+1)/g(n, m) = (N-m)/(m+1) gives the other k.  The exact values c, g =
 C(N, m), c/g and Q(n) are rounded from integers alone by one route: each is
 first enclosed in an interval whose every operation rounds outwards
 (mpmath's `libmpi`), c and Q only at large n, from a head of Q(n) and a
@@ -144,23 +144,27 @@ def asym_c(k: int, depth: int) -> AsymSeries:
     """Expansion of c(n, n+k) normalized by n**(n + (3k-1)/2).
 
     The excess -1 row is exact: c(n, n-1) = n**(n-2) gives the constant 1.
+    A depth below the deepest built for k is cut from that build, which
+    decompose(k)'s record keeps as `normal_form` is kept (and drops with it).
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
-    # the form is c(n, n+k) / n**(n-1), and n**(n + (3k-1)/2) = n**(n-1) n**((3k+1)/2)
-    shifted = decompose(k).normal_form.expansion(3 * k + 1 - depth).shift(-(3 * k + 1))
-    if shifted.lead != 0:
-        raise VerificationFailure(
-            f"excess-{k} expansion has leading half-exponent {shifted.lead}, not 0"
-        )
-    return shifted.truncate(depth)
+    dec = decompose(k)
+    built = dec.__dict__.get("deepest_expansion")
+    if built is None or built.depth < depth:
+        # the form is c(n, n+k) / n**(n-1), and n**(n + (3k-1)/2) = n**(n-1) n**((3k+1)/2)
+        shifted = dec.normal_form.expansion(3 * k + 1 - depth).shift(-(3 * k + 1))
+        if shifted.lead != 0:
+            raise VerificationFailure(f"excess-{k} expansion has leading half-exponent {shifted.lead}, not 0")
+        built = dec.__dict__["deepest_expansion"] = shifted.truncate(depth)
+    return built.truncate(depth)
 
 
 # ---------------------------------------------------------------------------
 # all graphs: expansion of binom(n(n-1)/2, n+k)
 
 
-# the tags of a Stirling ledger, in the order `asym_g` checks them
+# the tags of a Stirling ledger, in the order `_ln_total` checks them
 _TAGS = ("ln n", "", "ln 2", "ln pi")
 _ZERO = Fraction(0)
 
@@ -172,6 +176,7 @@ def _ln_factorial(poly: tuple[int, ...], p: int, q: int, depth: int) -> tuple[di
     with ln x = ln X + p ln n - ln q and q a power of 2.  The terms on n**p
     down to n**0 go to a ledger {(power of n, tag in `_TAGS`): rational};
     the rest is a power series in u with no constant term, through u**depth.
+    Production calls it for G_{-1} only, three times per depth (`_ln_total`).
     """
     e = q.bit_length() - 1  # ln q = e ln 2
     zeros = (_ZERO,) * depth
@@ -194,21 +199,16 @@ def _ln_factorial(poly: tuple[int, ...], p: int, q: int, depth: int) -> tuple[di
     return ledger, rest + stirling_tail(reciprocal)
 
 
-@lru_cache(maxsize=None)
-def asym_g(k: int, depth: int) -> AsymSeries:
-    """Expansion of g(n, n+k) / [sqrt(2/pi) e**(n-2) (n/2)**n n**((2k-1)/2)].
+def _ln_total(k: int, depth: int) -> Series:
+    """ln [2**(k+1) G_k(u)] through u**depth by Stirling's formula, G_k the u-series of `asym_g(k, depth)`.
 
     ln binom(N, m) = ln N! - ln (N-m)! - ln m!, with N = (1-u) n**2/2,
     N - m = (1-3u-2ku**2) n**2/2 and m = (1+ku) n in u = 1/n, each by
     `_ln_factorial`.  Less the prefactor's ledger, every ledger term must
     cancel except ln 2, whose weight must be -(k+1) (`VerificationFailure`
-    if not).  The series left exponentiates to the expansion, which has
-    only integer powers of 1/n.
+    if not).  Production builds it, and so checks, at k = -1 only
+    (`_total_base`); at other k it is the tests' reference for `asym_g`.
     """
-    if k < -1:
-        raise ValueError("needs n + k >= n - 1 >= 0 edges")
-    if depth < 0:
-        raise ValueError("depth must be nonnegative")
     ln_big, rest_big = _ln_factorial((1, -1, 0), 2, 2, depth)
     ln_diff, rest_diff = _ln_factorial((1, -3, -2 * k), 2, 2, depth)
     ln_m, rest_m = _ln_factorial((1, k), 1, 1, depth)
@@ -227,8 +227,47 @@ def asym_g(k: int, depth: int) -> AsymSeries:
             raise VerificationFailure(f"excess-{k} total: the {name} term fails to cancel: {val}")
     if weight != -(k + 1):
         raise VerificationFailure(f"excess-{k} total: ln 2 weight {weight} is not -(k+1)")
-    ratio = (rest_big - rest_diff - rest_m).exp().scale(Fraction(2) ** weight)
-    return AsymSeries.from_u_polynomial(ratio.coeffs(), 0, -(2 * depth + 1))
+    return rest_big - rest_diff - rest_m
+
+
+@lru_cache(maxsize=None)
+def _total_base(depth: int) -> tuple[list[int], int]:
+    """G_{-1}(u) = exp `_ln_total(-1, depth)`, as integer numerators over one denominator.
+
+    Its log must give back the series that went into exp (`VerificationFailure`
+    if not), which catches a wrong `Series.exp`; an error in `_ln_factorial`'s
+    series before exp needs a second, independent build of G_{-1} to show.
+    """
+    ln = _ln_total(-1, depth)
+    base = ln.exp()
+    for i, (back, want) in enumerate(zip(base.log().coeffs(), ln.coeffs())):
+        if back != want:
+            raise VerificationFailure(f"total at excess -1: log exp of its series is off by {back - want} at u**{i}")
+    return _poly.over_one_denominator(base.coeffs())
+
+
+@lru_cache(maxsize=None)
+def asym_g(k: int, depth: int) -> AsymSeries:
+    """Expansion of g(n, n+k) / [sqrt(2/pi) e**(n-2) (n/2)**n n**((2k-1)/2)].
+
+    It is a series G_k in u = 1/n, and g(n, m+1)/g(n, m) = (N-m)/(m+1) reads
+    2 (1 + (k+1)u) G_{k+1} = (1 - 3u - 2ku**2) G_k, so G_k is G_{-1} (built once per depth,
+    `_total_base`) times 2**-(k+1) prod_{j=-1}^{k-1} (1 - 3u - 2ju**2) / (1 + (j+1)u), taken
+    one factor at a time on G_{-1}'s numerators mod u**(depth+1): O(k depth) integer steps,
+    each division exact as 1 + (j+1)u has constant term 1.
+    """
+    if k < -1:
+        raise ValueError("needs n + k >= n - 1 >= 0 edges")
+    if depth < 0:
+        raise ValueError("depth must be nonnegative")
+    base, d = _total_base(depth)
+    ratio = list(base)
+    for j in range(-1, k):
+        for i in range(depth, 0, -1):  # times 1 - 3u - 2ju**2
+            ratio[i] -= 3 * ratio[i - 1] + (2 * j * ratio[i - 2] if i > 1 else 0)
+        for i in range(1, depth + 1):  # over 1 + (j+1)u
+            ratio[i] -= (j + 1) * ratio[i - 1]
+    return AsymSeries.from_u_polynomial([Fraction(c, d << (k + 1)) for c in ratio], 0, -(2 * depth + 1))
 
 
 def exact_total(n: int, k: int) -> int:

@@ -11,6 +11,7 @@ from mpmath.libmp import fone, from_int, from_man_exp, to_rational
 from mpmath.libmp.libmpi import mpi_div
 
 from graphasym import (
+    AsymSeries,
     Series,
     SymConst,
     TreePolyNormalForm,
@@ -107,6 +108,7 @@ def test_the_slope_of_each_numerator_at_one_is_the_conjectured_series_coefficien
 def test_a_numerator_wrong_past_the_count_table_fails_decompose(monkeypatch, capsys, k, index):
     # a_13 of A_8 first shows in c(13, 21), and A_30's top coefficient at n = 92,
     # both past the n <= 12 table check; A_k(1) moves with either
+    asym_c(k, 8)  # a row deeper than the command's, kept on the unpatched decompose(k)
     a = list(recover_ak(k))
     a[index] += 1
     monkeypatch.setattr(assembly, "recover_ak", lambda j: tuple(a) if j == k else recover_ak(j))
@@ -177,6 +179,32 @@ def test_connected_expansion_higher_excess_leading_terms():
     assert asym_c(4, 0).coefficient_at(0) == XI(F(113, 196608))
 
 
+def _fresh_connected(k, depth):
+    decompose.cache_clear()
+    asym_c.cache_clear()
+    return asym_c(k, depth)
+
+
+def test_a_shallower_connected_row_is_cut_from_the_deepest_build(monkeypatch):
+    fresh = {(k, d): _fresh_connected(k, d) for k in range(-1, 9) for d in range(9)}
+    builds = []
+    expansion = TreePolyNormalForm.expansion
+    monkeypatch.setattr(TreePolyNormalForm, "expansion", lambda form, floor: builds.append(floor) or expansion(form, floor))
+    decompose.cache_clear()
+    asym_c.cache_clear()
+    # deepest first: one expansion per k, every shallower row its cut
+    for k in range(-1, 9):
+        assert [asym_c(k, d) for d in range(8, -1, -1)] == [fresh[k, d] for d in range(8, -1, -1)], k
+    assert len(builds) == 10
+    # shallow first: each deeper depth rebuilds, and a shallower one after that is cut from it
+    decompose.cache_clear()
+    asym_c.cache_clear()
+    builds.clear()
+    for k in (-1, 2, 8):
+        assert [asym_c(k, d) for d in (3, 8, 5, 1)] == [fresh[k, d] for d in (3, 8, 5, 1)], k
+    assert len(builds) == 6
+
+
 def test_connected_expansion_tree_case_is_exact():
     series = asym_c(-1, 3)
     assert series.coefficient_at(0) == RAT(1)
@@ -216,10 +244,18 @@ def test_total_expansion_leading_term_general_k():
         assert asym_g(k, 0).coefficient_at(0) == RAT(F(1, 2 ** (k + 1)))
 
 
-def _ratio_defects(k, depth, total=asym_g):
+def _stirling_total(k, depth):
+    """`asym_g(k, depth)` by Stirling's formula at k itself, not by the edge ratio from k = -1."""
+    ratio = assembly._ln_total(k, depth).exp().scale(F(1, 2 ** (k + 1)))
+    return AsymSeries.from_u_polynomial(ratio.coeffs(), 0, -(2 * depth + 1))
+
+
+def _ratio_defects(k, depth, total=_stirling_total):
     """2 (1 + (k+1)u) G_{k+1}(u) - (1 - 3u - 2ku**2) G_k(u), slots u**0..u**depth.
 
-    G_k is the u-series (u = 1/n) on the even slots of `asym_g(k, depth)`.
+    G_k is the u-series (u = 1/n) on the even slots of `total(k, depth)`,
+    two independent Stirling builds by default (`asym_g` takes the identity
+    as its route, so on it the check would be a tautology).
     g(n, m+1) / g(n, m) = (N - m)/(m + 1) with N = n(n-1)/2 and m = n + k,
     so over the normalizations G_{k+1}/G_k = (1 - 3u - 2ku**2) / (2 (1 +
     (k+1)u)), and every defect is 0.
@@ -240,7 +276,22 @@ def test_successive_totals_satisfy_the_binomial_ratio_identity():
     assert not any(_ratio_defects(30, 24))
 
 
-def test_a_wrong_exp_coefficient_passes_the_total_checks_and_fails_the_ratio_identity(monkeypatch):
+def test_each_total_is_the_stirling_build_at_its_own_excess(monkeypatch):
+    cases = [(k, d) for k in range(-1, 12) for d in (0, 3, 8, 16)] + [(30, 24), (300, 8), (1000, 8)]
+    for k, depth in cases:
+        assert asym_g(k, depth) == _stirling_total(k, depth), (k, depth)
+    calls = []
+    ln_factorial = assembly._ln_factorial
+    monkeypatch.setattr(assembly, "_ln_factorial", lambda *args: calls.append(args) or ln_factorial(*args))
+    asym_g.cache_clear()
+    assembly._total_base.cache_clear()
+    for k in range(0, 7):
+        asym_g(k, 3)
+    # one Stirling build of G_{-1} at depth 3 serves every excess
+    assert len(calls) == 3
+
+
+def test_a_wrong_exp_coefficient_passes_the_total_checks_and_fails_the_ratio_identity(monkeypatch, capsys):
     exp = Series.exp
 
     def off_at_u3(self):
@@ -249,10 +300,21 @@ def test_a_wrong_exp_coefficient_passes_the_total_checks_and_fails_the_ratio_ide
         return Series(c)
 
     monkeypatch.setattr(Series, "exp", off_at_u3)
-    # the uncached build: every ledger term still cancels, so no check fires;
-    # G_0 and G_1 move at u**3 by 1/14 and 1/28, which cancel in the
-    # identity's u**3 slot and not in its u**4 slot
-    assert any(_ratio_defects(0, 5, asym_g.__wrapped__))
+    # the Stirling builds at k = 0 and 1: every ledger term still cancels, so
+    # no check fires; G_0 and G_1 move at u**3 by 1/14 and 1/28, which cancel
+    # in the identity's u**3 slot and not in its u**4 slot
+    assert any(_ratio_defects(0, 5))
+    # production builds G_{-1} alone, and takes its log back
+    asym_g.cache_clear()
+    assembly._total_base.cache_clear()
+    try:
+        assert main(["asym", "--k", "0", "--which", "total"]) == 2
+    finally:
+        asym_g.cache_clear()
+        assembly._total_base.cache_clear()
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "verification error: total at excess -1: log exp of its series is off by 1/7 at u**3\n"
 
 
 def _perturb_m(poly, p, q, depth):
@@ -275,15 +337,18 @@ def test_a_wrong_factorial_fails_its_cancellation_check(monkeypatch, capsys, per
     for k in (-1, 0, 1, 5):
         for depth in (0, 4):
             with pytest.raises(VerificationFailure, match=rf"^excess-{k} total: {re.escape(term)}$"):
-                asym_g.__wrapped__(k, depth)
+                assembly._ln_total(k, depth)
     asym_g.cache_clear()
+    assembly._total_base.cache_clear()
     try:
+        # production builds only G_{-1} by Stirling's formula, so the check fires there
         assert main(["asym", "--k", "1", "--which", "total"]) == 2
     finally:
         asym_g.cache_clear()
+        assembly._total_base.cache_clear()
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == f"verification error: excess-1 total: {term}\n"
+    assert err == f"verification error: excess--1 total: {term}\n"
 
 
 def test_a_wrong_ln_2_weight_fails_its_check(monkeypatch):
@@ -295,7 +360,7 @@ def test_a_wrong_ln_2_weight_fails_its_check(monkeypatch):
 
     monkeypatch.setattr(assembly, "_ln_factorial", off_by_ln_2)
     with pytest.raises(VerificationFailure, match=r"^excess-1 total: ln 2 weight -3 is not -\(k\+1\)$"):
-        asym_g.__wrapped__(1, 3)
+        assembly._ln_total(1, 3)
 
 
 def test_total_expansion_numeric():

@@ -292,6 +292,7 @@ def test_a_wrong_stirling_weight_fails_gamma_functional_equation(
     monkeypatch.setattr(symbolic, "_tail_weight", mutant)
     symbolic._tail_weights.cache_clear()
     assembly.asym_g.cache_clear()
+    assembly._total_base.cache_clear()
     try:
         at_power = rf"Gamma\(x\+1\) = x Gamma\(x\) at u\*\*{power}:"
         with pytest.raises(VerificationFailure, match=at_power):
@@ -304,3 +305,4 @@ def test_a_wrong_stirling_weight_fails_gamma_functional_equation(
     finally:
         symbolic._tail_weights.cache_clear()
         assembly.asym_g.cache_clear()
+        assembly._total_base.cache_clear()
