@@ -231,7 +231,7 @@ def _ln_total(k: int, depth: int) -> Series:
 
 
 @lru_cache(maxsize=None)
-def _total_base(depth: int) -> tuple[list[int], int]:
+def _total_base(depth: int) -> tuple[tuple[int, ...], int]:
     """G_{-1}(u) = exp `_ln_total(-1, depth)`, as integer numerators over one denominator.
 
     Its log must give back the series that went into exp (`VerificationFailure`
@@ -243,7 +243,8 @@ def _total_base(depth: int) -> tuple[list[int], int]:
     for i, (back, want) in enumerate(zip(base.log().coeffs(), ln.coeffs())):
         if back != want:
             raise VerificationFailure(f"total at excess -1: log exp of its series is off by {back - want} at u**{i}")
-    return _poly.over_one_denominator(base.coeffs())
+    nums, d = _poly.over_one_denominator(base.coeffs())
+    return tuple(nums), d
 
 
 @lru_cache(maxsize=None)

@@ -189,7 +189,9 @@ def test_a_shallower_connected_row_is_cut_from_the_deepest_build(monkeypatch):
     fresh = {(k, d): _fresh_connected(k, d) for k in range(-1, 9) for d in range(9)}
     builds = []
     expansion = TreePolyNormalForm.expansion
-    monkeypatch.setattr(TreePolyNormalForm, "expansion", lambda form, floor: builds.append(floor) or expansion(form, floor))
+    monkeypatch.setattr(
+        TreePolyNormalForm, "expansion", lambda form, floor: builds.append(floor) or expansion(form, floor)
+    )
     decompose.cache_clear()
     asym_c.cache_clear()
     # deepest first: one expansion per k, every shallower row its cut
