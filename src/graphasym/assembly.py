@@ -93,9 +93,12 @@ def decompose(k: int) -> Decomposition:
     Each split is checked against the count table for n <= VERIFY_N_MAX, and
     gamma_0 = A_k(1) against `_log_e` (`VerificationFailure` if either fails);
     errors in A_k that those n do not see and that cancel in A_k(1) pass.
+    Both are asked for at k rounded up to a power of two, so ascending k build
+    one of each per doubling and cut the rest; the values compared are the same.
     """
     if k < -1:
         raise ValueError("excess below -1 is empty")
+    rounded = 1 << k.bit_length()
     if k == -1:
         dec = Decomposition(-1, ((-2, Fraction(-1, 2)),), Fraction(0))
     elif k == 0:
@@ -108,12 +111,12 @@ def decompose(k: int) -> Decomposition:
             Fraction((-1) ** j * sum(comb(i, j) * a[i] for i in range(j, len(a))), d)
             for j in range(len(a))
         ]
-        want = _log_e(1 << k.bit_length())[k]  # one series per doubling of k
+        want = _log_e(rounded)[k]
         if gamma[0] != want:
             raise VerificationFailure(f"A_{k}(1) = {gamma[0]}, but [u**{k}] log E(u) = {want}")
         beta = tuple(sorted((3 * k - j, g) for j, g in enumerate(gamma) if g != 0))
         dec = Decomposition(k, beta, Fraction(0))
-    table = connected_counts(VERIFY_N_MAX, k)
+    table = connected_counts(VERIFY_N_MAX, rounded)
     for n in range(1, VERIFY_N_MAX + 1):
         want = table.get(n, n + k)
         got = dec.evaluate(n)

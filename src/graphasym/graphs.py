@@ -9,7 +9,9 @@ the vertex-1 component decomposition
 
 which determines the connected row polynomials C_n(w) = sum_m c(n,m) w**m
 by integer arithmetic alone.  All w-polynomials are truncated at a shared
-cap, high enough for every requested excess k = m - n.  A CountTable reads
+cap, high enough for every requested excess k = m - n.  A row needs only
+the rows above it and a coefficient only lower ones, so `connected_rows`
+cuts a smaller table from the corner of a larger one built.  A CountTable reads
 its counts straight from these rows; it feeds the `count` and `tables`
 output and the small-n self-checks of `assembly.decompose` and `errata`.
 
@@ -42,13 +44,29 @@ from ._record import Record
 from .errors import VerificationFailure
 
 
-@lru_cache(maxsize=None)
+_built: list[tuple[tuple[int, ...], ...]] = []  # tables no later build covers
+
+
 def connected_rows(n_max: int, w_cap: int) -> tuple[tuple[int, ...], ...]:
     """Connected row polynomials C_n(w) mod w**(w_cap+1), n = 0..n_max.
 
     Row n holds c(n, m) at index m, the number of connected graphs with n
-    vertices and m edges, for every m <= w_cap.
+    vertices and m edges, for every m <= w_cap.  The table is cut from one
+    built with at least n_max + 1 rows and w_cap + 1 columns; only if there
+    is none is it built, and the tables it covers are dropped.
     """
+    for rows in _built:
+        if len(rows) > n_max and len(rows[0]) > w_cap:
+            return tuple(row[: w_cap + 1] for row in rows[: n_max + 1])
+    rows = _build_rows(n_max, w_cap)
+    _built[:] = [t for t in _built if len(t) > n_max + 1 or len(t[0]) > w_cap + 1] + [rows]
+    return rows
+
+
+connected_rows.cache_clear = _built.clear
+
+
+def _build_rows(n_max: int, w_cap: int) -> tuple[tuple[int, ...], ...]:
     width = w_cap + 1
     # G_n(w) = (1+w)^C(n,2) truncated at w**w_cap
     g = [tuple(comb(comb(n, 2), j) for j in range(width)) for n in range(n_max + 1)]

@@ -196,22 +196,31 @@ def d_asym(depth: int) -> AsymSeries:
     return AsymSeries.from_u_polynomial(d_coefficients(depth), 0, -(2 * depth + 1))
 
 
-@lru_cache(maxsize=None)
+_q_deepest: list[AsymSeries] = []  # the deepest expansion built
+
+
 def q_asym(depth: int) -> AsymSeries:
     """Expansion of Q(n), leading term xi/2 * n**(1/2).
 
     Built from the exact identity 2*Q = (Q+R) - D, where Q+R is the
     Stirling factor n! e**n / n**n; the identity is checked again on the
     symbolic objects after assembly and raises `VerificationFailure` if not.
+    Only the deepest expansion asked for is kept: a shallower one is cut
+    from it, and a deeper request builds, checks and replaces it.
     """
-    stirl = stirling_series(depth)
-    d = d_asym(depth // 2)
-    q = (stirl - d).scale(Fraction(1, 2))
-    recombined = q.scale(2) + d
-    for h in range(recombined.lead, recombined.known_floor - 1, -1):
-        if recombined.coefficient_at(h) != stirl.coefficient_at(h):
-            raise VerificationFailure(
-                f"2Q + D differs from the Stirling factor at n**({h}/2): "
-                f"{recombined.coefficient_at(h)} != {stirl.coefficient_at(h)}"
-            )
-    return q.truncate(depth)
+    if not _q_deepest or _q_deepest[0].depth < depth:
+        stirl = stirling_series(depth)
+        d = d_asym(depth // 2)
+        q = (stirl - d).scale(Fraction(1, 2))
+        recombined = q.scale(2) + d
+        for h in range(recombined.lead, recombined.known_floor - 1, -1):
+            if recombined.coefficient_at(h) != stirl.coefficient_at(h):
+                raise VerificationFailure(
+                    f"2Q + D differs from the Stirling factor at n**({h}/2): "
+                    f"{recombined.coefficient_at(h)} != {stirl.coefficient_at(h)}"
+                )
+        _q_deepest[:] = [q.truncate(depth)]
+    return _q_deepest[0].truncate(depth)
+
+
+q_asym.cache_clear = _q_deepest.clear

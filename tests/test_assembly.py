@@ -26,11 +26,12 @@ from graphasym import (
     recover_ak,
     t_normal_form,
 )
-from graphasym import _poly, assembly, ramanujan, treepoly
+from graphasym import _poly, assembly, graphs, ramanujan, treepoly
 from graphasym.assembly import expansion, normalization
 from graphasym.cli import main
 from graphasym.errors import CrosscheckFailure, VerificationFailure
-from graphasym.ramanujan import q_scaled
+from graphasym.graphs import connected_rows
+from graphasym.ramanujan import q_asym, q_scaled
 
 import oracles
 
@@ -205,6 +206,29 @@ def test_a_shallower_connected_row_is_cut_from_the_deepest_build(monkeypatch):
     for k in (-1, 2, 8):
         assert [asym_c(k, d) for d in (3, 8, 5, 1)] == [fresh[k, d] for d in (3, 8, 5, 1)], k
     assert len(builds) == 6
+
+
+def test_count_tables_and_q_expansions_are_built_once_per_doubling(monkeypatch):
+    tables, qs = [], []
+    build_rows, stirling = graphs._build_rows, ramanujan.stirling_series
+    monkeypatch.setattr(graphs, "_build_rows", lambda n, w: tables.append((n, w)) or build_rows(n, w))
+    monkeypatch.setattr(ramanujan, "stirling_series", lambda d: qs.append(d) or stirling(d))
+    for fn in (connected_rows, connected_counts, decompose, asym_c, q_asym):
+        fn.cache_clear()
+    # the check tables are asked for at excess 4 (k = 2, 3) and 8 (k = 4..7); 0 and 1 are cut
+    for k in (2, 3, 4, 5, 6, 7, 0, 1):
+        decompose(k)
+    assert tables == [(12, 16), (12, 20)]
+    # the Q depth falls as k rises, so the first expansion is the deepest
+    for k in range(2, 8):
+        asym_c(k, 8)
+    assert len(qs) == 1
+    # a lone request builds exactly what it asks for
+    tables.clear()
+    connected_rows.cache_clear()
+    connected_counts.cache_clear()
+    connected_counts(30, 5)
+    assert tables == [(30, 35)]
 
 
 def test_connected_expansion_tree_case_is_exact():

@@ -5,7 +5,7 @@ from math import comb, factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from graphasym import _poly, connected_counts, recover_ak
+from graphasym import _poly, connected_counts, graphs, recover_ak
 from graphasym.cli import main
 from graphasym.errors import VerificationFailure
 from graphasym.graphs import _wright_step, connected_rows
@@ -22,17 +22,41 @@ def test_counts_match_exhaustive_enumeration():
             assert rows[n][m] == oracles.brute_force_connected(n, m), (n, m)
 
 
-def test_counts_match_log_oracle():
-    rows = connected_rows(9, 12)
-    log_rows = oracles.connected_counts_via_log(9, 12)
-    for n in range(1, 10):
-        for m in range(0, 13):
-            expected = log_rows[n][m] * factorial(n)
-            assert expected.denominator == 1
-            assert rows[n][m] == expected
+# (requests in order, the ones that build, the tables kept after them)
+CUT_SEQUENCES = [
+    # ascending: every request is wider than the last, so each builds and covers the one before
+    ([(5, 7), (9, 12), (12, 14), (12, 20)], [(5, 7), (9, 12), (12, 14), (12, 20)], [(12, 20)]),
+    # descending: (10, 13) and the rest are cut from (12, 20)
+    ([(12, 20), (10, 13), (9, 12), (5, 7)], [(12, 20)], [(12, 20)]),
+    # (6, 15) after (12, 14) is wider than anything built and must build; (9, 12) and (4, 18) are cut
+    ([(12, 14), (6, 15), (9, 12), (12, 20), (10, 13), (4, 18)], [(12, 14), (6, 15), (12, 20)], [(12, 20)]),
+    # (9, 12) after (6, 15) has more rows than it, and (10, 13) is cut from (12, 14)
+    ([(6, 15), (9, 12), (12, 14), (10, 13)], [(6, 15), (9, 12), (12, 14)], [(6, 15), (12, 14)]),
+]
+
+
+def test_counts_match_log_oracle(monkeypatch):
+    built = []
+    build_rows = graphs._build_rows
+    monkeypatch.setattr(graphs, "_build_rows", lambda n, w: built.append((n, w)) or build_rows(n, w))
+    log_rows = oracles.connected_counts_via_log(12, 20)
+    for requests, builds, kept in CUT_SEQUENCES:
+        connected_rows.cache_clear()
+        built.clear()
+        for n_max, w_cap in requests:
+            rows = connected_rows(n_max, w_cap)
+            assert len(rows) == n_max + 1 and {len(row) for row in rows} == {w_cap + 1}, (n_max, w_cap)
+            for n in range(1, n_max + 1):
+                for m in range(w_cap + 1):
+                    expected = log_rows[n][m] * factorial(n)
+                    assert expected.denominator == 1
+                    assert rows[n][m] == expected, (requests, n_max, w_cap, n, m)
+        assert built == builds, requests
+        assert [(len(t) - 1, len(t[0]) - 1) for t in graphs._built] == kept, requests
 
 
 def test_wpoly_bounds():
+    connected_rows(9, 12)  # so (5, 7) is cut from a wider table
     rows = connected_rows(5, 7)
     assert rows[4][7] == 0  # above binom(4,2)
     with pytest.raises(IndexError):

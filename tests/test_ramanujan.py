@@ -196,3 +196,20 @@ def test_q_asym_consistent_with_stirling_and_d():
         for part in (SymConst.rational_part, SymConst.xi_part):
             want = part(s.coefficient_at(h)) - part(d.coefficient_at(h))
             assert 2 * part(q.coefficient_at(h)) == want
+
+
+def test_a_shallower_q_expansion_is_cut_from_the_deepest_build(monkeypatch):
+    fresh = []
+    for d in range(12):
+        q_asym.cache_clear()
+        fresh.append(q_asym(d))
+    q_asym.cache_clear()
+    q_asym(12)
+    assert [q_asym(d) for d in range(12)] == fresh
+    # shallow then deep: the deeper request builds (and checks) again, a shallower one after it is cut
+    builds = []
+    stirling = ramanujan.stirling_series
+    monkeypatch.setattr(ramanujan, "stirling_series", lambda depth: builds.append(depth) or stirling(depth))
+    q_asym.cache_clear()
+    assert [q_asym(3), q_asym(9), q_asym(5)] == [fresh[3], fresh[9], fresh[5]]
+    assert builds == [3, 9]
