@@ -75,5 +75,10 @@ def evaluate(p: Poly, x: Fraction | int) -> Fraction | int:
     return acc
 
 
-def derivative(p: Poly) -> Poly:
-    return _strip(tuple(i * c for i, c in enumerate(p))[1:])
+def reflect(p: Poly) -> Poly:
+    """p(1 - x): p(1 + x) by a Taylor shift on integer numerators (additions only), then x -> -x."""
+    c, d = over_one_denominator(p)
+    for i in range(len(c) - 1):
+        for j in range(len(c) - 2, i - 1, -1):
+            c[j] += c[j + 1]
+    return _strip(tuple(Fraction(-x if j % 2 else x, d) for j, x in enumerate(c)))

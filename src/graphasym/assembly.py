@@ -37,7 +37,7 @@ from mpmath.libmp.libmpi import mpi_div, mpi_mul, mpi_pow_int
 from . import _poly
 from ._record import Record
 from .errors import CrosscheckFailure, VerificationFailure
-from .graphs import connected_counts, recover_ak
+from .graphs import connected_counts, excess_split
 from .ramanujan import q_head, q_scaled
 from .series import Series
 from .symbolic import AsymSeries, stirling_tail
@@ -85,14 +85,16 @@ def _log_e(order: int) -> tuple[Fraction, ...]:
 def decompose(k: int) -> Decomposition:
     """Exact split of the excess-k connected count over t_n(y) and Q(n).
 
-    For k >= 1 the split comes from expanding the numerator polynomial
-    around 1: A_k(T) (1-T)**(-3k) = sum_j gamma_j (1-T)**(j-3k), so each
-    term is a tree polynomial of index 3k - j.  For k = 0 the closed form
-    is c(n,n) = Q(n) n**(n-1)/2 - n**(n-1) + n**(n-2)/2, and for k = -1,
-    W_{-1} = T - T**2/2 = -(1-T)**2/2 + 1/2 gives c(n,n-1) = -t_n(-2)/2.
-    Each split is checked against the count table for n <= VERIFY_N_MAX, and
-    gamma_0 = A_k(1) against `_log_e` (`VerificationFailure` if either fails);
-    errors in A_k that those n do not see and that cancel in A_k(1) pass.
+    For k >= 1 it is read from Wright's recurrence run in s = 1 - T, whose
+    three leftover equations each step checks (`graphs.excess_split`):
+    W_k = sum_j gamma_j s**(j-3k), and term j is the tree polynomial
+    t_n(3k - j).  For k = 0 the closed form is c(n,n) = Q(n) n**(n-1)/2 -
+    n**(n-1) + n**(n-2)/2, and for k = -1, W_{-1} = T - T**2/2 =
+    -(1-T)**2/2 + 1/2 gives c(n,n-1) = -t_n(-2)/2.  Each split is checked
+    against the count table for n <= VERIFY_N_MAX, and gamma_0 = A_k(1)
+    against `_log_e` (`VerificationFailure` if either fails), the net for an
+    error the run solves away; one that those n miss and that leaves gamma_0
+    alone passes.
     Both are asked for at k rounded up to a power of two, so ascending k build
     one of each per doubling and cut the rest; the values compared are the same.
     """
@@ -105,12 +107,7 @@ def decompose(k: int) -> Decomposition:
         beta = ((-2, Fraction(-1, 4)), (-1, Fraction(1)))
         dec = Decomposition(0, beta, Fraction(1, 2))
     else:
-        a, d = _poly.over_one_denominator(recover_ak(k))
-        # A_k(1-x) = sum_j gamma_j x**j, gamma_j = (-1)**j sum_{i>=j} C(i, j) a_i
-        gamma = [
-            Fraction((-1) ** j * sum(comb(i, j) * a[i] for i in range(j, len(a))), d)
-            for j in range(len(a))
-        ]
+        gamma = excess_split(k)
         want = _log_e(rounded)[k]
         if gamma[0] != want:
             raise VerificationFailure(f"A_{k}(1) = {gamma[0]}, but [u**{k}] log E(u) = {want}")
@@ -331,14 +328,12 @@ def fss_crosscheck(k: int) -> CrosscheckReport:
     if k < 2:
         raise ValueError("the closed form is compared for k >= 2")
     series = asym_c(k, 1)
-    a = recover_ak(k)
-    at_one = _poly.evaluate(a, 1)
-    prime_at_one = _poly.evaluate(_poly.derivative(a), 1)
+    at_one, minus_slope = excess_split(k)[:2]  # A_k(1) = gamma_0 and A_k'(1) = -gamma_1
     with mpmath.workprec(_CROSSCHECK_BITS):
         a0 = series.coeffs[0].evaluate(_CROSSCHECK_BITS)
         a1 = series.coeffs[1].evaluate(_CROSSCHECK_BITS)
         a_one = mpmath.mpf(at_one.numerator) / at_one.denominator
-        ap_one = mpmath.mpf(prime_at_one.numerator) / prime_at_one.denominator
+        ap_one = -mpmath.mpf(minus_slope.numerator) / minus_slope.denominator
         rhs_a0 = (
             a_one
             * mpmath.sqrt(mpmath.pi)

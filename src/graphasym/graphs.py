@@ -1,5 +1,5 @@
 """Exact enumeration of labelled graphs refined by edge count, and the
-excess numerators A_k.
+excess EGFs W_k split over powers of s = 1 - T.
 
 The bivariate EGF of all graphs is g(w, z) = sum_n (1+w)^C(n,2) z**n / n!,
 and c = log g generates connected graphs.  Extracting log g row by row uses
@@ -15,22 +15,28 @@ cuts a smaller table from the corner of a larger one built.  A CountTable reads
 its counts straight from these rows; it feeds the `count` and `tables`
 output and the small-n self-checks of `assembly.decompose` and `errata`.
 
-Grouping the connected counts by excess gives the excess EGFs
-W_k(z) = sum_n c(n, n+k) z**n / n!.  Each W_k with k >= 1 is a rational
-function A_k(T) / (1-T)**(3k) of the tree function T, and A_k is a plain
-`_poly` coefficient tuple.
-recover_ak gets the numerators from E. M. Wright's excess recurrence ("The
-number of connected sparsely edged graphs", J. Graph Theory 1977; see also
-Janson, Knuth, Luczak and Pittel, "The birth of the giant component", 1993,
-sections 3 and 8): with theta = z d/dz = T/(1-T) d/dT,
+The excess EGFs W_k(z) = sum_n c(n, n+k) z**n / n! split, for k >= 1, as
+W_k = sum_j gamma_{k,j} s**(j-3k), j = 0..3k+2, in s = 1 - T with T the
+tree function (`excess_split`); `recover_ak` re-expands the split to
+A_k(T) = W_k (1-T)**(3k).  It comes from E. M. Wright's excess recurrence
+(J. Graph Theory 1977; Janson, Knuth, Luczak and Pittel, "The birth of the
+giant component", 1993, sections 3 and 8), from 2(1+w) c_w = z**2 (c_zz +
+c_z**2) with c = sum_k w**k W_k(wz) and theta = z d/dz:
 
     2 (T d/dT + k + 1) W_{k+1}
-        = theta**2 W_k - 3 theta W_k - 2k W_k + sum_{i+j=k} theta W_i theta W_j,
+        = theta**2 W_k - 3 theta W_k - 2k W_k + sum_{i+j=k} theta W_i theta W_j.
 
-from 2(1+w) c_w = z**2 (c_zz + c_z**2) with c = sum_k w**k W_k(wz), and with
-theta W_0 = T**3 / (2(1-T)**2).
-It is exact polynomial algebra in T and never reads the count table, which
-stays the independent route that `assembly.decompose` checks A_k against.
+theta maps s**e to -e s**(e-2) + e s**(e-1), T d/dT maps it to
+-e s**(e-1) + e s**e, and theta W_0 = (1-s)**3 / (2 s**2), so in the frame
+s**(-3k-4) the s**(r-3k-4) coefficients are the equations
+
+    2 [(3k+3-r) gamma_{k+1,r} + (r-2k-3) gamma_{k+1,r-1}] = rhs_r.
+
+`_split_step` solves r <= 3k+2 forwards and r = 3k+6, 3k+5, 3k+4 backwards,
+and checks the three left over: r = 3k+3, which holds no gamma_{3k+3}, and
+r = 3k+7 and 3k+8, where rhs_r must vanish; `excess_split` also checks that
+W_{k+1} has no z**0 term.  It never reads the count table, the independent
+route that `assembly.decompose` checks the split against.
 """
 from __future__ import annotations
 
@@ -116,84 +122,82 @@ def connected_counts(n_max: int, k_max: int) -> CountTable:
     return CountTable(n_max, k_max, connected_rows(n_max, n_max + max(k_max, 0)))
 
 
-def _theta(f: list[int], s: int) -> list[int]:
-    """theta (f / (1-T)**s) = T (f' (1-T) + s f) / (1-T)**(s+2); the numerator.
-
-    The T**(m+1) coefficient is (m+1) f_{m+1} + (s-m) f_m, so integer
-    numerators over a denominator stay over that denominator.
-    """
-    ext = list(f) + [0]
-    return [0] + [(m + 1) * ext[m + 1] + (s - m) * ext[m] for m in range(len(f))]
+_THETA_W0 = ([1, -3, 3, -1], 2)  # theta W_0 = (1-s)**3 / (2 s**2), numerators over 2 in the frame s**-2
+_numerators = lru_cache(maxsize=None)(lambda k: _poly.over_one_denominator(excess_split(k)))
 
 
-def _wright_step(lower: list[Poly]) -> Poly:
-    """A_{k+1} from A_1..A_k (k = len(lower)) by Wright's recurrence.
+def _split_step(lower: list[tuple[list[int], int]]) -> Poly:
+    """gamma_{k+1,0..3k+5} from gamma_1..gamma_k (k = len(lower)), each as numerators over a denominator.
 
-    With theta W_i = B_i / (1-T)**(3i+2), the right side of the recurrence is
-    P / (1-T)**(3k+4) with
-
-        P = T (B_k' (1-T) + (3k+2) B_k) - 3 (1-T)**2 B_k - 2k (1-T)**4 A_k
-            + sum_{i+j=k} B_i B_j,
-
-    and the left side is 2 sum_j [(j+k+1) a_j + (2k+3-j) a_{j-1}] T**j over
-    the same power, so the a_j follow in order from p_0 .. p_{deg P - 1}.
-    The one equation left over, at j = deg P, is checked.
-
-    All of it runs on integer numerators: B_i over the least common
-    denominator d_i of A_i (d_0 = 2), P over the lcm `den` of d_k and every
-    d_i d_{k-i}, each product B_i B_j once per unordered pair, and a_j over
-    2 den prod_{i<=j} (i+k+1), so one Fraction is built per coefficient.
+    theta W_i = sum_r b_{i,r} s**(r-3i-2), b_{i,r} = (3i-r) gamma_{i,r} - (3i+1-r) gamma_{i,r-1}.
+    rhs stops at r = 3k+6 when every b_i has its due length, so r = 3k+7 and
+    3k+8 see only a term past it (a wrong b_0, say); a wrong value below the
+    top shows only where it reaches a leftover equation.  On integers: b_i over
+    d_i, the denominator of gamma_i (d_0 = 2), rhs over the lcm `den` of
+    d_k and each d_i d_{k-i}, each unknown over 2 den times its sweep's divisors.
     """
     k = len(lower)
-    thetas = [([0, 0, 0, 1], 2)]  # theta W_0 = (T**3/2) / (1-T)**2
-    for i, a in enumerate(lower, 1):
-        nums, d = _poly.over_one_denominator(a)
-        thetas.append((_theta(nums, 3 * i), d))
+
+    def theta(c: list[int], f: int) -> list[int]:  # of sum_r c_r s**(r-f), in the frame s**(-f-2)
+        return [(f - r) * cr - (f + 1 - r) * before for r, (cr, before) in enumerate(zip([*c, 0], [0, *c]))]
+
+    thetas, nums = [_THETA_W0], []
+    for i, (nums, d) in enumerate(lower, 1):
+        thetas.append((theta(nums, 3 * i), d))
     b, db = thetas[k]
-    # the terms in B_k and A_k alone, over d_k
-    own = _theta(b, 3 * k + 2)
-    _poly.add_into(own, _poly.convolve(b, [1, -2, 1]), -3)
-    if k:  # nums is A_k over d_k, from the last pass of the loop
-        _poly.add_into(own, _poly.convolve(nums, [1, -4, 6, -4, 1]), -2 * k)
+    rhs = theta(b, 3 * k + 2)  # theta**2 W_k - 3 theta W_k - 2k W_k, over d_k
+    _poly.add_into(rhs, [0, 0, *b], -3)
+    _poly.add_into(rhs, [0, 0, 0, 0, *nums], -2 * k)  # nums: gamma_k over d_k from the loop's last pass, or none
     pairs = [(i, k - i) for i in range(k // 2 + 1)]
     den = lcm(db, *(thetas[i][1] * thetas[j][1] for i, j in pairs))
-    p = [c * (den // db) for c in own]
+    rhs = [c * (den // db) for c in rhs]
     for i, j in pairs:
         (bi, di), (bj, dj) = thetas[i], thetas[j]
-        _poly.add_into(p, _poly.convolve(bi, bj), den // (di * dj) * (1 if i == j else 2))
-    p = _poly._strip(p)
-    # a_j = num_j / (2 den prod_{i<=j} (i+k+1)), num_j = p_j prod_{i<j} (i+k+1) - (2k+3-j) num_{j-1}
-    coeffs = []
-    num, run = 0, 1
-    for j in range(len(p) - 1):
-        num = p[j] * run - (2 * k + 3 - j) * num
-        run *= j + k + 1
-        coeffs.append(Fraction(num, 2 * den * run))
-    top = len(p) - 1
-    # p_top = 2 (2k+3-top) a_{top-1}, over the denominator den * run
-    if p[top] * run != (2 * k + 3 - top) * num:
-        raise VerificationFailure(
-            f"Wright's recurrence for A_{k + 1} is inconsistent at T**{top}: "
-            f"{Fraction(p[top], den)} != {Fraction((2 * k + 3 - top) * num, den * run)}"
-        )
-    return tuple(coeffs)
+        _poly.add_into(rhs, _poly.convolve(bi, bj), den // (di * dj) * (1 if i == j else 2))
+    rhs += [0] * (3 * k + 9 - len(rhs))
+
+    def sweep(rows):  # x = num / (2 den run) from 2 (pivot x + other x_before) = rhs_r / den
+        num, run, out = 0, 1, []
+        for r, pivot, other in rows:
+            num = rhs[r] * run - other * num
+            run *= pivot
+            out.append(Fraction(num, 2 * den * run))
+        return out, num, run
+
+    # equation r holds (3k+3-r) gamma_r and (r-2k-3) gamma_{r-1}
+    head, num, run = sweep([(r, 3 * k + 3 - r, r - 2 * k - 3) for r in range(3 * k + 3)])
+    tail = sweep([(r, r - 2 * k - 3, 3 * k + 3 - r) for r in range(3 * k + 6, 3 * k + 3, -1)])[0]
+    leftover = [(r, 0) for r in range(3 * k + 7, len(rhs))] + [(3 * k + 3, Fraction(k * num, den * run))]
+    for r, lhs in leftover:
+        if lhs != Fraction(rhs[r], den):
+            raise VerificationFailure(f"Wright's recurrence for W_{k + 1} fails its leftover equation "
+                                      f"at s**{r - 3 * k - 4}: {lhs} != {Fraction(rhs[r], den)}")
+    return tuple(head + tail[::-1])
+
+
+@lru_cache(maxsize=None)
+def excess_split(k: int) -> Poly:
+    """gamma_{k,0..3k+2}: W_k = sum_j gamma_j s**(j-3k), s = 1 - T, by `_split_step` from gamma_1..gamma_{k-1}.
+
+    Term j is t_n(3k-j) in `assembly.decompose`; gamma_0 = A_k(1) and gamma_1 = -A_k'(1).
+    W_k has no z**0 term, so sum_j gamma_j = A_k(0) must vanish (`VerificationFailure`
+    if not).  Only this sees gamma_{3k}, the s**0 term, which the step solves from one
+    equation that no leftover equation reads, and whose t_n(0) is 0 at every n >= 1.
+    """
+    if k < 1:
+        raise ValueError("numerator polynomials exist for k >= 1")
+    # ascending calls find every lower split cached, so they nest at most two deep
+    gamma = _split_step([_numerators(i) for i in range(1, k)])
+    if sum(gamma) != 0:
+        raise VerificationFailure(f"the split of W_{k} has a z**0 term: A_{k}(0) = {sum(gamma)}")
+    return gamma
 
 
 @lru_cache(maxsize=None)
 def recover_ak(k: int) -> Poly:
-    """A_k by Wright's excess recurrence (Wright 1977), from A_1..A_{k-1}:
+    """A_k(T) = W_k (1-T)**(3k) = sum_j gamma_j (1-T)**j, of degree 3k+2, from `excess_split(k)`.
 
-        2 (T d/dT + k) W_k = theta**2 W_{k-1} - 3 theta W_{k-1} - 2(k-1) W_{k-1}
-                             + sum_{i+j=k-1} theta W_i theta W_j,
-
-    with theta = z d/dz = T/(1-T) d/dT and theta W_0 = T**3 / (2(1-T)**2).
-    Exact polynomial algebra on integer numerators: no count table, no
-    truncated series and no degree bound; deg A_k = 3k + 2 comes out of the
-    recurrence.
-    Each step ends with the one equation the recurrence over-determines, and
-    raises `VerificationFailure` if it fails.
+    The split is Wright's recurrence in s = 1 - T, solved in the frame s**(-3k-1)
+    with its leftover equations r = 3k, 3k+4 and 3k+5 checked (module docstring).
     """
-    if k < 1:
-        raise ValueError("numerator polynomials exist for k >= 1")
-    # ascending calls find every lower A cached, so they nest at most two deep
-    return _wright_step([recover_ak(i) for i in range(1, k)])
+    return _poly.reflect(excess_split(k))

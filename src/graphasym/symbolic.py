@@ -72,6 +72,7 @@ class SymConst(Record):
         """The coefficient of xi."""
         return self.rat if self.is_xi else _ZERO
 
+    @lru_cache(maxsize=None)  # once per (constant, bits): the same call, and an mpf is immutable
     def evaluate(self, bits: int = 256) -> mpmath.mpf:
         with mpmath.workprec(bits):
             t = mpmath.mpf(self.rat.numerator) / self.rat.denominator

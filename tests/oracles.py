@@ -503,6 +503,11 @@ def _poly_scale_by_fractions(p: tuple, s) -> tuple:
     return tuple(c * s for c in p)
 
 
+def derivative(p: tuple) -> tuple[Fraction, ...]:
+    """p', trailing zeros stripped."""
+    return _strip_by_fractions(tuple(i * c for i, c in enumerate(p))[1:])
+
+
 def _theta_by_fractions(f: tuple, s: int) -> tuple:
     """Numerator of theta (f / (1-T)**s) = T (f' (1-T) + s f) / (1-T)**(s+2)."""
     deriv = _strip_by_fractions(tuple(i * c for i, c in enumerate(f))[1:]) if f else ()
@@ -513,10 +518,12 @@ def _theta_by_fractions(f: tuple, s: int) -> tuple:
 
 
 def wright_step_by_fractions(lower: list[tuple]) -> tuple[Fraction, ...]:
-    """A_{k+1} from A_1..A_k by Wright's recurrence, every operation on Fraction objects.
+    """A_{k+1} from A_1..A_k by Wright's recurrence in powers of T, every operation on Fraction objects.
 
-    The same steps as `graphs._wright_step`, including the check of the one
-    over-determined equation, which raises `VerificationFailure`.
+    The independent route to `graphs._split_step`, which runs the recurrence in
+    s = 1 - T: here W_i = A_i / (1-T)**(3i), the a_j come forwards in order, and
+    the one over-determined equation, at the top power of T, raises
+    `VerificationFailure` if it fails.
     """
     k = len(lower)
     thetas = [(Fraction(0),) * 3 + (Fraction(1, 2),)]

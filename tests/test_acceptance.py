@@ -144,7 +144,7 @@ def test_criterion_03_ak_values(emit):
     bad = []
     for k in range(1, 8):
         a = recover_ak(k)
-        at_one, prime_at_one = _poly.evaluate(a, 1), _poly.evaluate(_poly.derivative(a), 1)
+        at_one, prime_at_one = _poly.evaluate(a, 1), _poly.evaluate(oracles.derivative(a), 1)
         if at_one != AK_AT_ONE[k] or prime_at_one != AK_PRIME_AT_ONE[k]:
             bad.append(k)
     ok = not bad

@@ -30,7 +30,7 @@ from graphasym import _poly, assembly, graphs, ramanujan, treepoly
 from graphasym.assembly import expansion, normalization
 from graphasym.cli import main
 from graphasym.errors import CrosscheckFailure, VerificationFailure
-from graphasym.graphs import connected_rows
+from graphasym.graphs import connected_rows, excess_split
 from graphasym.ramanujan import q_asym, q_scaled
 
 import oracles
@@ -80,7 +80,7 @@ def test_decompositions_reproduce_counts_beyond_construction_check():
 def test_decompositions_pin_every_coefficient_of_a_k_up_to_k_9():
     # c(n, n+k) first sees a_j of A_k at n = j, and deg A_k = 3k + 2 <= 29, so
     # n <= 30 pins every coefficient; the n <= 12 run-time check in decompose()
-    # and Wright's leftover equation both miss some a_13.. for k >= 8, and its
+    # and Wright's leftover equations all miss some a_13.. for k >= 8, and its
     # A_k(1) check misses errors that cancel in the sum
     table = connected_counts(30, 9)
     for k in range(1, 10):
@@ -100,7 +100,7 @@ def test_the_leading_split_coefficients_are_the_log_e_coefficients():
 
 def test_the_slope_of_each_numerator_at_one_is_the_conjectured_series_coefficient():
     # A_k'(1) = [u**k] F(u)/E(u), a conjecture found by a fit (see oracles)
-    got = [_poly.evaluate(_poly.derivative(recover_ak(k)), 1) for k in range(1, 51)]
+    got = [_poly.evaluate(oracles.derivative(recover_ak(k)), 1) for k in range(1, 51)]
     assert got[:2] == [F(19, 24), F(65, 48)]
     assert got == oracles.ak_slopes_at_one(50)[1:]
 
@@ -112,7 +112,8 @@ def test_a_numerator_wrong_past_the_count_table_fails_decompose(monkeypatch, cap
     asym_c(k, 8)  # a row deeper than the command's, kept on the unpatched decompose(k)
     a = list(recover_ak(k))
     a[index] += 1
-    monkeypatch.setattr(assembly, "recover_ak", lambda j: tuple(a) if j == k else recover_ak(j))
+    wrong = _poly.reflect(tuple(a))
+    monkeypatch.setattr(assembly, "excess_split", lambda j: wrong if j == k else excess_split(j))
     decompose.cache_clear()
     asym_c.cache_clear()
     try:

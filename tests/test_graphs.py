@@ -1,14 +1,17 @@
-"""Exact connected-graph counts and the excess numerators A_k."""
+"""Exact connected-graph counts and the excess splits and numerators A_k."""
+import inspect
+import re
+import types
 from fractions import Fraction
 from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from graphasym import _poly, connected_counts, graphs, recover_ak
+from graphasym import _poly, assembly, connected_counts, graphs, recover_ak
 from graphasym.cli import main
 from graphasym.errors import VerificationFailure
-from graphasym.graphs import _wright_step, connected_rows
+from graphasym.graphs import connected_rows, excess_split
 
 import oracles
 
@@ -98,7 +101,7 @@ def test_recover_ak_table_values():
     for k in range(1, 8):
         a = recover_ak(k)
         assert _poly.evaluate(a, 1) == at_one[k]
-        assert _poly.evaluate(_poly.derivative(a), 1) == prime_at_one[k]
+        assert _poly.evaluate(oracles.derivative(a), 1) == prime_at_one[k]
 
 
 def test_recover_a1_polynomial():
@@ -108,24 +111,25 @@ def test_recover_a1_polynomial():
     assert _poly.evaluate(a, F(0)) == 0
 
 
-def test_wright_step_checks_its_leftover_equation():
-    a1 = recover_ak(1)
-    assert _wright_step([a1]) == recover_ak(2)
-    # one equation of the step is over-determined; a wrong top coefficient of
-    # A_1 leaves no A_2 that satisfies it
-    corrupted = a1[:-1] + (a1[-1] + 1,)
-    with pytest.raises(VerificationFailure, match="inconsistent at T"):
-        _wright_step([corrupted])
+def test_the_split_step_checks_its_leftover_equation():
+    g1 = excess_split(1)
+    assert graphs._split_step([_poly.over_one_denominator(g1)]) == excess_split(2)
+    # equation r = 3k+3 (s**-1) holds no unknown; a wrong top coefficient of
+    # gamma_1 leaves no gamma_2 that satisfies it
+    corrupted = g1[:-1] + (g1[-1] + 1,)
+    with pytest.raises(VerificationFailure, match=r"W_2 fails its leftover equation at s\*\*-1: "):
+        graphs._split_step([_poly.over_one_denominator(corrupted)])
 
 
-
-def test_wright_step_equals_the_fraction_object_step_for_a1_to_a12():
-    lower = []
+def test_the_split_step_re_expanded_equals_the_fraction_object_step_in_t_for_a1_to_a12():
+    splits = []
     for k in range(1, 13):
-        got = _wright_step(lower)
-        assert got == oracles.wright_step_by_fractions(lower) == recover_ak(k)
+        got = graphs._split_step([_poly.over_one_denominator(g) for g in splits])
         assert all(type(c) is F for c in got)
-        lower.append(got)
+        assert got == excess_split(k)
+        lower = [recover_ak(i) for i in range(1, k)]
+        assert _poly.reflect(got) == oracles.wright_step_by_fractions(lower) == recover_ak(k)
+        splits.append(got)
 
 
 @given(
@@ -137,18 +141,79 @@ def test_wright_step_equals_the_fraction_object_step_for_a1_to_a12():
     ),
 )
 @settings(max_examples=60, deadline=None)
-def test_wright_step_on_perturbed_input_equals_the_fraction_object_step(k, data, delta):
-    # a perturbed A_i (including one with a zero top coefficient) must give
-    # the same A_{k+1} or the same inconsistency report on both routes
+def test_the_split_step_on_perturbed_input_agrees_with_the_fraction_object_step_in_t(k, data, delta):
+    # a perturbed A_i (including one with a zero top coefficient) must give the
+    # same A_{k+1} on both routes, or make both raise
     lower = [list(recover_ak(i)) for i in range(1, k + 1)]
     i = data.draw(st.integers(min_value=0, max_value=k - 1))
     j = data.draw(st.integers(min_value=0, max_value=len(lower[i]) - 1))
     lower[i][j] += delta
     lower = [tuple(a) for a in lower]
     outcomes = []
-    for step in (_wright_step, oracles.wright_step_by_fractions):
+    splits = [_poly.over_one_denominator(_poly.reflect(a)) for a in lower]
+    for step, inputs in ((graphs._split_step, splits), (oracles.wright_step_by_fractions, lower)):
         try:
-            outcomes.append(step(lower))
-        except VerificationFailure as exc:
-            outcomes.append(str(exc))
-    assert outcomes[0] == outcomes[1]
+            outcomes.append(step(inputs))
+        except VerificationFailure:
+            outcomes.append(None)
+    assert (outcomes[0] and _poly.reflect(outcomes[0])) == outcomes[1]
+
+
+def _mutant_graphs(text: str, mutant: str):
+    """graphs.py with `text`, found once, replaced by `mutant`, as a new module object."""
+    source = inspect.getsource(graphs)
+    assert source.count(text) == 1
+    module = types.ModuleType(graphs.__name__)
+    module.__package__ = graphs.__package__
+    exec(compile(source.replace(text, mutant), graphs.__file__, "exec"), module.__dict__)
+    return module
+
+
+LEFTOVER = r"Wright's recurrence for W_\d+ fails its leftover equation at s\*\*{}: \S+ != \S+"
+CONSTANT = r"the split of W_1 has a z\*\*0 term: A_1\(0\) = \S+"
+
+
+# (text of graphs.py, its mutant, the message of `decompose --k 8`, and the power of s of
+# the leftover equation that the mutant's steps alone trip by k = 8, without the z**0 check)
+@pytest.mark.parametrize(
+    "text, mutant, message, power",
+    [
+        # one more in the top coefficient of the pair product theta W_0 theta W_k: the
+        # backward sweep solves it into gamma_{3k+3..3k+5}, whose sum shows it at once,
+        # and the next step's equation r = 3k+3 a step later
+        ("_poly.convolve(bi, bj), den", "[*_poly.convolve(bi, bj)[:-1], _poly.convolve(bi, bj)[-1] + (i == 0)], den",
+         CONSTANT, -1),
+        # one more in its coefficient at r = 3k+3, the leftover equation that holds gamma_{3k+2};
+        # one at r < 2k+3 dies out in the forward sweep by r = 2k+3, where gamma_{r-1} drops out
+        ("_poly.convolve(bi, bj), den", "[*(p := _poly.convolve(bi, bj))[:-4], p[-4] + (i == 0), *p[-3:]], den",
+         LEFTOVER.format(-1), -1),
+        # theta W_0 = T**4 / (2 (1-T)**2), one power of T too many: rhs runs past r = 3k+6
+        ("_THETA_W0 = ([1, -3, 3, -1], 2)", "_THETA_W0 = ([1, -4, 6, -4, 1], 2)", LEFTOVER.format(3), 3),
+        # k+4 for k+3, the divisor of the first backward equation, r = 3k+6
+        ("(r, r - 2 * k - 3, 3 * k + 3 - r)", "(r, r - 2 * k - 3 + (r == 3 * k + 6), 3 * k + 3 - r)", CONSTANT, -1),
+        # k+2 for k+1, the divisor of the last one, r = 3k+4, moves only gamma_{3k+3}, the
+        # s**0 term of W_{k+1}: no leftover equation reads it, nor the n <= 12 counts, as
+        # t_n(0) = 0 for n >= 1, but decompose prints it
+        ("(r, r - 2 * k - 3, 3 * k + 3 - r)", "(r, r - 2 * k - 3 + (r == 3 * k + 4), 3 * k + 3 - r)", CONSTANT, None),
+    ],
+    ids=["pair-product-top", "pair-product-at-3k+3", "theta-w0", "first-backward-divisor", "last-backward-divisor"],
+)
+def test_a_mutant_of_the_split_step_makes_decompose_exit_2(monkeypatch, capsys, text, mutant, message, power):
+    module = _mutant_graphs(text, mutant)
+    monkeypatch.setattr(assembly, "excess_split", module.excess_split)
+    assembly.decompose.cache_clear()
+    try:
+        assert main(["decompose", "--k", "8"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert re.fullmatch(f"verification error: {message}\n", err)
+    finally:
+        assembly.decompose.cache_clear()
+    splits = []
+    try:
+        for _ in range(8):
+            splits.append(_poly.over_one_denominator(module._split_step(splits)))
+    except VerificationFailure as exc:
+        assert re.fullmatch(LEFTOVER.format(power), str(exc))
+    else:
+        assert power is None
