@@ -7,9 +7,10 @@ canonical and degree() is len - 1.
 Arithmetic is exact.  The products behind this package's exact-rational
 layer run on integer numerators over one common denominator: a coefficient
 tuple goes to that form by `over_one_denominator`, `convolve` is the integer
-product kernel (shared with the truncated product of `series.Series`), and
-`add_into` accumulates integer multiples.  One Fraction is built per output
-coefficient, not one per product and sum.
+product kernel (shared with the truncated product of `series.Series`),
+`kronecker` the whole product of long integer lists in one multiplication,
+and `add_into` accumulates integer multiples.  One Fraction is built per
+output coefficient, not one per product and sum.
 """
 from __future__ import annotations
 
@@ -60,6 +61,28 @@ def convolve(a: Sequence[int], b: Sequence[int], size: int | None = None) -> lis
     return out
 
 
+def kronecker(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The whole product of two integer coefficient lists, by one multiplication of integers.
+
+    Kronecker substitution: each list is read as an integer at x = 2**(8w),
+    w bytes wide enough for any coefficient of the product with its sign, so
+    CPython's Karatsuba does the work; the product's coefficients are read
+    back from its bytes after adding 2**(8w-1) to each.
+    """
+    bits = max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length() + min(len(a), len(b)).bit_length()
+    w = bits // 8 + 1
+
+    def packed(c: Sequence[int]) -> int:
+        pos = b"".join((x if x > 0 else 0).to_bytes(w, "little") for x in c)
+        neg = b"".join((-x if x < 0 else 0).to_bytes(w, "little") for x in c)
+        return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+    n, half = len(a) + len(b) - 1, 1 << (8 * w - 1)
+    shifted = packed(a) * packed(b) + int.from_bytes((bytes(w - 1) + b"\x80") * n, "little")
+    digits = shifted.to_bytes(w * n, "little")
+    return [int.from_bytes(digits[i:i + w], "little") - half for i in range(0, w * n, w)]
+
+
 def add_into(acc: list[int], terms: Sequence[int], f: int) -> None:
     """acc += f * terms on integer coefficient lists, lengthening acc as needed."""
     acc += [0] * (len(terms) - len(acc))
@@ -73,12 +96,3 @@ def evaluate(p: Poly, x: Fraction | int) -> Fraction | int:
     for c in reversed(p):
         acc = acc * x + c
     return acc
-
-
-def reflect(p: Poly) -> Poly:
-    """p(1 - x): p(1 + x) by a Taylor shift on integer numerators (additions only), then x -> -x."""
-    c, d = over_one_denominator(p)
-    for i in range(len(c) - 1):
-        for j in range(len(c) - 2, i - 1, -1):
-            c[j] += c[j + 1]
-    return _strip(tuple(Fraction(-x if j % 2 else x, d) for j, x in enumerate(c)))

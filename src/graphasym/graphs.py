@@ -34,15 +34,20 @@ s**(-3k-4) the s**(r-3k-4) coefficients are the equations
 
 `_split_step` solves r <= 3k+2 forwards and r = 3k+6, 3k+5, 3k+4 backwards,
 and checks the three left over: r = 3k+3, which holds no gamma_{3k+3}, and
-r = 3k+7 and 3k+8, where rhs_r must vanish; `excess_split` also checks that
-W_{k+1} has no z**0 term.  It never reads the count table, the independent
-route that `assembly.decompose` checks the split against.
+r = 3k+7 and 3k+8, where rhs_r must vanish; `_split` caches each split as
+integer numerators over one denominator and checks that W_{k+1} has no z**0
+term.  The pair products theta W_i theta W_j, most of the work at large k,
+are one integer multiplication each (`_poly.kronecker`).  The run never
+reads the count table, the independent route that `assembly.decompose`
+checks the split against.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm
+from itertools import accumulate
+from math import comb, gcd, lcm
+from typing import Sequence
 
 from . import _poly
 from ._poly import Poly
@@ -122,82 +127,103 @@ def connected_counts(n_max: int, k_max: int) -> CountTable:
     return CountTable(n_max, k_max, connected_rows(n_max, n_max + max(k_max, 0)))
 
 
-_THETA_W0 = ([1, -3, 3, -1], 2)  # theta W_0 = (1-s)**3 / (2 s**2), numerators over 2 in the frame s**-2
-_numerators = lru_cache(maxsize=None)(lambda k: _poly.over_one_denominator(excess_split(k)))
+_THETA_W0 = ([1, -3, 3, -1], 2)  # theta W_0 = (1-s)**3 / (2 s**2): numerators over 2 in the frame s**-2
 
 
-def _split_step(lower: list[tuple[list[int], int]]) -> Poly:
-    """gamma_{k+1,0..3k+5} from gamma_1..gamma_k (k = len(lower)), each as numerators over a denominator.
+def _theta_in_s(c: Sequence[int], f: int) -> list[int]:
+    """theta of sum_r c_r s**(r-f), as its s**(r-f-2) coefficients (f-r) c_r - (f+1-r) c_{r-1}."""
+    padded = [0, *c, 0]
+    return [(f - r) * padded[r + 1] - (f + 1 - r) * padded[r] for r in range(len(c) + 1)]
 
-    theta W_i = sum_r b_{i,r} s**(r-3i-2), b_{i,r} = (3i-r) gamma_{i,r} - (3i+1-r) gamma_{i,r-1}.
-    rhs stops at r = 3k+6 when every b_i has its due length, so r = 3k+7 and
-    3k+8 see only a term past it (a wrong b_0, say); a wrong value below the
-    top shows only where it reaches a leftover equation.  On integers: b_i over
-    d_i, the denominator of gamma_i (d_0 = 2), rhs over the lcm `den` of
-    d_k and each d_i d_{k-i}, each unknown over 2 den times its sweep's divisors.
+
+def _split_step(lower: list[tuple[Sequence[int], int]]) -> tuple[tuple[int, ...], int]:
+    """gamma_{k+1,0..3k+5} from gamma_1..gamma_k (k = len(lower)), each as numerators over one denominator.
+
+    theta W_i has numerators b_i over d_i, the denominator of gamma_i (d_0 = 2),
+    and rhs is over the lcm `den` of d_k and each d_i d_{k-i}.  rhs stops at
+    r = 3k+6 when every b_i has its due length, so r = 3k+7 and 3k+8 see only a
+    term past it (a wrong b_0, say); a wrong value below the top shows only
+    where it reaches a leftover equation.  Each sweep keeps x_r as
+    num_r / (2 den run_r), run_r the product of its divisors so far.  Over
+    D = 2 den R, R the product of all of them, the gcd of D and every numerator
+    leaves the least common denominator, since lcm_r(D / g_r) = D / gcd_r(g_r).
     """
     k = len(lower)
-
-    def theta(c: list[int], f: int) -> list[int]:  # of sum_r c_r s**(r-f), in the frame s**(-f-2)
-        return [(f - r) * cr - (f + 1 - r) * before for r, (cr, before) in enumerate(zip([*c, 0], [0, *c]))]
-
-    thetas, nums = [_THETA_W0], []
-    for i, (nums, d) in enumerate(lower, 1):
-        thetas.append((theta(nums, 3 * i), d))
+    thetas = [_THETA_W0] + [(_theta_in_s(nums, 3 * i), d) for i, (nums, d) in enumerate(lower, 1)]
     b, db = thetas[k]
-    rhs = theta(b, 3 * k + 2)  # theta**2 W_k - 3 theta W_k - 2k W_k, over d_k
+    rhs = _theta_in_s(b, 3 * k + 2)  # theta**2 W_k - 3 theta W_k - 2k W_k, over d_k
     _poly.add_into(rhs, [0, 0, *b], -3)
-    _poly.add_into(rhs, [0, 0, 0, 0, *nums], -2 * k)  # nums: gamma_k over d_k from the loop's last pass, or none
+    if k:
+        _poly.add_into(rhs, [0, 0, 0, 0, *lower[-1][0]], -2 * k)
     pairs = [(i, k - i) for i in range(k // 2 + 1)]
     den = lcm(db, *(thetas[i][1] * thetas[j][1] for i, j in pairs))
     rhs = [c * (den // db) for c in rhs]
     for i, j in pairs:
         (bi, di), (bj, dj) = thetas[i], thetas[j]
-        _poly.add_into(rhs, _poly.convolve(bi, bj), den // (di * dj) * (1 if i == j else 2))
+        _poly.add_into(rhs, _poly.kronecker(bi, bj), den // (di * dj) * (1 if i == j else 2))
     rhs += [0] * (3 * k + 9 - len(rhs))
 
-    def sweep(rows):  # x = num / (2 den run) from 2 (pivot x + other x_before) = rhs_r / den
-        num, run, out = 0, 1, []
+    def sweep(rows):
+        """(num_r, run_r) for each row (r, pivot, other): 2 (pivot x_r + other x_before) = rhs_r / den."""
+        num, run, solved = 0, 1, []
         for r, pivot, other in rows:
             num = rhs[r] * run - other * num
             run *= pivot
-            out.append(Fraction(num, 2 * den * run))
-        return out, num, run
+            solved.append((num, run))
+        return solved
 
     # equation r holds (3k+3-r) gamma_r and (r-2k-3) gamma_{r-1}
-    head, num, run = sweep([(r, 3 * k + 3 - r, r - 2 * k - 3) for r in range(3 * k + 3)])
-    tail = sweep([(r, r - 2 * k - 3, 3 * k + 3 - r) for r in range(3 * k + 6, 3 * k + 3, -1)])[0]
+    head = sweep([(r, 3 * k + 3 - r, r - 2 * k - 3) for r in range(3 * k + 3)])
+    tail = sweep([(r, r - 2 * k - 3, 3 * k + 3 - r) for r in range(3 * k + 6, 3 * k + 3, -1)])
+    num, run = head[-1]
     leftover = [(r, 0) for r in range(3 * k + 7, len(rhs))] + [(3 * k + 3, Fraction(k * num, den * run))]
     for r, lhs in leftover:
         if lhs != Fraction(rhs[r], den):
-            raise VerificationFailure(f"Wright's recurrence for W_{k + 1} fails its leftover equation "
-                                      f"at s**{r - 3 * k - 4}: {lhs} != {Fraction(rhs[r], den)}")
-    return tuple(head + tail[::-1])
+            raise VerificationFailure(
+                f"Wright's recurrence for W_{k + 1} fails its leftover equation "
+                f"at s**{r - 3 * k - 4}: {lhs} != {Fraction(rhs[r], den)}"
+            )
+    total = run * tail[-1][1]
+    nums = [num * (total // run) for num, run in head + tail[::-1]]
+    g = gcd(2 * den * total, *nums)
+    return tuple(num // g for num in nums), 2 * den * total // g
 
 
 @lru_cache(maxsize=None)
-def excess_split(k: int) -> Poly:
-    """gamma_{k,0..3k+2}: W_k = sum_j gamma_j s**(j-3k), s = 1 - T, by `_split_step` from gamma_1..gamma_{k-1}.
+def _split(k: int) -> tuple[tuple[int, ...], int]:
+    """gamma_{k,0..3k+2} as integer numerators over their least common denominator.
 
-    Term j is t_n(3k-j) in `assembly.decompose`; gamma_0 = A_k(1) and gamma_1 = -A_k'(1).
     W_k has no z**0 term, so sum_j gamma_j = A_k(0) must vanish (`VerificationFailure`
-    if not).  Only this sees gamma_{3k}, the s**0 term, which the step solves from one
-    equation that no leftover equation reads, and whose t_n(0) is 0 at every n >= 1.
+    if not).  Only this sees gamma_{k,3k}, the s**0 term, which the step solves from
+    one equation that no leftover equation reads, and whose t_n(0) is 0 at every n >= 1.
     """
     if k < 1:
         raise ValueError("numerator polynomials exist for k >= 1")
     # ascending calls find every lower split cached, so they nest at most two deep
-    gamma = _split_step([_numerators(i) for i in range(1, k)])
-    if sum(gamma) != 0:
-        raise VerificationFailure(f"the split of W_{k} has a z**0 term: A_{k}(0) = {sum(gamma)}")
-    return gamma
+    nums, den = _split_step([_split(i) for i in range(1, k)])
+    if sum(nums) != 0:
+        raise VerificationFailure(f"the split of W_{k} has a z**0 term: A_{k}(0) = {Fraction(sum(nums), den)}")
+    return nums, den
+
+
+def excess_split(k: int) -> Poly:
+    """gamma_{k,0..3k+2}: W_k = sum_j gamma_j s**(j-3k) with s = 1 - T, from Wright's recurrence run in s.
+
+    Term j is t_n(3k-j) in `assembly.decompose`; gamma_0 = A_k(1) and gamma_1 = -A_k'(1).
+    """
+    nums, den = _split(k)
+    return tuple(Fraction(c, den) for c in nums)
 
 
 @lru_cache(maxsize=None)
 def recover_ak(k: int) -> Poly:
-    """A_k(T) = W_k (1-T)**(3k) = sum_j gamma_j (1-T)**j, of degree 3k+2, from `excess_split(k)`.
+    """A_k(T) = W_k (1-T)**(3k) = sum_j gamma_j (1-T)**j, of degree 3k+2, from the split of W_k.
 
-    The split is Wright's recurrence in s = 1 - T, solved in the frame s**(-3k-1)
-    with its leftover equations r = 3k, 3k+4 and 3k+5 checked (module docstring).
+    The Taylor shift runs on the split's integer numerators: pass i replaces
+    c_i.. by their suffix sums, which leaves p(1+x), and x -> -x gives p(1-x).
     """
-    return _poly.reflect(excess_split(k))
+    nums, den = _split(k)
+    c = list(nums)
+    for i in range(len(c) - 1):
+        c[i:] = list(accumulate(reversed(c[i:])))[::-1]
+    return _poly._strip(tuple(Fraction(-x if j % 2 else x, den) for j, x in enumerate(c)))

@@ -508,6 +508,13 @@ def derivative(p: tuple) -> tuple[Fraction, ...]:
     return _strip_by_fractions(tuple(i * c for i, c in enumerate(p))[1:])
 
 
+def reflect(p: tuple) -> tuple[Fraction, ...]:
+    """p(1 - x) by the binomial sum sum_i p_i (1 - x)**i, trailing zeros stripped."""
+    return _strip_by_fractions(tuple(
+        Fraction((-1) ** j * sum(comb(i, j) * p[i] for i in range(j, len(p)))) for j in range(len(p))
+    ))
+
+
 def _theta_by_fractions(f: tuple, s: int) -> tuple:
     """Numerator of theta (f / (1-T)**s) = T (f' (1-T) + s f) / (1-T)**(s+2)."""
     deriv = _strip_by_fractions(tuple(i * c for i, c in enumerate(f))[1:]) if f else ()

@@ -112,7 +112,7 @@ def test_a_numerator_wrong_past_the_count_table_fails_decompose(monkeypatch, cap
     asym_c(k, 8)  # a row deeper than the command's, kept on the unpatched decompose(k)
     a = list(recover_ak(k))
     a[index] += 1
-    wrong = _poly.reflect(tuple(a))
+    wrong = oracles.reflect(tuple(a))
     monkeypatch.setattr(assembly, "excess_split", lambda j: wrong if j == k else excess_split(j))
     decompose.cache_clear()
     asym_c.cache_clear()

@@ -112,24 +112,26 @@ def test_recover_a1_polynomial():
 
 
 def test_the_split_step_checks_its_leftover_equation():
-    g1 = excess_split(1)
-    assert graphs._split_step([_poly.over_one_denominator(g1)]) == excess_split(2)
+    g1 = graphs._split(1)
+    assert graphs._split_step([g1]) == graphs._split(2)
     # equation r = 3k+3 (s**-1) holds no unknown; a wrong top coefficient of
     # gamma_1 leaves no gamma_2 that satisfies it
-    corrupted = g1[:-1] + (g1[-1] + 1,)
+    nums, den = g1
+    corrupted = (nums[:-1] + (nums[-1] + den,), den)
     with pytest.raises(VerificationFailure, match=r"W_2 fails its leftover equation at s\*\*-1: "):
-        graphs._split_step([_poly.over_one_denominator(corrupted)])
+        graphs._split_step([corrupted])
 
 
 def test_the_split_step_re_expanded_equals_the_fraction_object_step_in_t_for_a1_to_a12():
     splits = []
     for k in range(1, 13):
-        got = graphs._split_step([_poly.over_one_denominator(g) for g in splits])
-        assert all(type(c) is F for c in got)
+        nums, den = graphs._split_step(splits)
+        got = tuple(F(c, den) for c in nums)
+        assert _poly.over_one_denominator(got) == (list(nums), den)  # den is the least common one
         assert got == excess_split(k)
         lower = [recover_ak(i) for i in range(1, k)]
-        assert _poly.reflect(got) == oracles.wright_step_by_fractions(lower) == recover_ak(k)
-        splits.append(got)
+        assert oracles.reflect(got) == oracles.wright_step_by_fractions(lower) == recover_ak(k)
+        splits.append((nums, den))
 
 
 @given(
@@ -149,14 +151,16 @@ def test_the_split_step_on_perturbed_input_agrees_with_the_fraction_object_step_
     j = data.draw(st.integers(min_value=0, max_value=len(lower[i]) - 1))
     lower[i][j] += delta
     lower = [tuple(a) for a in lower]
-    outcomes = []
-    splits = [_poly.over_one_denominator(_poly.reflect(a)) for a in lower]
-    for step, inputs in ((graphs._split_step, splits), (oracles.wright_step_by_fractions, lower)):
-        try:
-            outcomes.append(step(inputs))
-        except VerificationFailure:
-            outcomes.append(None)
-    assert (outcomes[0] and _poly.reflect(outcomes[0])) == outcomes[1]
+    try:
+        nums, den = graphs._split_step([_poly.over_one_denominator(oracles.reflect(a)) for a in lower])
+        via_s = oracles.reflect(tuple(F(c, den) for c in nums))
+    except VerificationFailure:
+        via_s = None
+    try:
+        via_t = oracles.wright_step_by_fractions(lower)
+    except VerificationFailure:
+        via_t = None
+    assert via_s == via_t
 
 
 def _mutant_graphs(text: str, mutant: str):
@@ -181,11 +185,11 @@ CONSTANT = r"the split of W_1 has a z\*\*0 term: A_1\(0\) = \S+"
         # one more in the top coefficient of the pair product theta W_0 theta W_k: the
         # backward sweep solves it into gamma_{3k+3..3k+5}, whose sum shows it at once,
         # and the next step's equation r = 3k+3 a step later
-        ("_poly.convolve(bi, bj), den", "[*_poly.convolve(bi, bj)[:-1], _poly.convolve(bi, bj)[-1] + (i == 0)], den",
+        ("_poly.kronecker(bi, bj), den", "[*_poly.kronecker(bi, bj)[:-1], _poly.kronecker(bi, bj)[-1] + (i == 0)], den",
          CONSTANT, -1),
         # one more in its coefficient at r = 3k+3, the leftover equation that holds gamma_{3k+2};
         # one at r < 2k+3 dies out in the forward sweep by r = 2k+3, where gamma_{r-1} drops out
-        ("_poly.convolve(bi, bj), den", "[*(p := _poly.convolve(bi, bj))[:-4], p[-4] + (i == 0), *p[-3:]], den",
+        ("_poly.kronecker(bi, bj), den", "[*(p := _poly.kronecker(bi, bj))[:-4], p[-4] + (i == 0), *p[-3:]], den",
          LEFTOVER.format(-1), -1),
         # theta W_0 = T**4 / (2 (1-T)**2), one power of T too many: rhs runs past r = 3k+6
         ("_THETA_W0 = ([1, -3, 3, -1], 2)", "_THETA_W0 = ([1, -4, 6, -4, 1], 2)", LEFTOVER.format(3), 3),
@@ -212,7 +216,7 @@ def test_a_mutant_of_the_split_step_makes_decompose_exit_2(monkeypatch, capsys, 
     splits = []
     try:
         for _ in range(8):
-            splits.append(_poly.over_one_denominator(module._split_step(splits)))
+            splits.append(module._split_step(splits))
     except VerificationFailure as exc:
         assert re.fullmatch(LEFTOVER.format(power), str(exc))
     else:
