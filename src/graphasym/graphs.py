@@ -219,8 +219,11 @@ def excess_split(k: int) -> Poly:
 def recover_ak(k: int) -> Poly:
     """A_k(T) = W_k (1-T)**(3k) = sum_j gamma_j (1-T)**j, of degree 3k+2, from the split of W_k.
 
-    The Taylor shift runs on the split's integer numerators: pass i replaces
-    c_i.. by their suffix sums, which leaves p(1+x), and x -> -x gives p(1-x).
+    The split is Wright's recurrence run in s = 1 - T, whose step to W_k is
+    solved in the frame s**(-3k-1) with its leftover equations r = 3k, 3k+4
+    and 3k+5 checked (module docstring).  The Taylor shift runs on the split's
+    integer numerators: pass i replaces c_i.. by their suffix sums, which
+    leaves p(1+x), and x -> -x gives p(1-x).
     """
     nums, den = _split(k)
     c = list(nums)

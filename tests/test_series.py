@@ -122,6 +122,13 @@ def test_integer_kernels_equal_the_fraction_object_loops(p, q):
         assert all(type(c) is Fraction for c in got.coeffs())
 
 
+def test_kronecker_leaves_room_for_a_sum_of_many_full_products():
+    # every coefficient at the largest magnitude: the middle one, -200 m**2, needs
+    # the bits of the length on top of those of the two coefficients
+    m = 2**64 - 1
+    assert _poly.kronecker([m] * 200, [-m] * 200) == _poly.convolve([m] * 200, [-m] * 200)
+
+
 @given(_with_zero_runs, _with_zero_runs, st.integers(min_value=0, max_value=30))
 @settings(max_examples=150, deadline=None)
 def test_convolve_over_one_denominator_equals_the_fraction_product(p, q, size):
@@ -132,5 +139,8 @@ def test_convolve_over_one_denominator_equals_the_fraction_product(p, q, size):
     full = _poly.convolve(pn, qn)
     product = _poly._strip(tuple(F(n, pd * qd) for n in full))
     assert product == oracles.poly_mul_by_fractions(tuple(p), tuple(q))
+    # the Kronecker product is the same list, with small coefficients and with wide ones
+    assert _poly.kronecker(pn, qn) == full
+    assert _poly.kronecker([c << 200 for c in pn], qn) == [c << 200 for c in full]
     # a truncated product is the head of the full one, padded with zeros
     assert _poly.convolve(pn, qn, size) == (full + [0] * size)[:size]
