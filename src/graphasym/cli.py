@@ -20,12 +20,13 @@ in-process caller of `main` keeps its heap frozen.
 """
 from __future__ import annotations
 
-import argparse
 import csv
 import gc
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Callable, Sequence
 
 import mpmath
@@ -41,7 +42,7 @@ def _writer(stream):
     return csv.writer(stream, lineterminator="\n")
 
 
-def _emit(args: argparse.Namespace, rows, document: Callable[[], object]) -> int:
+def _emit(args: SimpleNamespace, rows, document: Callable[[], object]) -> int:
     """Print `rows` (header first) as CSV, or under --output json what `document()` returns.
 
     `document` is called only for JSON, so a value is turned into text once.
@@ -93,7 +94,7 @@ def _errata_exit(results: dict[str, bool]) -> int:
     return 2
 
 
-def _cmd_count(args: argparse.Namespace) -> int:
+def _cmd_count(args: SimpleNamespace) -> int:
     table = connected_counts(args.n_max, args.k_max)
     return _emit(args, _count_rows(table), lambda: {
         "n_max": table.n_max,
@@ -104,7 +105,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
     })
 
 
-def _cmd_q(args: argparse.Namespace) -> int:
+def _cmd_q(args: SimpleNamespace) -> int:
     if args.n_max < 1:
         raise ValueError("q needs --n-max >= 1")
     values = [(n, q_exact(n)) for n in range(1, args.n_max + 1)]
@@ -113,7 +114,7 @@ def _cmd_q(args: argparse.Namespace) -> int:
     })
 
 
-def _cmd_tpoly(args: argparse.Namespace) -> int:
+def _cmd_tpoly(args: SimpleNamespace) -> int:
     if args.n_max < 1:
         raise ValueError("tpoly needs --n-max >= 1")
     values = [(n, args.y, t_value(n, args.y)) for n in range(1, args.n_max + 1)]
@@ -122,7 +123,7 @@ def _cmd_tpoly(args: argparse.Namespace) -> int:
     })
 
 
-def _cmd_decompose(args: argparse.Namespace) -> int:
+def _cmd_decompose(args: SimpleNamespace) -> int:
     dec = assembly.decompose(args.k)
     rows = [("part", "index", "coefficient")]
     rows += [("t", l, b) for l, b in dec.beta]
@@ -136,7 +137,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     })
 
 
-def _cmd_asym(args: argparse.Namespace) -> int:
+def _cmd_asym(args: SimpleNamespace) -> int:
     rows = _expansion_rows(args.which, (args.k,), args.depth)
     return _emit(args, rows, lambda: {
         "kind": args.which,
@@ -146,7 +147,7 @@ def _cmd_asym(args: argparse.Namespace) -> int:
     })
 
 
-def _cmd_fit(args: argparse.Namespace) -> int:
+def _cmd_fit(args: SimpleNamespace) -> int:
     if args.max_denominator < 1:
         raise ValueError("fit needs --max-denominator >= 1")
     result = fitting.lsq_fit(
@@ -172,7 +173,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     })
 
 
-def _cmd_compare(args: argparse.Namespace) -> int:
+def _cmd_compare(args: SimpleNamespace) -> int:
     if args.n_min < 1:
         raise ValueError("compare needs --n-min >= 1")
     if args.n_max < args.n_min:
@@ -210,7 +211,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return _emit(args, [header] + out_rows, lambda: {"columns": header, "rows": out_rows})
 
 
-def _cmd_errata(args: argparse.Namespace) -> int:
+def _cmd_errata(args: SimpleNamespace) -> int:
     from . import errata
     results = errata.verify_all()
     _emit(args, _errata_rows(results), lambda: [
@@ -262,7 +263,7 @@ def _tables_manifest() -> tuple[list[tuple[str, list]], dict[str, bool]]:
     return files, results
 
 
-def _cmd_tables(args: argparse.Namespace) -> int:
+def _cmd_tables(args: SimpleNamespace) -> int:
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     files, results = _tables_manifest()
@@ -275,7 +276,7 @@ def _cmd_tables(args: argparse.Namespace) -> int:
     return _errata_exit(results)
 
 
-_HANDLERS: dict[str, Callable[[argparse.Namespace], int]] = {
+_HANDLERS: dict[str, Callable[[SimpleNamespace], int]] = {
     "count": _cmd_count,
     "q": _cmd_q,
     "tpoly": _cmd_tpoly,
@@ -289,87 +290,123 @@ _HANDLERS: dict[str, Callable[[argparse.Namespace], int]] = {
 }
 
 
-class _Parser(argparse.ArgumentParser):
-    """Reports bad arguments in one stderr line, without the usage block."""
-
-    def error(self, message: str):
-        self.exit(2, f"{self.prog}: error: {message}\n")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="graphasym",
-        description="Exact and asymptotic enumeration of connected labelled graphs by excess.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("count", help="exact connected counts c(n, m)")
-    p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--k-max", type=int, default=2)
-
-    p = sub.add_parser("q", help="exact values of Ramanujan's Q-function")
-    p.add_argument("--n-max", type=int, required=True)
-
-    p = sub.add_parser("tpoly", help="exact tree polynomial values t_n(y)")
-    p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--y", type=int, required=True)
-
-    p = sub.add_parser("decompose", help="tree-polynomial split of c(n, n+k)")
-    p.add_argument("--k", type=int, required=True)
-
-    p = sub.add_parser("asym", help="expansion rows for connected or all graphs")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument(
-        "--depth",
-        type=int,
-        default=5,
-        help="half-power rows below the leading one; for --which total, powers of 1/n "
-        "(2*depth+2 half-power rows)",
-    )
-    p.add_argument("--which", choices=("connected", "total"), default="connected")
-
-    p = sub.add_parser("prob", help="expansion of the connectedness probability")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--depth", type=int, default=4)
-    p.set_defaults(which="probability")
-
-    p = sub.add_parser("fit", help="least-squares coefficient recovery")
-    p.add_argument("--k", type=int, default=0)
-    p.add_argument("--degree", type=int, default=6)
-    p.add_argument("--n-min", type=int, default=100)
-    p.add_argument("--n-max", type=int, default=1000)
-    p.add_argument("--precision-bits", type=int, default=256)
-    p.add_argument("--max-denominator", type=int, default=10000)
-
-    p = sub.add_parser("compare", help="exact values against truncated expansions")
-    p.add_argument("--k", type=int, default=0)
-    p.add_argument("--which", choices=("connected", "total", "probability"), default="connected")
-    p.add_argument(
-        "--depths", type=str, default="1,3,5",
-        help="truncation depths, each in half-power slots below the leading one for every "
-        "--which; the total expansion has only integer powers of 1/n, so there an odd "
-        "depth adds no term and the default 1,3,5 keeps 1, 2 and 3 terms",
-    )
-    p.add_argument("--n-min", type=int, default=16)
-    p.add_argument("--n-max", type=int, default=4096)
-    p.add_argument(
-        "--precision-bits", type=int, default=256,
-        help="working precision; the exact column is c/g rounded once at it",
-    )
-
-    sub.add_parser("errata", help="corrections to commonly printed values")
-
-    for sp in sub.choices.values():
-        sp.add_argument("--output", choices=("csv", "json"), default="csv")
-
-    # tables writes CSV files and prints their paths, so it takes no --output; with
-    # abbreviations allowed, argparse would read --output as --output-dir
-    p = sub.add_parser("tables", help="write every canonical table as CSV", allow_abbrev=False)
-    p.add_argument("--output-dir", type=str, default="tables")
-    return parser
+# Every command: its help line, the attributes it fixes, and its options as
+# (flag, int or str or a tuple of choices, default[, help text]), where a
+# default of None marks a required option.
+_OUTPUT = ("--output", ("csv", "json"), "csv")
+_COMMANDS = {
+    "count": ("exact connected counts c(n, m)", {}, [("--n-max", int, None), ("--k-max", int, 2), _OUTPUT]),
+    "q": ("exact values of Ramanujan's Q-function", {}, [("--n-max", int, None), _OUTPUT]),
+    "tpoly": ("exact tree polynomial values t_n(y)", {}, [("--n-max", int, None), ("--y", int, None), _OUTPUT]),
+    "decompose": ("tree-polynomial split of c(n, n+k)", {}, [("--k", int, None), _OUTPUT]),
+    "asym": ("expansion rows for connected or all graphs", {}, [
+        ("--k", int, None),
+        ("--depth", int, 5, "half-power rows below the leading one; for --which total, powers of 1/n "
+         "(2*depth+2 half-power rows)"),
+        ("--which", ("connected", "total"), "connected"),
+        _OUTPUT,
+    ]),
+    "prob": ("expansion of the connectedness probability", {"which": "probability"}, [
+        ("--k", int, None), ("--depth", int, 4), _OUTPUT,
+    ]),
+    "fit": ("least-squares coefficient recovery", {}, [
+        ("--k", int, 0), ("--degree", int, 6), ("--n-min", int, 100), ("--n-max", int, 1000),
+        ("--precision-bits", int, 256), ("--max-denominator", int, 10000), _OUTPUT,
+    ]),
+    "compare": ("exact values against truncated expansions", {}, [
+        ("--k", int, 0),
+        ("--which", ("connected", "total", "probability"), "connected"),
+        ("--depths", str, "1,3,5", "truncation depths, each in half-power slots below the leading one for "
+         "every --which; the total expansion has only integer powers of 1/n, so there an odd depth adds "
+         "no term and the default 1,3,5 keeps 1, 2 and 3 terms"),
+        ("--n-min", int, 16),
+        ("--n-max", int, 4096),
+        ("--precision-bits", int, 256, "working precision; the exact column is c/g rounded once at it"),
+        _OUTPUT,
+    ]),
+    "errata": ("corrections to commonly printed values", {}, [_OUTPUT]),
+    # writes CSV files and prints their paths, so it takes no --output
+    "tables": ("write every canonical table as CSV", {}, [("--output-dir", str, "tables")]),
+}
+_NEGATIVE_NUMBER = re.compile(r"-\d+|-\d*\.\d+")
 
 
-def dispatch(args: argparse.Namespace) -> int:
+def _fail(prog: str, message: str):
+    print(f"{prog}: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _is_option(token: str) -> bool:
+    """A dash word, but not a lone "-", a negative number or a phrase with a space."""
+    return len(token) > 1 and token[0] == "-" and " " not in token and not _NEGATIVE_NUMBER.fullmatch(token)
+
+
+def _print_help(command: str | None):
+    import textwrap  # here only: no other path formats help
+    if command is None:
+        print("usage: graphasym <command> [options]; graphasym <command> --help lists its options\n")
+        print("\n".join(f"  {name:<11}{about}" for name, (about, _, _) in _COMMANDS.items()))
+    else:
+        about, _, options = _COMMANDS[command]
+        print(f"usage: graphasym {command} [options]: {about}\n\n  -h, --help  show this help and exit")
+        for flag, kind, default, *text in options:
+            metavar = "{" + ",".join(kind) + "}" if isinstance(kind, tuple) else kind.__name__.upper()
+            text.append("(required)" if default is None else f"(default: {default})")
+            print(textwrap.fill(" ".join([f"  {flag} {metavar} ", *text]), 79, subsequent_indent=" " * 6))
+    raise SystemExit(0)
+
+
+def parse_args(argv: Sequence[str]) -> SimpleNamespace:
+    """`argv` read against _COMMANDS; --help and bad arguments raise SystemExit (0 and 2),
+    a bad one after printing `<prog>: error: <message>` on stderr."""
+    tokens = iter(argv)
+    extras = []
+    for command in tokens:
+        if command in ("-h", "--help"):
+            _print_help(None)
+        if command == "--" or not _is_option(command):
+            break
+        extras.append(command)
+    else:
+        _fail("graphasym", "the following arguments are required: command")
+    if command not in _COMMANDS:
+        choices = ", ".join(map(repr, _COMMANDS))
+        _fail("graphasym", f"argument command: invalid choice: {command!r} (choose from {choices})")
+    _, fixed, options = _COMMANDS[command]
+    prog = f"graphasym {command}"
+    kinds = {flag: kind for flag, kind, *_ in options}
+    values = {flag: default for flag, _, default, *_ in options}
+    for token in tokens:
+        if token in ("-h", "--help"):
+            _print_help(command)
+        flag, eq, value = token.partition("=")
+        if token == "--":  # what follows is positional, and no command takes any
+            extras += [token, *tokens]
+        elif flag not in kinds:
+            extras.append(token)
+        else:
+            if not eq:  # the next token, unless it reads as a flag; none reads as "--"
+                value = next(tokens, "--")
+                if value.partition("=")[0] in kinds or _is_option(value):
+                    _fail(prog, f"argument {flag}: expected one argument")
+            kind = kinds[flag]
+            if kind is int:
+                try:
+                    value = int(value)
+                except ValueError:
+                    _fail(prog, f"argument {flag}: invalid int value: {value!r}")
+            elif kind is not str and value not in kind:
+                _fail(prog, f"argument {flag}: invalid choice: {value!r} (choose from {', '.join(map(repr, kind))})")
+            values[flag] = value
+    missing = [flag for flag, value in values.items() if value is None]
+    if missing:
+        _fail(prog, f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        _fail("graphasym", f"unrecognized arguments: {' '.join(extras)}")
+    return SimpleNamespace(command=command, **fixed, **{f[2:].replace("-", "_"): v for f, v in values.items()})
+
+
+def dispatch(args: SimpleNamespace) -> int:
     try:
         return _HANDLERS[args.command](args)
     except (ValueError, InsufficientPoints, IllConditioned, OSError) as exc:
@@ -385,9 +422,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
     gc.freeze()  # the import heap lives until exit: no collection walks it again
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = parse_args(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     return dispatch(ns)

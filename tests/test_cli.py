@@ -15,7 +15,8 @@ from hypothesis import given, settings, strategies as st
 import graphasym
 from graphasym import assembly, errata, fitting, q_exact, ramanujan, treepoly
 from graphasym.assembly import normalization
-from graphasym.cli import build_parser, main
+from graphasym import cli
+from graphasym.cli import main
 
 import oracles
 
@@ -349,16 +350,63 @@ def test_help_exits_cleanly(capsys):
     assert "count" in out and "errata" in out
 
 
-def test_parser_covers_all_commands():
-    parser = build_parser()
-    sub = next(
-        a for a in parser._actions if isinstance(a, type(parser._actions[-1]))
-        and hasattr(a, "choices") and a.choices
-    )
-    assert set(sub.choices) == {
+def test_the_command_table_and_the_handlers_name_the_same_commands():
+    assert list(cli._COMMANDS) == [
         "count", "q", "tpoly", "decompose", "asym", "prob",
-        "fit", "compare", "tables", "errata",
-    }
+        "fit", "compare", "errata", "tables",
+    ]
+    assert set(cli._HANDLERS) == set(cli._COMMANDS)
+
+
+@pytest.mark.parametrize("argv, err", [
+    ([], "graphasym: error: the following arguments are required: command"),
+    (["bogus"], "graphasym: error: argument command: invalid choice: 'bogus' (choose from "
+     "'count', 'q', 'tpoly', 'decompose', 'asym', 'prob', 'fit', 'compare', 'errata', 'tables')"),
+    (["count", "--n-max", "x"], "graphasym count: error: argument --n-max: invalid int value: 'x'"),
+    (["count"], "graphasym count: error: the following arguments are required: --n-max"),
+    (["tables", "--output", "json"], "graphasym: error: unrecognized arguments: --output json"),
+    (["asym", "--k", "1", "--which", "foo"],
+     "graphasym asym: error: argument --which: invalid choice: 'foo' (choose from 'connected', 'total')"),
+    (["asym", "--k"], "graphasym asym: error: argument --k: expected one argument"),
+    # a token that starts with -- is never a value
+    (["asym", "--k", "--depth", "2"], "graphasym asym: error: argument --k: expected one argument"),
+    # whole option names only; the missing required option is reported before the unknown one
+    (["count", "--n-m", "3"], "graphasym count: error: the following arguments are required: --n-max"),
+    (["count", "--n-max", "3", "--k-m", "1"], "graphasym: error: unrecognized arguments: --k-m 1"),
+    (["tpoly"], "graphasym tpoly: error: the following arguments are required: --n-max, --y"),
+    (["count", "--n-max", "3", "--", "4"], "graphasym: error: unrecognized arguments: -- 4"),
+])
+def test_argument_errors_are_argparse_s_lines(capsys, argv, err):
+    assert run(capsys, *argv) == (1, "", err + "\n")
+
+
+@pytest.mark.parametrize("argv, namespace", [
+    (["count", "--n-max=3"], {"n_max": 3, "k_max": 2, "output": "csv"}),
+    (["count", "--n-max", "3", "--n-max", "4"], {"n_max": 4, "k_max": 2, "output": "csv"}),
+    (["decompose", "--k", "-1"], {"k": -1, "output": "csv"}),
+    (["prob", "--k", "0", "--output=json"], {"k": 0, "depth": 4, "which": "probability", "output": "json"}),
+    (["compare", "--depths", "-1", "--which=total"], {
+        "k": 0, "which": "total", "depths": "-1", "n_min": 16, "n_max": 4096,
+        "precision_bits": 256, "output": "csv",
+    }),
+    (["tables"], {"output_dir": "tables"}),
+])
+def test_parse_args_reads_every_option_form(argv, namespace):
+    assert vars(cli.parse_args(argv)) == {"command": argv[0], **namespace}
+
+
+def test_every_option_of_a_command_is_listed_with_its_default(capsys):
+    assert main(["fit", "--help"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    for flag, default in [("--k", 0), ("--degree", 6), ("--n-min", 100), ("--n-max", 1000),
+                          ("--precision-bits", 256), ("--max-denominator", 10000), ("--output", "csv")]:
+        line = next(line for line in out.splitlines() if line.startswith(f"  {flag} "))
+        assert line.endswith(f"(default: {default})")
+    assert main(["asym", "-h"]) == 0
+    out, _ = capsys.readouterr()
+    assert "  --k INT  (required)" in out.splitlines()
+    assert "half-power rows below the leading one" in out
 
 
 @pytest.mark.parametrize(
@@ -391,11 +439,16 @@ def test_parser_covers_all_commands():
         # a negative depth keeps no term; it is not a slice from the end
         ["compare", "--k", "1", "--depths", "3,2,-2", "--n-min", "64", "--n-max", "128"],
         ["asym", "--k", "0", "--which", "total", "--depth", "-1"],
-        # argparse's own errors: the error line without the usage block
+        # the parser's own errors: argparse's error line, without the usage block
         ["bogus"],
         ["count", "--n-max", "x"],
         ["count"],
         ["tables", "--output", "json"],
+        ["asym", "--k", "1", "--which", "foo"],
+        ["asym", "--k"],
+        ["asym", "--k", "--depth", "2"],
+        # whole option names only: no abbreviation of --n-max
+        ["count", "--n-m", "3"],
         ["fit", "--k", "-2"],
         # an ill-conditioned fit comes from the degree and precision asked for
         ["fit", "--k", "0", "--degree", "30", "--n-min", "100", "--n-max", "130",

@@ -156,3 +156,22 @@ def test_importing_the_package_loads_no_code_generation_modules():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["[]", "[]"]
+
+
+def test_the_command_line_loads_no_argument_parser():
+    # argparse, and the gettext and locale it loads for its messages, cost
+    # about 7 ms on every cold command; the CLI reads its arguments itself
+    probe = (
+        "import contextlib, io, sys\n"
+        "import graphasym.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [graphasym.cli.main(['q', '--n-max', '2']), graphasym.cli.main(['errata'])]\n"
+        "print(codes, sorted(m for m in ('argparse', 'gettext', 'locale') if m in sys.modules))\n"
+    )
+    src = str(Path(graphasym.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[0, 0] []"]
