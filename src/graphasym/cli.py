@@ -277,58 +277,38 @@ def _cmd_tables(args: SimpleNamespace) -> int:
 
 
 _HANDLERS: dict[str, Callable[[SimpleNamespace], int]] = {
-    "count": _cmd_count,
-    "q": _cmd_q,
-    "tpoly": _cmd_tpoly,
-    "decompose": _cmd_decompose,
-    "asym": _cmd_asym,
-    "prob": _cmd_asym,
-    "fit": _cmd_fit,
-    "compare": _cmd_compare,
-    "tables": _cmd_tables,
-    "errata": _cmd_errata,
+    "count": _cmd_count, "q": _cmd_q, "tpoly": _cmd_tpoly, "decompose": _cmd_decompose, "asym": _cmd_asym,
+    "prob": _cmd_asym, "fit": _cmd_fit, "compare": _cmd_compare, "tables": _cmd_tables, "errata": _cmd_errata,
 }
 
 
-# Every command: its help line, the attributes it fixes, and its options as
-# (flag, int or str or a tuple of choices, default[, help text]), where a
-# default of None marks a required option.
+# Every command: its help line, the attributes it fixes, and its options as (flag, int or
+# str or a tuple of choices, default[, help text]); a default of None marks a required option.
 _OUTPUT = ("--output", ("csv", "json"), "csv")
 _COMMANDS = {
     "count": ("exact connected counts c(n, m)", {}, [("--n-max", int, None), ("--k-max", int, 2), _OUTPUT]),
     "q": ("exact values of Ramanujan's Q-function", {}, [("--n-max", int, None), _OUTPUT]),
     "tpoly": ("exact tree polynomial values t_n(y)", {}, [("--n-max", int, None), ("--y", int, None), _OUTPUT]),
     "decompose": ("tree-polynomial split of c(n, n+k)", {}, [("--k", int, None), _OUTPUT]),
-    "asym": ("expansion rows for connected or all graphs", {}, [
-        ("--k", int, None),
-        ("--depth", int, 5, "half-power rows below the leading one; for --which total, powers of 1/n "
-         "(2*depth+2 half-power rows)"),
-        ("--which", ("connected", "total"), "connected"),
-        _OUTPUT,
-    ]),
-    "prob": ("expansion of the connectedness probability", {"which": "probability"}, [
-        ("--k", int, None), ("--depth", int, 4), _OUTPUT,
-    ]),
-    "fit": ("least-squares coefficient recovery", {}, [
-        ("--k", int, 0), ("--degree", int, 6), ("--n-min", int, 100), ("--n-max", int, 1000),
-        ("--precision-bits", int, 256), ("--max-denominator", int, 10000), _OUTPUT,
-    ]),
+    "asym": ("expansion rows for connected or all graphs", {}, [("--k", int, None), ("--depth", int, 5,
+        "half-power rows below the leading one; for --which total, powers of 1/n (2*depth+2 half-power rows)"),
+        ("--which", ("connected", "total"), "connected"), _OUTPUT]),
+    "prob": ("expansion of the connectedness probability", {"which": "probability"},
+             [("--k", int, None), ("--depth", int, 4), _OUTPUT]),
+    "fit": ("least-squares coefficient recovery", {}, [("--k", int, 0), ("--degree", int, 6), ("--n-min", int, 100),
+        ("--n-max", int, 1000), ("--precision-bits", int, 256), ("--max-denominator", int, 10000), _OUTPUT]),
     "compare": ("exact values against truncated expansions", {}, [
-        ("--k", int, 0),
-        ("--which", ("connected", "total", "probability"), "connected"),
-        ("--depths", str, "1,3,5", "truncation depths, each in half-power slots below the leading one for "
-         "every --which; the total expansion has only integer powers of 1/n, so there an odd depth adds "
-         "no term and the default 1,3,5 keeps 1, 2 and 3 terms"),
-        ("--n-min", int, 16),
-        ("--n-max", int, 4096),
-        ("--precision-bits", int, 256, "working precision; the exact column is c/g rounded once at it"),
-        _OUTPUT,
-    ]),
+        ("--k", int, 0), ("--which", ("connected", "total", "probability"), "connected"),
+        ("--depths", str, "1,3,5", "truncation depths, each in half-power slots below the leading one for every "
+         "--which; the total expansion has only integer powers of 1/n, so there an odd depth adds no term and "
+         "the default 1,3,5 keeps 1, 2 and 3 terms"),
+        ("--n-min", int, 16), ("--n-max", int, 4096),
+        ("--precision-bits", int, 256, "working precision; the exact column is c/g rounded once at it"), _OUTPUT]),
     "errata": ("corrections to commonly printed values", {}, [_OUTPUT]),
     # writes CSV files and prints their paths, so it takes no --output
     "tables": ("write every canonical table as CSV", {}, [("--output-dir", str, "tables")]),
 }
-_NEGATIVE_NUMBER = re.compile(r"-\d+|-\d*\.\d+")
+_OPTION_LIKE = re.compile(r"-(?!\d+$|\d*\.\d+$)[^ ]+")  # not "-", a negative number or a phrase
 
 
 def _fail(prog: str, message: str):
@@ -336,71 +316,54 @@ def _fail(prog: str, message: str):
     raise SystemExit(2)
 
 
-def _is_option(token: str) -> bool:
-    """A dash word, but not a lone "-", a negative number or a phrase with a space."""
-    return len(token) > 1 and token[0] == "-" and " " not in token and not _NEGATIVE_NUMBER.fullmatch(token)
-
-
-def _print_help(command: str | None):
-    import textwrap  # here only: no other path formats help
-    if command is None:
-        print("usage: graphasym <command> [options]; graphasym <command> --help lists its options\n")
-        print("\n".join(f"  {name:<11}{about}" for name, (about, _, _) in _COMMANDS.items()))
-    else:
+def _print_help(commands):
+    print("usage: graphasym <command> [options]")
+    for command in commands:
         about, _, options = _COMMANDS[command]
-        print(f"usage: graphasym {command} [options]: {about}\n\n  -h, --help  show this help and exit")
+        print(f"\n{command}: {about}")
         for flag, kind, default, *text in options:
             metavar = "{" + ",".join(kind) + "}" if isinstance(kind, tuple) else kind.__name__.upper()
             text.append("(required)" if default is None else f"(default: {default})")
-            print(textwrap.fill(" ".join([f"  {flag} {metavar} ", *text]), 79, subsequent_indent=" " * 6))
+            print(f"  {flag} {metavar}  " + " ".join(text))
     raise SystemExit(0)
 
 
 def parse_args(argv: Sequence[str]) -> SimpleNamespace:
-    """`argv` read against _COMMANDS; --help and bad arguments raise SystemExit (0 and 2),
-    a bad one after printing `<prog>: error: <message>` on stderr."""
-    tokens = iter(argv)
-    extras = []
-    for command in tokens:
-        if command in ("-h", "--help"):
-            _print_help(None)
-        if command == "--" or not _is_option(command):
-            break
-        extras.append(command)
-    else:
+    """`argv` read against _COMMANDS; --help raises SystemExit(0), a bad argument SystemExit(2)."""
+    if not argv:
         _fail("graphasym", "the following arguments are required: command")
+    command, *rest = argv
+    if command in ("-h", "--help"):
+        _print_help(_COMMANDS)
     if command not in _COMMANDS:
         choices = ", ".join(map(repr, _COMMANDS))
         _fail("graphasym", f"argument command: invalid choice: {command!r} (choose from {choices})")
     _, fixed, options = _COMMANDS[command]
-    prog = f"graphasym {command}"
-    kinds = {flag: kind for flag, kind, *_ in options}
+    prog, kinds = f"graphasym {command}", {flag: kind for flag, kind, *_ in options}
     values = {flag: default for flag, _, default, *_ in options}
+    extras, tokens = [], iter(rest)
     for token in tokens:
         if token in ("-h", "--help"):
-            _print_help(command)
+            _print_help([command])
         flag, eq, value = token.partition("=")
-        if token == "--":  # what follows is positional, and no command takes any
-            extras += [token, *tokens]
-        elif flag not in kinds:
+        if flag not in kinds:
             extras.append(token)
-        else:
-            if not eq:  # the next token, unless it reads as a flag; none reads as "--"
-                value = next(tokens, "--")
-                if value.partition("=")[0] in kinds or _is_option(value):
-                    _fail(prog, f"argument {flag}: expected one argument")
-            kind = kinds[flag]
-            if kind is int:
-                try:
-                    value = int(value)
-                except ValueError:
-                    _fail(prog, f"argument {flag}: invalid int value: {value!r}")
-            elif kind is not str and value not in kind:
-                _fail(prog, f"argument {flag}: invalid choice: {value!r} (choose from {', '.join(map(repr, kind))})")
-            values[flag] = value
-    missing = [flag for flag, value in values.items() if value is None]
-    if missing:
-        _fail(prog, f"the following arguments are required: {', '.join(missing)}")
+            continue
+        if not eq:  # the next token; a missing one reads as "--"
+            value = next(tokens, "--")
+            if _OPTION_LIKE.fullmatch(value):
+                _fail(prog, f"argument {flag}: expected one argument")
+        kind = kinds[flag]
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                _fail(prog, f"argument {flag}: invalid int value: {value!r}")
+        elif kind is not str and value not in kind:
+            _fail(prog, f"argument {flag}: invalid choice: {value!r} (choose from {', '.join(map(repr, kind))})")
+        values[flag] = value
+    if None in values.values():
+        _fail(prog, "the following arguments are required: " + ", ".join(f for f, v in values.items() if v is None))
     if extras:
         _fail("graphasym", f"unrecognized arguments: {' '.join(extras)}")
     return SimpleNamespace(command=command, **fixed, **{f[2:].replace("-", "_"): v for f, v in values.items()})

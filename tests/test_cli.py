@@ -375,6 +375,10 @@ def test_the_command_table_and_the_handlers_name_the_same_commands():
     (["count", "--n-max", "3", "--k-m", "1"], "graphasym: error: unrecognized arguments: --k-m 1"),
     (["tpoly"], "graphasym tpoly: error: the following arguments are required: --n-max, --y"),
     (["count", "--n-max", "3", "--", "4"], "graphasym: error: unrecognized arguments: -- 4"),
+    # the command comes first: an option before it is not a command
+    (["-x", "count", "--n-max", "3"], "graphasym: error: argument command: invalid choice: '-x' (choose from "
+     "'count', 'q', 'tpoly', 'decompose', 'asym', 'prob', 'fit', 'compare', 'errata', 'tables')"),
+    (["count", "--n-max=--"], "graphasym count: error: argument --n-max: invalid int value: '--'"),
 ])
 def test_argument_errors_are_argparse_s_lines(capsys, argv, err):
     assert run(capsys, *argv) == (1, "", err + "\n")
@@ -449,6 +453,9 @@ def test_every_option_of_a_command_is_listed_with_its_default(capsys):
         ["asym", "--k", "--depth", "2"],
         # whole option names only: no abbreviation of --n-max
         ["count", "--n-m", "3"],
+        # argparse read a value of "--" after "=" as an empty list, and the handler raised
+        ["count", "--n-max=--"],
+        ["asym", "--k", "1", "--which=--"],
         ["fit", "--k", "-2"],
         # an ill-conditioned fit comes from the degree and precision asked for
         ["fit", "--k", "0", "--degree", "30", "--n-min", "100", "--n-max", "130",
