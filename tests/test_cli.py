@@ -453,7 +453,7 @@ def test_every_option_of_a_command_is_listed_with_its_default(capsys):
         ["asym", "--k", "--depth", "2"],
         # whole option names only: no abbreviation of --n-max
         ["count", "--n-m", "3"],
-        # argparse read a value of "--" after "=" as an empty list, and the handler raised
+        # "--" after "=" is a value, and not a valid one
         ["count", "--n-max=--"],
         ["asym", "--k", "1", "--which=--"],
         ["fit", "--k", "-2"],
