@@ -39,7 +39,7 @@ from .ramanujan import (
     q_exact,
 )
 from .series import Series, egf_coefficient, tree_function
-from .symbolic import AsymSeries, SymConst, bernoulli, stirling_series
+from .symbolic import AsymSeries, SymConst, stirling_series
 from .treepoly import (
     TreePolyNormalForm,
     t_normal_form,

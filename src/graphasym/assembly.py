@@ -139,7 +139,6 @@ def exact_count_via_t(n: int, k: int) -> int:
 # connected graphs: expansion of c(n, n+k) / n**(n + (3k-1)/2)
 
 
-@lru_cache(maxsize=None)
 def asym_c(k: int, depth: int) -> AsymSeries:
     """Expansion of c(n, n+k) normalized by n**(n + (3k-1)/2).
 

@@ -119,7 +119,6 @@ class CountTable(Record):
                 yield n, m, self.rows[n][m]
 
 
-@lru_cache(maxsize=None)
 def connected_counts(n_max: int, k_max: int) -> CountTable:
     """Exact table of c(n, m) for all m from n-1 up to n+k_max."""
     if n_max < 1 or k_max < -1:

@@ -288,30 +288,60 @@ class AsymSeries(Record):
 
 
 @lru_cache(maxsize=None)
-def bernoulli(m: int) -> Fraction:
-    """Bernoulli number B_m with B_1 = -1/2."""
-    if m < 0:
-        raise ValueError("Bernoulli numbers need m >= 0")
-    if m == 0:
-        return Fraction(1)
-    acc = Fraction(0)
-    for j in range(m):
-        acc += comb(m + 1, j) * bernoulli(j)
-    return -acc / (m + 1)
+def _tail_weights(count: int) -> tuple[Fraction, ...]:
+    """The first `count` weights B_{2i} / (2i(2i-1)) of the Stirling tail, checked against Gamma(x+1) = x Gamma(x).
 
+    Weight i is (-1)**(i-1) T_i / ((2i-1) 4**i (4**i - 1)), where tan x =
+    sum_i T_i x**(2i-1) / (2i-1)! gives the tangent numbers T_i, computed by
+    Brent and Harvey's recurrence ("Fast computation of Bernoulli, tangent and
+    secant numbers", 2011) in O(count**2) integer steps.
 
-def _tail_weight(i: int) -> Fraction:
-    """B_{2i} / (2i(2i-1)), the weight of y**(2i-1) in the Stirling tail."""
-    return bernoulli(2 * i) / (2 * i * (2 * i - 1))
+    Stirling's formula at x and at x + 1, with u = 1/x and 1/(x+1) = u/(1+u),
+    turns the functional equation into the series identity
 
+        tau(u/(1+u)) - tau(u) = 1 - (1/u + 1/2) ln(1+u).
 
-def _odd_power_sum(y: Series, weights: Sequence[Fraction]) -> Series:
-    """sum_i weights[i-1] y**(2i-1) to the order of y, in one pass on integers.
-
-    With y = Y/d and the weights W_i/w, term i is W_i Y**(2i-1) d**(2(n-i)) /
-    (w d**(2n-1)) for n weights, so the powers of Y are accumulated as
-    integers and one Fraction is built per coefficient.
+    On the left, the u**j coefficient of (u/(1+u))**(2i-1) - u**(2i-1) is
+    (-1)**(j-1) C(j-1, 2i-2) for j > 2i-1 and 0 otherwise; on the right it is
+    (-1)**(j+1) (j-1) / (2j(j+1)).  So weight i first enters at u**(2i), times
+    2i-1, and each coefficient through u**(2 count) is compared on integers:
+    every weight returned is pinned, and a failure raises `VerificationFailure`.
     """
+    tangent = [0, 1]
+    for j in range(2, count + 1):
+        tangent.append((j - 1) * tangent[j - 1])
+    for i in range(2, count + 1):
+        for j in range(i, count + 1):
+            tangent[j] = (j - i) * tangent[j - 1] + (j - i + 2) * tangent[j]
+    weights = tuple(
+        Fraction((-1) ** (i - 1) * tangent[i], (2 * i - 1) * 4**i * (4**i - 1)) for i in range(1, count + 1)
+    )
+    nums, den = _poly.over_one_denominator(weights)
+    for j in range(1, 2 * count + 1):
+        got = sum(nums[i - 1] * comb(j - 1, 2 * i - 2) for i in range(1, j // 2 + 1))
+        if 2 * j * (j + 1) * got != (j - 1) * den:  # both sides times (-1)**(j+1) 2j(j+1) den
+            sign = (-1) ** (j + 1)
+            raise VerificationFailure(
+                f"the Stirling tail fails Gamma(x+1) = x Gamma(x) at u**{j}: "
+                f"{Fraction(sign * got, den)} != {Fraction(sign * (j - 1), 2 * j * (j + 1))}"
+            )
+    return weights
+
+
+def stirling_tail(y: Series) -> Series:
+    """tau(y) = sum_{i>=1} B_{2i} / (2i(2i-1)) y**(2i-1), to the order of y.
+
+    Stirling's formula is ln x! = x ln x - x + ln(2 pi x)/2 + tau(1/x).  The
+    truncation is exact only when y has no constant term.  The weights come
+    from tangent numbers, checked coefficient by coefficient against
+    Gamma(x+1) = x Gamma(x) once per order (`_tail_weights`).  The sum is one
+    pass on integers: with y = Y/d and the weights W_i/w, term i is
+    W_i Y**(2i-1) d**(2(n-i)) / (w d**(2n-1)) for n weights, so the powers of
+    Y are accumulated as integers and one Fraction is built per coefficient.
+    """
+    if y[0] != 0:
+        raise ConstantTermError("the Stirling tail needs a zero constant term")
+    weights = _tail_weights((y.order + 1) // 2)
     if not weights:
         return Series.zero(y.order)
     size = y.order + 1
@@ -328,50 +358,6 @@ def _odd_power_sum(y: Series, weights: Sequence[Fraction]) -> Series:
         _poly.add_into(acc, power, c)
     den = w * d ** (2 * len(wn) - 1)
     return Series(Fraction(n, den) for n in acc)
-
-
-@lru_cache(maxsize=None)
-def _tail_weights(count: int) -> tuple[Fraction, ...]:
-    """The first `count` weights of the Stirling tail, checked against Gamma(x+1) = x Gamma(x).
-
-    Stirling's formula at x and at x + 1, with u = 1/x and 1/(x+1) = u/(1+u),
-    turns the functional equation into the series identity
-
-        tau(u/(1+u)) - tau(u) = 1 - (1/u + 1/2) ln(1+u),
-
-    whose u**(2i) coefficient is -(2i-1) times weight i plus earlier weights.
-    It is checked through u**(2 count), so every weight returned is pinned;
-    a failure raises `VerificationFailure`.
-    """
-    weights = tuple(_tail_weight(i) for i in range(1, count + 1))
-    order = 2 * count
-    if order == 0:
-        return weights
-    u = Series.variable(order)
-    shifted = Series([0] + [(-1) ** (j + 1) for j in range(1, order + 1)])  # u/(1+u)
-    lhs = _odd_power_sum(shifted, weights) - _odd_power_sum(u, weights)
-    # (1/u + 1/2) ln(1+u) = sum_j (-1)**j u**j (1/(j+1) - 1/(2j)), the j = 0 term 1
-    rhs = [Fraction(0)] + [
-        (-1) ** (j + 1) * (Fraction(1, j + 1) - Fraction(1, 2 * j)) for j in range(1, order + 1)
-    ]
-    for j, (got, want) in enumerate(zip(lhs.coeffs(), rhs)):
-        if got != want:
-            raise VerificationFailure(
-                f"the Stirling tail fails Gamma(x+1) = x Gamma(x) at u**{j}: {got} != {want}"
-            )
-    return weights
-
-
-def stirling_tail(y: Series) -> Series:
-    """tau(y) = sum_{i>=1} B_{2i} / (2i(2i-1)) y**(2i-1), to the order of y.
-
-    Stirling's formula is ln x! = x ln x - x + ln(2 pi x)/2 + tau(1/x).  The
-    truncation is exact only when y has no constant term.  The weights are
-    checked once per order against Gamma(x+1) = x Gamma(x) (`_tail_weights`).
-    """
-    if y[0] != 0:
-        raise ConstantTermError("the Stirling tail needs a zero constant term")
-    return _odd_power_sum(y, _tail_weights((y.order + 1) // 2))
 
 
 def stirling_series(depth: int) -> AsymSeries:

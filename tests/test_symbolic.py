@@ -1,12 +1,14 @@
 """Exact constants (rationals and rationals times xi = sqrt(2*pi)) and half-power series."""
+import inspect
 import json
+import types
 from fractions import Fraction
 
 import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from graphasym import AsymSeries, Series, SymConst, assembly, bernoulli, stirling_series, symbolic
+from graphasym import AsymSeries, Series, SymConst, assembly, stirling_series, symbolic
 from graphasym.cli import main
 from graphasym.errors import OrderMismatch, OutsideRing, VerificationFailure
 
@@ -240,7 +242,7 @@ def test_bernoulli_values():
     expected = {0: F(1), 1: F(-1, 2), 2: F(1, 6), 3: F(0), 4: F(-1, 30),
                 6: F(1, 42), 8: F(-1, 30), 10: F(5, 66), 12: F(-691, 2730)}
     for m, v in expected.items():
-        assert bernoulli(m) == v
+        assert oracles.bernoulli(m) == v
 
 
 def test_stirling_series_coefficients():
@@ -266,43 +268,60 @@ def test_stirling_tail_is_the_weighted_sum_of_odd_powers():
     y = Series([F(0), F(2), F(-1, 3), F(5, 7), F(0), F(1, 11), F(-4)])
     want, power = Series.zero(6), y
     for i in range(1, 4):
-        want = want + power.scale(bernoulli(2 * i) / (2 * i * (2 * i - 1)))
+        want = want + power.scale(oracles.bernoulli(2 * i) / (2 * i * (2 * i - 1)))
         power = power * y * y
     assert symbolic.stirling_tail(y) == want
-    # the functional-equation check pins every weight through y**39
-    assert symbolic._tail_weights(20)[:3] == (F(1, 12), F(-1, 360), F(1, 1260))
+    # the tangent-number route against the Bernoulli recursion, each weight
+    # pinned by the functional-equation check through u**100
+    weights = symbolic._tail_weights(50)
+    assert len(weights) == 50
+    for i in range(1, 51):
+        assert weights[i - 1] == oracles.bernoulli(2 * i) / (2 * i * (2 * i - 1)), i
 
 
-_RIGHT_WEIGHT = symbolic._tail_weight
+def _mutant_symbolic(text: str, mutant: str):
+    """symbolic.py with `text`, found once, replaced by `mutant`, as a new module object."""
+    source = inspect.getsource(symbolic)
+    assert source.count(text) == 1
+    module = types.ModuleType(symbolic.__name__)
+    module.__package__ = symbolic.__package__
+    exec(compile(source.replace(text, mutant), symbolic.__file__, "exec"), module.__dict__)
+    return module
 
 
+# (text of symbolic.py, its mutant, the options `asym --k 0 --which total` needs to read
+# the wrong weight, and the power of u at which the functional equation first fails)
 @pytest.mark.parametrize(
-    "mutant, argv, power",
+    "text, mutant, argv, power",
     [
         # 2i(2i+1) in place of 2i(2i-1): `asym --k 0 --which total` printed a
         # wrong n**-1 term and exited 0 before the check
-        (lambda i: bernoulli(2 * i) / (2 * i * (2 * i + 1)), [], 2),
+        ("(2 * i - 1) * 4**i", "(2 * i + 1) * 4**i", [], 2),
         # 10**-6 too much in the y**9 weight, which only depth 9 and beyond reads
-        (lambda i: _RIGHT_WEIGHT(i) + (F(1, 10**6) if i == 5 else 0), ["--depth", "10"], 10),
+        ("    nums, den = _poly.over_one_denominator(weights)\n    for j",
+         "    weights = tuple(w + Fraction(1, 10**6) * (i == 4) for i, w in enumerate(weights))\n"
+         "    nums, den = _poly.over_one_denominator(weights)\n    for j", ["--depth", "10"], 10),
+        # j - i + 1 for j - i + 2 in the tangent recurrence: T_2 = 1, not 2
+        ("(j - i + 2) * tangent[j]", "(j - i + 1) * tangent[j]", [], 4),
     ],
+    ids=["divisor", "weight-5", "tangent-recurrence"],
 )
 def test_a_wrong_stirling_weight_fails_gamma_functional_equation(
-    monkeypatch, capsys, mutant, argv, power
+    monkeypatch, capsys, text, mutant, argv, power
 ):
-    monkeypatch.setattr(symbolic, "_tail_weight", mutant)
-    symbolic._tail_weights.cache_clear()
+    module = _mutant_symbolic(text, mutant)
+    at_power = rf"Gamma\(x\+1\) = x Gamma\(x\) at u\*\*{power}:"
+    with pytest.raises(VerificationFailure, match=at_power):
+        module.stirling_tail(Series.variable(11))
+    monkeypatch.setattr(assembly, "stirling_tail", module.stirling_tail)
     assembly.asym_g.cache_clear()
     assembly._total_base.cache_clear()
     try:
-        at_power = rf"Gamma\(x\+1\) = x Gamma\(x\) at u\*\*{power}:"
-        with pytest.raises(VerificationFailure, match=at_power):
-            symbolic.stirling_tail(Series.variable(11))
         assert main(["asym", "--k", "0", "--which", "total", *argv]) == 2
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("verification error: the Stirling tail fails")
         assert err.count("\n") == 1
     finally:
-        symbolic._tail_weights.cache_clear()
         assembly.asym_g.cache_clear()
         assembly._total_base.cache_clear()
