@@ -4,10 +4,12 @@ Everything here is deliberately written against different identities (or by
 plain exhaustion) than the library code, so agreement is meaningful.  The
 EGF route to t_n(y) (t_series), the checkers that read library series against
 an identity (t_recurrence_check, q_egf_check), the expansion of t_n(y) read
-off its normal form (t_asym) and the JSON decoders live here too: nothing in
-the package calls them.
+off its normal form (t_asym), the JSON decoders and the builder of source
+mutants (mutant_module) live here too: nothing in the package calls them.
 """
 
+import inspect
+import types
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -642,3 +644,13 @@ def series_inverse_by_fractions(x: Series) -> Series:
                 acc += a[i] * inv[m - i]
         inv[m] = -acc / c0
     return Series(inv)
+
+
+def mutant_module(module: types.ModuleType, text: str, mutant: str) -> types.ModuleType:
+    """`module`'s source with `text`, found once, replaced by `mutant`, as a new module object."""
+    source = inspect.getsource(module)
+    assert source.count(text) == 1
+    mutated = types.ModuleType(module.__name__)
+    mutated.__package__ = module.__package__
+    exec(compile(source.replace(text, mutant), module.__file__, "exec"), mutated.__dict__)
+    return mutated

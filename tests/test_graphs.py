@@ -1,7 +1,5 @@
 """Exact connected-graph counts and the excess splits and numerators A_k."""
-import inspect
 import re
-import types
 from fractions import Fraction
 from math import comb, factorial
 
@@ -163,16 +161,6 @@ def test_the_split_step_on_perturbed_input_agrees_with_the_fraction_object_step_
     assert via_s == via_t
 
 
-def _mutant_graphs(text: str, mutant: str):
-    """graphs.py with `text`, found once, replaced by `mutant`, as a new module object."""
-    source = inspect.getsource(graphs)
-    assert source.count(text) == 1
-    module = types.ModuleType(graphs.__name__)
-    module.__package__ = graphs.__package__
-    exec(compile(source.replace(text, mutant), graphs.__file__, "exec"), module.__dict__)
-    return module
-
-
 LEFTOVER = r"Wright's recurrence for W_\d+ fails its leftover equation at s\*\*{}: \S+ != \S+"
 CONSTANT = r"the split of W_1 has a z\*\*0 term: A_1\(0\) = \S+"
 
@@ -203,7 +191,7 @@ CONSTANT = r"the split of W_1 has a z\*\*0 term: A_1\(0\) = \S+"
     ids=["pair-product-top", "pair-product-at-3k+3", "theta-w0", "first-backward-divisor", "last-backward-divisor"],
 )
 def test_a_mutant_of_the_split_step_makes_decompose_exit_2(monkeypatch, capsys, text, mutant, message, power):
-    module = _mutant_graphs(text, mutant)
+    module = oracles.mutant_module(graphs, text, mutant)
     monkeypatch.setattr(assembly, "excess_split", module.excess_split)
     assembly.decompose.cache_clear()
     try:

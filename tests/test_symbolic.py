@@ -1,7 +1,5 @@
 """Exact constants (rationals and rationals times xi = sqrt(2*pi)) and half-power series."""
-import inspect
 import json
-import types
 from fractions import Fraction
 
 import mpmath
@@ -279,16 +277,6 @@ def test_stirling_tail_is_the_weighted_sum_of_odd_powers():
         assert weights[i - 1] == oracles.bernoulli(2 * i) / (2 * i * (2 * i - 1)), i
 
 
-def _mutant_symbolic(text: str, mutant: str):
-    """symbolic.py with `text`, found once, replaced by `mutant`, as a new module object."""
-    source = inspect.getsource(symbolic)
-    assert source.count(text) == 1
-    module = types.ModuleType(symbolic.__name__)
-    module.__package__ = symbolic.__package__
-    exec(compile(source.replace(text, mutant), symbolic.__file__, "exec"), module.__dict__)
-    return module
-
-
 # (text of symbolic.py, its mutant, the options `asym --k 0 --which total` needs to read
 # the wrong weight, and the power of u at which the functional equation first fails)
 @pytest.mark.parametrize(
@@ -309,7 +297,7 @@ def _mutant_symbolic(text: str, mutant: str):
 def test_a_wrong_stirling_weight_fails_gamma_functional_equation(
     monkeypatch, capsys, text, mutant, argv, power
 ):
-    module = _mutant_symbolic(text, mutant)
+    module = oracles.mutant_module(symbolic, text, mutant)
     at_power = rf"Gamma\(x\+1\) = x Gamma\(x\) at u\*\*{power}:"
     with pytest.raises(VerificationFailure, match=at_power):
         module.stirling_tail(Series.variable(11))
